@@ -57,7 +57,6 @@ from .learning import (
     EmbeddingRisk,
     FiniteClass,
     LearnerConfig,
-    LipschitzGrid,
     NewtonInterpolant,
     ParametricClass,
     RegularizedFit,

@@ -190,15 +190,19 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng((seed, trial))
+def _trial_counts(mu: ProbMeasure, n: int, trials: int, seed: int):
+    """Yield, per trial, the cell counts of n i.i.d. draws from mu.
 
-
-def _sample_indices(rng, cumulative: np.ndarray, n: int) -> np.ndarray:
-    """Inverse-CDF sampling of n category indices."""
-    idx = np.searchsorted(cumulative, rng.random(n), side="right")
-    # the final cumulative value can round below 1, clamp the overflow cell
-    return np.minimum(idx, cumulative.size - 1)
+    Trial t samples by inverse CDF from default_rng((seed, t)), so each
+    trial's draws do not depend on the others.
+    """
+    cumulative = np.cumsum(mu.weights)
+    for t in range(trials):
+        u = np.random.default_rng((seed, t)).random(n)
+        idx = np.searchsorted(cumulative, u, side="right")
+        # the final cumulative value can round below 1, clamp the overflow cell
+        idx = np.minimum(idx, cumulative.size - 1)
+        yield np.bincount(idx, minlength=cumulative.size)
 
 
 def monte_carlo_verify(
@@ -263,12 +267,8 @@ def _verify_hoeffding(mu: ProbMeasure, h: MarkovKernel, n, trials, seed, *, gY, 
     ck = math.sqrt(float(np.max(np.abs(np.diag(gY.values)))))
     grid = _loss_grid(h, gY).reshape(-1)
     true_risk = expected_risk(h, mu, gY).value
-    cum = np.cumsum(mu.weights)
-    cells = mu.weights.size
     failures = 0
-    for t in range(trials):
-        idx = _sample_indices(_trial_rng(seed, t), cum, n)
-        counts = np.bincount(idx, minlength=cells)
+    for counts in _trial_counts(mu, n, trials, seed):
         emp_risk = float(counts @ grid) / n
         if abs(emp_risk - true_risk) > eps:
             failures += 1
@@ -282,13 +282,9 @@ def _verify_covering(mu: ProbMeasure, cls: FiniteClass, n, trials, seed, *, gY, 
     grids = np.stack([_loss_grid(h, gY).reshape(-1) for h in cls])
     true_risks = np.array([expected_risk(h, mu, gY).value for h in cls])
     best_true = float(np.min(true_risks))
-    cum = np.cumsum(mu.weights)
-    cells = mu.weights.size
     failures = 0
     implication_violations = 0
-    for t in range(trials):
-        idx = _sample_indices(_trial_rng(seed, t), cum, n)
-        counts = np.bincount(idx, minlength=cells)
+    for counts in _trial_counts(mu, n, trials, seed):
         emp_risks = grids @ counts / n
         sup_dev = float(np.max(np.abs(emp_risks - true_risks)))
         if sup_dev > eps:
@@ -320,12 +316,8 @@ def _verify_mmd(mu: ProbMeasure, g: GramMatrix, n, trials, seed, *, delta):
         raise ValueError("ground truth does not live on the Gram matrix's space")
     k_diag_mean = float(mu.weights @ diag)
     dev_bound = mmd_concentration_bound(n, delta, k_diag_mean)
-    cum = np.cumsum(mu.weights)
-    cells = mu.weights.size
     failures = 0
-    for t in range(trials):
-        idx = _sample_indices(_trial_rng(seed, t), cum, n)
-        counts = np.bincount(idx, minlength=cells)
+    for counts in _trial_counts(mu, n, trials, seed):
         emp = SignedMeasure(mu.space, counts / n)
         if mmd(g, emp, mu) > dev_bound:
             failures += 1

@@ -168,10 +168,25 @@ def _load_json(path: str):
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
+def _cfg_number(cfg: dict[str, str], key: str, default: str | None = None, kind=float):
+    """cfg[key], or the default text, parsed by `kind` (float or int).
+
+    None when the key is absent and there is no default.
+    """
+    text = cfg.get(key, default)
+    if text is None:
+        return None
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} = {text!r} is not {what}") from None
+
+
 def _kernel_spec(cfg: dict[str, str], override: str | None) -> KernelSpec:
     variant = override or cfg.get("kernel", "delta")
-    sigma = float(cfg["sigma"]) if "sigma" in cfg else None
-    scale = float(cfg.get("scale", "1.0"))
+    sigma = _cfg_number(cfg, "sigma")
+    scale = _cfg_number(cfg, "scale", "1.0")
     if variant in ("gaussian", "laplacian") and sigma is None:
         sigma = 1.0
     try:
@@ -278,22 +293,6 @@ def _law_suite(seed: int, trials: int) -> dict[str, float]:
     return worst
 
 
-def _check_kernel_fixture(path: str) -> str | None:
-    """Validate a kernel JSON file; return the violated invariant, if any."""
-    doc = _load_json(path)
-    for key in ("source", "target", "rows"):
-        if key not in doc:
-            raise DataFormatError(f"kernel document lacks {key!r}")
-    rows = np.asarray(doc["rows"], dtype=float)
-    if not np.all(np.isfinite(rows)):
-        return "finite entries"
-    if np.any(rows < -1e-12):
-        return "row nonnegativity"
-    if np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
-        return "row-stochasticity (rows must sum to 1)"
-    return None
-
-
 def cmd_laws(args) -> int:
     cfg = _load_config(args.config)
     report = {
@@ -304,11 +303,13 @@ def cmd_laws(args) -> int:
     }
     failed = [name for name, v in report["laws"].items() if not v < _LAW_TOL]
     if "kernel_file" in cfg:
-        violated = _check_kernel_fixture(cfg["kernel_file"])
         report["kernel_file"] = cfg["kernel_file"]
-        if violated is not None:
-            report["fixture_violation"] = violated
-            failed.append(f"kernel fixture: {violated}")
+        doc = _load_json(cfg["kernel_file"])
+        try:
+            kernel_from_json(doc)
+        except DataFormatError as exc:
+            report["fixture_violation"] = str(exc)
+            failed.append(f"kernel fixture: {exc}")
     report["failed"] = failed
     if args.out:
         _write_json(Path(args.out), report)
@@ -331,16 +332,21 @@ def cmd_estimate(args) -> int:
     data = dataset_from_csv(_read_data_file(args.data), prod)
     gamma = args.gamma
     if gamma is None:
-        gamma = float(cfg["gamma"]) if "gamma" in cfg else gamma_schedule(len(data))
+        gamma = _cfg_number(cfg, "gamma")
+    if gamma is None:
+        gamma = gamma_schedule(len(data))
     if not gamma > 0:
         raise _UsageError("gamma must be strictly positive")
-    config = LearnerConfig(
-        restarts=int(cfg.get("restarts", "8")),
-        max_iters=int(cfg.get("max_iters", "500")),
-        step_size=float(cfg.get("step_size", "1.0")),
-        tol=float(cfg.get("tol", "1e-9")),
-        seed=args.seed,
+    knobs = dict(
+        restarts=_cfg_number(cfg, "restarts", "8", int),
+        max_iters=_cfg_number(cfg, "max_iters", "500", int),
+        step_size=_cfg_number(cfg, "step_size", "1.0"),
+        tol=_cfg_number(cfg, "tol", "1e-9"),
     )
+    try:
+        config = LearnerConfig(seed=args.seed, **knobs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     opnorm = cfg.get("operator_norm")
     include_opnorm = None if opnorm is None else opnorm.lower() in ("on", "true", "1")
     wspec = WFunctionalSpec.from_kernel(
@@ -388,7 +394,7 @@ def cmd_bounds(args) -> int:
         truth = _truth_measure(cfg, y_space)
         report = bounds_mod.monte_carlo_verify(
             name, truth, g, args.n, args.trials, args.seed,
-            delta=float(cfg.get("delta", "0.05")),
+            delta=_cfg_number(cfg, "delta", "0.05"),
         )
     else:
         x_space = space_from_config(cfg, "x")
@@ -396,7 +402,7 @@ def cmd_bounds(args) -> int:
         prod = ProductSpace(x_space, y_space)
         g_y = gram(kernel, y_space)
         truth = _truth_measure(cfg, prod)
-        eps = float(cfg.get("eps", "0.2"))
+        eps = _cfg_number(cfg, "eps", "0.2")
         if name == "hoeffding":
             if "hypothesis" not in cfg:
                 raise _UsageError("hoeffding needs a 'hypothesis' kernel file")
@@ -411,7 +417,7 @@ def cmd_bounds(args) -> int:
             cls = FiniteClass([kernel_from_json(_load_json(p)) for p in paths])
             report = bounds_mod.monte_carlo_verify(
                 name, truth, cls, args.n, args.trials, args.seed,
-                gY=g_y, eps=eps, c_m=float(cfg.get("c_m", "0.0")),
+                gY=g_y, eps=eps, c_m=_cfg_number(cfg, "c_m", "0.0"),
             )
     out = Path(args.out)
     _write_json(out / "report.json", report.to_json())
@@ -444,7 +450,7 @@ def cmd_embed(args) -> int:
     cfg = _load_config(args.config)
     y_space = space_from_config(cfg, "y")
     kernel = _kernel_spec(cfg, args.kernel)
-    delta = float(cfg.get("delta", "0.05"))
+    delta = _cfg_number(cfg, "delta", "0.05")
     labels_a = labels_from_csv(_read_data_file(args.sample_a), y_space)
     labels_b = labels_from_csv(_read_data_file(args.sample_b), y_space)
     g = gram(kernel, y_space)

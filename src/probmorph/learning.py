@@ -1,21 +1,21 @@
 """Hypothesis classes and estimators for conditional probability kernels.
 
-Hypotheses are Markov kernels on fixed finite grids. Three class
-shapes are supported: an explicit finite list, a parametric family
-where each row is the normalized exponential (softmax) of a logit
-vector, and the parametric family with a Lipschitz budget attached for
-coordinate-carrying sources.
+Hypotheses are Markov kernels on fixed finite grids. Two class shapes
+are supported: an explicit finite list, and the parametric family of
+all Markov kernels on the grids, reached by the normalized exponential
+(softmax) of a logit vector per row.
 
 Estimators:
 
-  * cerm: empirical risk minimization with a certified optimality gap
-    (exact by enumeration on finite classes, multi-start gradient
-    descent on logits otherwise).
+  * cerm: empirical risk minimization under the embedded quadratic
+    loss, with a certified optimality gap of 0. Finite classes are
+    enumerated; over the parametric class the risk is minimized in
+    closed form by the empirical conditional rows.
   * regularized_estimate: minimizes  fidelity^2 + gamma * W  where the
     fidelity is the embedded distance between the hypothesis' graph
     pushforward and the empirical joint measure, and W is a squared
     sum of a sup term, a Lipschitz term, and an embedded operator
-    norm.
+    norm. Multi-start gradient descent on logits.
 
 The Newton interpolant turns finitely many (abscissa, measure) nodes
 into a polynomial curve of signed measures that passes through the
@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
 
 from .kernels import GramMatrix, KernelSpec, gram
-from .morphisms import MarkovKernel, _sum_zero_basis
+from .morphisms import MarkovKernel, _sum_zero_pencil, _top_eigpair
 from .spaces import Dataset, FiniteSpace, ProbMeasure, ProductSpace, SignedMeasure
 
 _MAX_NEWTON_NODES = 12
@@ -82,18 +81,6 @@ class ParametricClass:
         return scale * rng.standard_normal((self.source.size, self.target.size))
 
 
-class LipschitzGrid(ParametricClass):
-    """Parametric class with an advisory Lipschitz budget over source coords."""
-
-    def __init__(self, source: FiniteSpace, target: FiniteSpace, budget: float):
-        if source.coords is None:
-            raise ValueError("a Lipschitz budget needs source coordinates")
-        if not budget > 0:
-            raise ValueError("the Lipschitz budget must be positive")
-        super().__init__(source, target)
-        self.budget = budget
-
-
 def gamma_schedule(n: int) -> float:
     """Default regularization weight: n^(-1/2)."""
     if n < 1:
@@ -103,15 +90,12 @@ def gamma_schedule(n: int) -> float:
 
 @dataclass
 class LearnerConfig:
-    """Optimizer and schedule knobs shared by the estimators.
+    """Optimizer knobs of regularized_estimate.
 
-    c_schedule must be nonincreasing and nonnegative when given; the
-    gamma schedule must be positive. Every random choice is driven by
-    `seed` plus a restart counter, so runs are reproducible.
+    Every random choice is driven by `seed` plus a restart counter, so
+    runs are reproducible.
     """
 
-    c_schedule: Sequence[float] | None = None
-    gamma_schedule: Callable[[int], float] = gamma_schedule
     restarts: int = 8
     max_iters: int = 500
     step_size: float = 1.0
@@ -119,20 +103,8 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c_schedule is not None:
-            cs = tuple(float(c) for c in self.c_schedule)
-            if any(c < 0 for c in cs):
-                raise ValueError("c_schedule entries must be nonnegative")
-            if any(a < b for a, b in zip(cs, cs[1:])):
-                raise ValueError("c_schedule must be nonincreasing")
-            self.c_schedule = cs
         if self.restarts < 1:
             raise ValueError("restarts must be a positive integer")
-
-    def c_at(self, n: int) -> float:
-        if not self.c_schedule:
-            return 0.0
-        return self.c_schedule[min(n, len(self.c_schedule)) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +135,6 @@ class EmbeddingRisk:
         cross = float(np.sum(gr * counts))
         return (float(quad @ counts.sum(axis=1)) + fixed - 2.0 * cross) / n
 
-    def grad_rows(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        g = self.gY.values
-        n = counts.sum()
-        per_x = counts.sum(axis=1)
-        return (2.0 * per_x[:, None] * (rows @ g) - 2.0 * (counts @ g)) / n
-
     def value(self, h: MarkovKernel, S: Dataset) -> float:
         counts = self.counts(h.source, h.target, S)
         return self.value_rows(h.matrix, counts)
@@ -183,10 +149,10 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _chain_to_logits(rows: np.ndarray, grad_rows: np.ndarray) -> np.ndarray:
+def _chain_to_logits(rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
     # Jacobian of rowwise softmax: diag(r) - r r'
-    inner = np.sum(grad_rows * rows, axis=1, keepdims=True)
-    return rows * (grad_rows - inner)
+    inner = np.sum(grad * rows, axis=1, keepdims=True)
+    return rows * (grad - inner)
 
 
 def _descend(fun_grad, z0: np.ndarray, config: LearnerConfig):
@@ -233,17 +199,18 @@ class CermResult:
 def cerm(
     cls, S: Dataset, risk: EmbeddingRisk, config: LearnerConfig | None = None
 ) -> CermResult:
-    """Empirical risk minimization with a reported optimality gap.
+    """Empirical risk minimization with a certified optimality gap of 0.
 
-    Finite classes are enumerated exactly (gap 0). Parametric classes
-    run `config.restarts` seeded gradient-descent starts plus warm
-    starts at the uniform kernel and the empirical section; the gap is
-    measured against an independent coarse probe ensemble and is not a
-    global-optimality certificate.
+    Finite classes are enumerated exactly. Over a ParametricClass the
+    risk at input x is n_x times the squared embedded distance from the
+    row to the empirical conditional row at x, plus a constant, so the
+    empirical section minimizes it in closed form: conditional rows at
+    observed inputs, uniform rows elsewhere. The minimizer is unique at
+    observed inputs when the label kernel is characteristic.
+    `config` is accepted for call compatibility; no field of it is read.
     """
     if len(S) == 0:
         raise ValueError("cerm needs a nonempty dataset")
-    config = config or LearnerConfig()
     if isinstance(risk, GramMatrix):
         risk = EmbeddingRisk(risk)
     if isinstance(cls, FiniteClass):
@@ -252,25 +219,13 @@ def cerm(
         return CermResult(h=cls.kernels[best], certified_gap=0.0, risk=values[best])
 
     counts = risk.counts(cls.source, cls.target, S)
-
-    def fun_grad(z):
-        rows = _softmax_rows(z)
-        return risk.value_rows(rows, counts), _chain_to_logits(
-            rows, risk.grad_rows(rows, counts)
-        )
-
-    finals = _multistart(cls, fun_grad, config, counts)
-    best_val, best_z, best_trace = finals
-    rows = _softmax_rows(best_z)
-    probe_best = min(
-        risk.value_rows(r, counts) for r in _probe_rows(cls, counts, config)
-    )
-    gap = max(0.0, best_val - probe_best)
+    rows = _section_rows(counts)
+    value = risk.value_rows(rows, counts)
     return CermResult(
         h=MarkovKernel(cls.source, cls.target, rows),
-        certified_gap=gap,
-        risk=best_val,
-        trace=best_trace,
+        certified_gap=0.0,
+        risk=value,
+        trace=[value],
     )
 
 
@@ -395,13 +350,7 @@ class _WEval:
         self.diag_blocks = np.stack([self.g1_blocks[i, :, i, :] for i in range(nx)])
         self.pairs, self.dists = self._lipschitz_pairs(x_space)
         if spec.include_operator_norm and nx > 1:
-            b = _sum_zero_basis(nx)
-            c = b.T @ spec.gram_x.values @ b
-            c = (c + c.T) / 2.0
-            if float(eigvalsh(c)[0]) <= 1e-9:
-                raise ValueError("input Gram matrix is singular on the sum-zero subspace")
-            self.basis = b
-            self.c = c
+            self.basis, self.c = _sum_zero_pencil(spec.gram_x.values)
         else:
             self.basis = None
             self.c = None
@@ -483,14 +432,13 @@ class _WEval:
         m = np.einsum("iy,iyjz,jz->ij", rows, self.g1_blocks, rows)
         a = self.basis.T @ m @ self.basis
         a = (a + a.T) / 2.0
-        vals, vecs = eigh(a, self.c)
-        lam = float(vals[-1])
+        lam, v = _top_eigpair(a, self.c)
         if lam <= 0.0:
             return 0.0, zero
         o = math.sqrt(lam)
         if not want_grad:
             return o, zero
-        u = self.basis @ vecs[:, -1]  # normalized so u' G_x u = 1
+        u = self.basis @ v  # normalized so u' G_x u = 1
         t = np.einsum("j,kyjz,jz->ky", u, self.g1_blocks, rows)
         grad = (u[:, None] * t) / o
         return o, grad
@@ -526,7 +474,7 @@ def regularized_estimate(
 
     The fidelity compares the hypothesis' graph pushforward of the
     empirical input marginal against the empirical joint, in the
-    geometry of gXY. Multi-start descent as in cerm; eps_certificate
+    geometry of gXY. Multi-start gradient descent on logits; eps_certificate
     is the margin (clamped at 0) by which an independent coarse probe
     ensemble failed to beat the returned optimum. Callers expecting a
     gamma^2-minimizer should check eps_certificate <= gamma^2.
@@ -563,8 +511,8 @@ def regularized_estimate(
 
     def fun_grad(z):
         rows = _softmax_rows(z)
-        value, grad_rows = objective_rows(rows)
-        return value, _chain_to_logits(rows, grad_rows)
+        value, grad = objective_rows(rows)
+        return value, _chain_to_logits(rows, grad)
 
     best_val, best_z, best_trace = _multistart(cls, fun_grad, config, counts)
     probe_best = min(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, eigvalsh
+from scipy.linalg import eigh, eigvalsh
 
 from ._tol import INVARIANT_ATOL
 from .kernels import GramMatrix
@@ -28,9 +28,6 @@ from .spaces import (
     SignedMeasure,
     SpaceMismatchError,
 )
-
-# direct generalized eigensolve up to this source size, power iteration above
-_DENSE_EIG_LIMIT = 64
 
 
 class SignedKernel:
@@ -91,7 +88,8 @@ class MarkovKernel(SignedKernel):
             if np.any(off > INVARIANT_ATOL):
                 i = int(np.argmax(off))
                 raise ValueError(
-                    f"row at {source.labels[i]!r} sums to {sums[i]!r}, not 1"
+                    f"row-stochasticity: row at {source.labels[i]!r} "
+                    f"sums to {sums[i]!r}, not 1"
                 )
         super().__init__(source, target, m)
 
@@ -233,6 +231,27 @@ def _sum_zero_basis(n: int) -> np.ndarray:
     return q[:, 1:]
 
 
+def _sum_zero_pencil(g_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal sum-zero basis b and the form c = b' g_x b on it.
+
+    c is the right-hand matrix of the operator-norm eigenproblem, so it
+    must be positive definite: a Gram matrix singular on the sum-zero
+    subspace is rejected.
+    """
+    b = _sum_zero_basis(g_x.shape[0])
+    c = b.T @ g_x @ b
+    c = (c + c.T) / 2.0
+    if float(eigvalsh(c)[0]) <= 1e-9:
+        raise ValueError("source Gram matrix is singular on the sum-zero subspace")
+    return b, c
+
+
+def _top_eigpair(a: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
+    """The top eigenvalue of the pencil (a, c) and its eigenvector, with v' c v = 1."""
+    vals, vecs = eigh(a, c)
+    return float(vals[-1]), vecs[:, -1]
+
+
 def embedded_operator_norm(T: MarkovKernel, gX: GramMatrix, gXY: GramMatrix) -> float:
     """How much the graph pushforward stretches differences of probabilities.
 
@@ -247,41 +266,11 @@ def embedded_operator_norm(T: MarkovKernel, gX: GramMatrix, gXY: GramMatrix) -> 
         raise SpaceMismatchError("gX must live on the kernel's source")
     if gXY.points != ProductSpace(T.source, T.target):
         raise SpaceMismatchError("gXY must live on the source x target product")
-    n = T.source.size
-    if n == 1:
+    if T.source.size == 1:
         return 0.0
+    b, c = _sum_zero_pencil(gX.values)
     rows = graph(T).matrix
-    big = rows @ gXY.values @ rows.T
-    b = _sum_zero_basis(n)
-    a = b.T @ big @ b
-    c = b.T @ gX.values @ b
+    a = b.T @ (rows @ gXY.values @ rows.T) @ b
     a = (a + a.T) / 2.0
-    c = (c + c.T) / 2.0
-    if float(eigvalsh(c)[0]) <= 1e-9:
-        raise ValueError("source Gram matrix is singular on the sum-zero subspace")
-    if n <= _DENSE_EIG_LIMIT:
-        top = float(eigh(a, c, eigvals_only=True)[-1])
-    else:
-        top = _power_top_eig(a, c)
+    top, _ = _top_eigpair(a, c)
     return math.sqrt(max(top, 0.0))
-
-
-def _power_top_eig(a: np.ndarray, c: np.ndarray, iters: int = 10000) -> float:
-    """Top generalized eigenvalue of (a, c) by power iteration on c^-1 a."""
-    factor = cho_factor(c)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(a.shape[0])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    # shift keeps the iteration matrix positive so the top eigenvalue dominates
-    shift = abs(float(np.trace(a))) + 1.0
-    for _ in range(iters):
-        w = cho_solve(factor, a @ v + shift * (c @ v))
-        w /= np.linalg.norm(w)
-        val = float(w @ a @ w) / float(w @ c @ w)
-        if abs(val - prev) <= 1e-13 * max(1.0, abs(val)):
-            v = w
-            prev = val
-            break
-        v, prev = w, val
-    return prev

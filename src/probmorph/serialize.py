@@ -48,9 +48,9 @@ def space_to_json(space: FiniteSpace) -> dict:
 def space_from_json(doc: dict) -> FiniteSpace:
     try:
         labels = [_label_from_json(lab) for lab in doc["labels"]]
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"space document lacks labels: {exc}") from exc
-    return FiniteSpace(labels, doc.get("coords"))
+        return FiniteSpace(labels, doc.get("coords"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"bad space document: {exc!r}") from exc
 
 
 def measure_to_json(mu: SignedMeasure) -> dict:
@@ -80,6 +80,8 @@ def kernel_to_json(T: SignedKernel) -> dict:
 
 
 def kernel_from_json(doc: dict, markov: bool = True) -> SignedKernel:
+    if not isinstance(doc, dict):
+        raise DataFormatError("a kernel document must be a JSON object")
     for key in ("source", "target", "rows"):
         if key not in doc:
             raise DataFormatError(f"kernel document lacks {key!r}")

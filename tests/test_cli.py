@@ -64,6 +64,26 @@ def test_laws_corrupt_fixture(tmp_path, capsys):
     assert "stochastic" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [0.5, 0.5, 0.0, 1.0],  # flat
+        [[0.5, 0.5], [1.0]],  # ragged
+        "abc",
+        [[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]],  # three rows on a two-point source
+    ],
+    ids=["flat", "ragged", "string", "extra-row"],
+)
+def test_laws_malformed_fixture_rows(tmp_path, capsys, rows):
+    doc = kernel_to_json(MarkovKernel(Y, Y, [[0.5, 0.5], [0.0, 1.0]]))
+    doc["rows"] = rows
+    (tmp_path / "bad_kernel.json").write_text(json.dumps(doc))
+    (tmp_path / "laws.cfg").write_text(f"kernel_file = {tmp_path}/bad_kernel.json\n")
+    code = run("laws", "--seed", 0, "--trials", 2, "--config", tmp_path / "laws.cfg")
+    assert code in (2, 65)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_unknown_subcommand():
     assert run("definitely-not-a-subcommand") == 64
 
@@ -205,6 +225,32 @@ def test_bounds_unknown_name_exit_64(bounds_dir):
         "bounds", "--config", bounds_dir / "bad.cfg", "--seed", 0,
         "--out", bounds_dir / "x",
     ) == 64
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("estimate", "restarts = abc"),
+        ("estimate", "max_iters = 1.5"),
+        ("estimate", "sigma = x"),
+        ("bounds", "eps = nope"),
+        ("estimate", "restarts = 0"),
+    ],
+    ids=["restarts-abc", "max_iters-1.5", "sigma-x", "eps-nope", "restarts-0"],
+)
+def test_bad_numeric_config_exit_64(workdir, bounds_dir, capsys, command, line):
+    # a later line overrides an earlier one with the same key
+    if command == "estimate":
+        (workdir / "bad.cfg").write_text(EST_CFG + line + "\n")
+        argv = ["estimate", "--config", workdir / "bad.cfg", "--seed", 0,
+                "--out", workdir / "nope", workdir / "data.csv"]
+    else:
+        cfg = (bounds_dir / "bounds.cfg").read_text()
+        (bounds_dir / "bad.cfg").write_text(cfg + line + "\n")
+        argv = ["bounds", "--config", bounds_dir / "bad.cfg", "--seed", 0,
+                "--trials", 5, "--n", 10, "--out", bounds_dir / "nope"]
+    assert run(*argv) == 64
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from probmorph.learning import (
     EmbeddingRisk,
     FiniteClass,
     LearnerConfig,
-    LipschitzGrid,
     NewtonInterpolant,
     ParametricClass,
     WFunctionalSpec,
@@ -22,7 +21,12 @@ from probmorph.learning import (
     w_functional,
 )
 from probmorph.losses import empirical_risk
-from probmorph.morphisms import MarkovKernel, disintegrate, graph_pushforward
+from probmorph.morphisms import (
+    MarkovKernel,
+    disintegrate,
+    embedded_operator_norm,
+    graph_pushforward,
+)
 from probmorph.spaces import (
     Dataset,
     FiniteSpace,
@@ -53,17 +57,6 @@ def test_gamma_schedule():
         gamma_schedule(0)
 
 
-def test_learner_config_validates_c_schedule():
-    LearnerConfig(c_schedule=[0.5, 0.25, 0.25])
-    with pytest.raises(ValueError):
-        LearnerConfig(c_schedule=[0.1, 0.2])
-    with pytest.raises(ValueError):
-        LearnerConfig(c_schedule=[-0.1])
-    cfg = LearnerConfig(c_schedule=[0.5, 0.25])
-    assert cfg.c_at(1) == 0.5
-    assert cfg.c_at(10) == 0.25
-
-
 # ---------------------------------------------------------------------------
 # hypothesis classes
 # ---------------------------------------------------------------------------
@@ -78,14 +71,6 @@ def test_parametric_realize_is_markov():
     h = cls.realize(rng.standard_normal((3, 2)))
     assert isinstance(h, MarkovKernel)
     assert np.allclose(h.matrix.sum(axis=1), 1.0)
-
-
-def test_lipschitz_grid_requires_coords():
-    bare = FiniteSpace(["a", "b"])
-    with pytest.raises(ValueError):
-        LipschitzGrid(bare, Y2, budget=1.0)
-    grid = LipschitzGrid(X3, Y2, budget=2.5)
-    assert grid.budget == 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +96,26 @@ def test_cerm_singleton_class():
 
 
 def test_cerm_parametric_recovers_empirical_conditional():
-    # single observed x with conditional [0.75, 0.25]
-    S = make_dataset([("x1", "y1")] * 3 + [("x1", "y2")])
-    res = cerm(ParametricClass(X3, Y2), S, G_Y, LearnerConfig(seed=0))
-    assert np.allclose(res.h.matrix[0], [0.75, 0.25], atol=1e-3)
-    assert res.certified_gap <= 1e-9
-    # monotone trace from backtracking line search
-    assert all(b <= a + 1e-12 for a, b in zip(res.trace, res.trace[1:]))
+    # x1 has conditional [0.75, 0.25], x3 a point mass, x2 is unobserved
+    S = make_dataset([("x1", "y1")] * 3 + [("x1", "y2"), ("x3", "y2")])
+    sec = empirical_section(S)
+    rng = np.random.default_rng(0)
+    others = [MarkovKernel(X3, Y2, rng.dirichlet(np.ones(2), size=3)) for _ in range(50)]
+    for kernel in (
+        KernelSpec("delta"),
+        KernelSpec("gaussian", sigma=1.0),
+        KernelSpec("laplacian", sigma=0.5),
+        KernelSpec("linear"),
+    ):
+        g = gram(kernel, Y2)
+        res = cerm(ParametricClass(X3, Y2), S, g, LearnerConfig(seed=0))
+        assert res.certified_gap == 0.0
+        assert res.risk == pytest.approx(empirical_risk(sec, S, g).value, abs=1e-12)
+        assert all(res.risk <= empirical_risk(h, S, g).value + 1e-12 for h in others)
+        if kernel.variant != "linear":
+            # characteristic kernels: the minimizer at observed inputs is unique
+            assert np.array_equal(res.h.matrix, sec.matrix)
+            assert np.array_equal(res.h.matrix[1], [0.5, 0.5])
 
 
 def test_cerm_deterministic_given_seed():
@@ -219,6 +217,18 @@ def test_w_duplicate_coords_error():
     # equal rows at duplicate coords are fine (difference quotient is 0/0 -> 0)
     same = MarkovKernel(dup, Y2, [[0.5, 0.5], [0.5, 0.5]])
     assert math.isfinite(w_functional(same, spec))
+
+
+@pytest.mark.parametrize("nx", [3, 80])
+def test_w_opnorm_term_is_embedded_operator_norm(nx):
+    xs = FiniteSpace([f"x{i}" for i in range(nx)])
+    spec = WFunctionalSpec.from_kernel(
+        KernelSpec("delta"), xs, Y2,
+        include_sup=False, include_lipschitz=False, include_operator_norm=True,
+    )
+    h = MarkovKernel(xs, Y2, np.random.default_rng(nx).dirichlet(np.ones(2), size=nx))
+    expect = embedded_operator_norm(h, spec.gram_x, spec.gram_xy) ** 2
+    assert w_functional(h, spec) == pytest.approx(expect, abs=1e-12)
 
 
 def test_w_monotone_in_terms():
