@@ -31,6 +31,7 @@ from .learning import (
     regularized_estimate,
 )
 from .morphisms import (
+    SingularGramError,
     disintegrate,
     compose,
     graph,
@@ -181,6 +182,14 @@ def _cfg_number(cfg: dict[str, str], key: str, default: str | None = None, kind=
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} = {text!r} is not {what}") from None
+
+
+def _cfg_delta(cfg: dict[str, str]) -> float:
+    """The confidence parameter delta, which must lie strictly in (0, 1)."""
+    delta = _cfg_number(cfg, "delta", "0.05")
+    if not 0.0 < delta < 1.0:
+        raise ConfigError(f"delta = {delta!r} must lie strictly between 0 and 1")
+    return delta
 
 
 def _kernel_spec(cfg: dict[str, str], override: str | None) -> KernelSpec:
@@ -337,21 +346,22 @@ def cmd_estimate(args) -> int:
         gamma = gamma_schedule(len(data))
     if not gamma > 0:
         raise _UsageError("gamma must be strictly positive")
-    knobs = dict(
-        restarts=_cfg_number(cfg, "restarts", "8", int),
-        max_iters=_cfg_number(cfg, "max_iters", "500", int),
-        step_size=_cfg_number(cfg, "step_size", "1.0"),
-        tol=_cfg_number(cfg, "tol", "1e-9"),
-    )
+    solver_keys = (("restarts", int), ("max_iters", int), ("step_size", float), ("tol", float))
+    knobs = {key: _cfg_number(cfg, key, kind=kind) for key, kind in solver_keys if key in cfg}
     try:
         config = LearnerConfig(seed=args.seed, **knobs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     opnorm = cfg.get("operator_norm")
     include_opnorm = None if opnorm is None else opnorm.lower() in ("on", "true", "1")
-    wspec = WFunctionalSpec.from_kernel(
-        spec_kernel, x_space, y_space, include_operator_norm=include_opnorm
-    )
+    try:
+        wspec = WFunctionalSpec.from_kernel(
+            spec_kernel, x_space, y_space, include_operator_norm=include_opnorm
+        )
+    except SingularGramError as exc:
+        raise ConfigError(
+            f"{exc}, so the operator-norm term is undefined; set operator_norm = off"
+        ) from exc
     fit = regularized_estimate(data, gamma, wspec.gram_xy, wspec, config)
     out = Path(args.out)
     _write_json(out / "estimate.json", kernel_to_json(fit.h))
@@ -389,12 +399,12 @@ def cmd_bounds(args) -> int:
         raise _UsageError(f"unknown bound name {name!r}")
     kernel = _kernel_spec(cfg, None)
     if name == "mmd_concentration":
+        delta = _cfg_delta(cfg)
         y_space = space_from_config(cfg, "y")
         g = gram(kernel, y_space)
         truth = _truth_measure(cfg, y_space)
         report = bounds_mod.monte_carlo_verify(
-            name, truth, g, args.n, args.trials, args.seed,
-            delta=_cfg_number(cfg, "delta", "0.05"),
+            name, truth, g, args.n, args.trials, args.seed, delta=delta
         )
     else:
         x_space = space_from_config(cfg, "x")
@@ -450,7 +460,7 @@ def cmd_embed(args) -> int:
     cfg = _load_config(args.config)
     y_space = space_from_config(cfg, "y")
     kernel = _kernel_spec(cfg, args.kernel)
-    delta = _cfg_number(cfg, "delta", "0.05")
+    delta = _cfg_delta(cfg)
     labels_a = labels_from_csv(_read_data_file(args.sample_a), y_space)
     labels_b = labels_from_csv(_read_data_file(args.sample_b), y_space)
     g = gram(kernel, y_space)

@@ -231,6 +231,10 @@ def _sum_zero_basis(n: int) -> np.ndarray:
     return q[:, 1:]
 
 
+class SingularGramError(ValueError):
+    """Raised when a source Gram matrix is singular on the sum-zero subspace."""
+
+
 def _sum_zero_pencil(g_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An orthonormal sum-zero basis b and the form c = b' g_x b on it.
 
@@ -242,7 +246,7 @@ def _sum_zero_pencil(g_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = b.T @ g_x @ b
     c = (c + c.T) / 2.0
     if float(eigvalsh(c)[0]) <= 1e-9:
-        raise ValueError("source Gram matrix is singular on the sum-zero subspace")
+        raise SingularGramError("source Gram matrix is singular on the sum-zero subspace")
     return b, c
 
 

@@ -103,11 +103,8 @@ class ProductSpace(FiniteSpace):
     def __init__(self, left: FiniteSpace, right: FiniteSpace):
         labels = [(a, b) for a in left.labels for b in right.labels]
         if left.coords is not None and right.coords is not None:
-            coords = [
-                np.concatenate([left.coords[i], right.coords[j]])
-                for i in range(left.size)
-                for j in range(right.size)
-            ]
+            n, m = left.size, right.size
+            coords = np.hstack([np.repeat(left.coords, m, 0), np.tile(right.coords, (n, 1))])
         else:
             coords = None
         super().__init__(labels, coords)

@@ -172,6 +172,32 @@ def test_estimate_reports_truth_error(workdir):
     assert 0.0 <= report["sup_mmd_error_to_truth"] < 2.0
 
 
+def test_estimate_singular_source_gram_exit_64(tmp_path, capsys):
+    # 32 close points: the gaussian Gram is numerically singular on sum-zero weights
+    labels = ", ".join(f"x{i}" for i in range(32))
+    coords = "; ".join(repr(float(c)) for c in np.linspace(0.0, 5.0, 32))
+    cfg = (
+        f"x_labels = {labels}\nx_coords = {coords}\n"
+        "y_labels = u, v\ny_coords = 0; 1\nkernel = gaussian\nsigma = 1.0\nmax_iters = 20\n"
+    )
+    (tmp_path / "est.cfg").write_text(cfg)
+    (tmp_path / "off.cfg").write_text(cfg + "operator_norm = off\n")
+    (tmp_path / "data.csv").write_text(
+        "x,y\n" + "".join(f"x{i},{'uv'[i % 2]}\n" for i in range(32))
+    )
+
+    def estimate(config):
+        return run(
+            "estimate", "--config", tmp_path / config, "--seed", 0,
+            "--out", tmp_path / "fit", tmp_path / "data.csv",
+        )
+
+    assert estimate("est.cfg") == 64
+    err = capsys.readouterr().err
+    assert "operator_norm = off" in err and "Traceback" not in err
+    assert estimate("off.cfg") == 0
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -235,15 +261,25 @@ def test_bounds_unknown_name_exit_64(bounds_dir):
         ("estimate", "sigma = x"),
         ("bounds", "eps = nope"),
         ("estimate", "restarts = 0"),
+        ("embed", "delta = 2"),
+        ("bounds", "bound = mmd_concentration\ndelta = 2"),
     ],
-    ids=["restarts-abc", "max_iters-1.5", "sigma-x", "eps-nope", "restarts-0"],
+    ids=[
+        "restarts-abc", "max_iters-1.5", "sigma-x", "eps-nope", "restarts-0",
+        "embed-delta-2", "mmd-delta-2",
+    ],
 )
-def test_bad_numeric_config_exit_64(workdir, bounds_dir, capsys, command, line):
+def test_bad_numeric_config_exit_64(workdir, bounds_dir, embed_dir, capsys, command, line):
     # a later line overrides an earlier one with the same key
     if command == "estimate":
         (workdir / "bad.cfg").write_text(EST_CFG + line + "\n")
         argv = ["estimate", "--config", workdir / "bad.cfg", "--seed", 0,
                 "--out", workdir / "nope", workdir / "data.csv"]
+    elif command == "embed":
+        cfg = (embed_dir / "embed.cfg").read_text()
+        (embed_dir / "bad.cfg").write_text(cfg + line + "\n")
+        argv = ["embed", "--config", embed_dir / "bad.cfg",
+                embed_dir / "a.csv", embed_dir / "b.csv"]
     else:
         cfg = (bounds_dir / "bounds.cfg").read_text()
         (bounds_dir / "bad.cfg").write_text(cfg + line + "\n")

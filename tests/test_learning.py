@@ -301,6 +301,52 @@ def test_regularized_deterministic_given_seed():
     assert f1.objective == f2.objective
 
 
+def _criterion10_instance():
+    """Criterion 10's 6x4 grid and n = 200 draws, with the unscaled product Gram."""
+    xs = FiniteSpace([f"x{i}" for i in range(6)], coords=np.linspace(0.0, 5.0, 6)[:, None])
+    ys = FiniteSpace([f"y{i}" for i in range(4)], coords=np.linspace(0.0, 3.0, 4)[:, None])
+    prod = ProductSpace(xs, ys)
+    spec = WFunctionalSpec.from_kernel(KernelSpec("gaussian", sigma=1.0), xs, ys)
+    drift = np.linspace(0.0, 3.0, 6)
+    rows = np.exp(-0.5 * (np.linspace(0.0, 3.0, 4)[None, :] - drift[:, None]) ** 2)
+    rows /= rows.sum(axis=1, keepdims=True)
+    joint = graph_pushforward(MarkovKernel(xs, ys, rows), ProbMeasure(xs, np.full(6, 1 / 6)))
+    rng = np.random.default_rng((10, 200, 0))
+    idx = np.minimum(np.searchsorted(np.cumsum(joint.weights), rng.random(200), side="right"), 23)
+    return Dataset(prod, [prod.labels[i] for i in idx]), spec
+
+
+def test_regularized_beats_uniform_start():
+    from probmorph.losses import mmd_correct_loss
+
+    S, spec = _criterion10_instance()
+    gamma = 200 ** -0.5
+    fit = regularized_estimate(S, gamma, spec.gram_xy, spec, LearnerConfig(max_iters=250))
+    uniform = MarkovKernel(spec.gram_x.points, spec.gram_y.points, np.full((6, 4), 0.25))
+    at_uniform = mmd_correct_loss(uniform, empirical(S), spec.gram_xy) ** 2 + gamma * w_functional(
+        uniform, spec
+    )
+    assert fit.objective < at_uniform - 1e-4
+    assert 1 <= len(fit.trace) <= 251
+    assert fit.trace[-1] == fit.objective
+    assert all(b <= a for a, b in zip(fit.trace, fit.trace[1:]))
+
+
+def test_regularized_fit_ignores_seed():
+    S10, spec10 = _criterion10_instance()
+    g_xy, spec = reg_setup()
+    small = make_dataset([("x1", "y1"), ("x2", "y2"), ("x3", "y1"), ("x3", "y2")])
+    cases = ((S10, 200 ** -0.5, spec10.gram_xy, spec10), (small, 0.2, g_xy, spec))
+    for S, gamma, g, w in cases:
+        f0, f1 = (
+            regularized_estimate(S, gamma, g, w, LearnerConfig(seed=seed, max_iters=250))
+            for seed in (0, 1)
+        )
+        assert np.array_equal(f0.h.matrix, f1.h.matrix)
+        assert f0.objective == f1.objective
+        assert f0.trace == f1.trace
+
+
 # ---------------------------------------------------------------------------
 # newton interpolant
 # ---------------------------------------------------------------------------

@@ -54,10 +54,13 @@ def test_product_space_row_major_order():
 
 
 def test_product_space_concatenates_coords():
-    x = FiniteSpace(["a"], coords=[[1.0, 2.0]])
-    y = FiniteSpace(["c"], coords=[[3.0]])
+    x = FiniteSpace(["a", "b"], coords=[[1.0, 2.0], [4.0, 5.0]])
+    y = FiniteSpace(["c", "d", "e"], coords=[[3.0], [6.0], [7.0]])
     prod = ProductSpace(x, y)
-    assert np.allclose(prod.coords, [[1.0, 2.0, 3.0]])
+    expect = [
+        np.concatenate([x.coords[i], y.coords[j]]) for i in range(2) for j in range(3)
+    ]
+    assert np.array_equal(prod.coords, expect)
 
 
 def test_prob_measure_rejects_bad_sum():
