@@ -17,6 +17,7 @@ from .spaces import (
 from .kernels import (
     GramMatrix,
     KernelSpec,
+    KroneckerGram,
     NotPSDError,
     c_k,
     embed_inner,

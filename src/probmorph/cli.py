@@ -209,13 +209,6 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _joint_from_weights(prod: ProductSpace, weights) -> ProbMeasure:
-    try:
-        return ProbMeasure(prod, weights)
-    except ValueError as exc:
-        raise DataFormatError(f"bad joint measure: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # laws
 # ---------------------------------------------------------------------------
@@ -338,6 +331,14 @@ def cmd_estimate(args) -> int:
     y_space = space_from_config(cfg, "y")
     prod = ProductSpace(x_space, y_space)
     spec_kernel = _kernel_spec(cfg, args.kernel)
+    # the Lipschitz term measures distances between source points
+    if x_space.coords is None and (spec_kernel.needs_coords or x_space.size > 1):
+        raise ConfigError(
+            "estimate needs x_coords: the Lipschitz term and the gaussian, "
+            "laplacian and linear kernels use source coordinates"
+        )
+    if y_space.coords is None and spec_kernel.needs_coords:
+        raise ConfigError(f"the {spec_kernel.variant} kernel needs y_coords")
     data = dataset_from_csv(_read_data_file(args.data), prod)
     gamma = args.gamma
     if gamma is None:
@@ -450,7 +451,10 @@ def _truth_measure(cfg: dict[str, str], space: FiniteSpace) -> ProbMeasure:
         weights = doc["weights"]
     else:
         weights = np.full(space.size, 1.0 / space.size)
-    return _joint_from_weights(space, weights) if isinstance(space, ProductSpace) else ProbMeasure(space, weights)
+    try:
+        return ProbMeasure(space, weights)
+    except ValueError as exc:
+        raise DataFormatError(f"bad truth measure: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,31 @@ The mean embedding of a measure mu is M(mu) = sum_i mu_i K_{y_i}; all
 embedding inner products reduce to weight-vector quadratic forms with
 the Gram matrix, which is what GramMatrix caches. The constant
 C_K = max_y sqrt(|K(y, y)|) bounds every embedded probability measure.
+
+On a product space X x Y the gaussian, laplacian and delta kernels
+factor: exp(-sigma (a + b)) = exp(-sigma a) exp(-sigma b) for the
+squared-euclidean and l1 distances of concatenated coordinates, and
+1[(x, y) = (x', y')] = 1[x = x'] 1[y = y']. Their Gram matrix is
+therefore kron(G_X, G_Y), and gram() returns a KroneckerGram that
+stores the two factors: |X|^2 + |Y|^2 numbers instead of (|X||Y|)^2,
+a PSD check on the factors' eigenvalues, and products in
+O(|X||Y|(|X| + |Y|)). The linear kernel on a product is
+G_X (x) 1 + 1 (x) G_Y, a sum rather than a product, and stays dense.
+Consumers of a product Gram go through apply and pair_form, which
+both representations implement, and never need the dense matrix.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigvalsh
 from scipy.spatial.distance import cdist
 
 from ._tol import INVARIANT_ATOL, PSD_ATOL
-from .spaces import FiniteSpace, SignedMeasure, SpaceMismatchError
+from .spaces import FiniteSpace, ProductSpace, SignedMeasure, SpaceMismatchError
 
 _VARIANTS = ("gaussian", "laplacian", "linear", "delta")
 
@@ -57,6 +70,11 @@ class KernelSpec:
         return self.variant in ("gaussian", "laplacian", "linear")
 
 
+def _check_psd(min_eigenvalue: float) -> None:
+    if min_eigenvalue < -PSD_ATOL:
+        raise NotPSDError(f"minimum eigenvalue {min_eigenvalue:.3e} below -{PSD_ATOL}")
+
+
 class GramMatrix:
     """Pairwise kernel values on a point set, symmetrized and PSD-checked.
 
@@ -69,11 +87,10 @@ class GramMatrix:
         if g.shape != (points.size, points.size):
             raise ValueError(f"Gram matrix shape {g.shape} for {points.size} points")
         g = (g + g.T) / 2.0
-        self.min_eigenvalue = float(eigvalsh(g)[0]) if points.size > 0 else 0.0
-        if self.min_eigenvalue < -PSD_ATOL:
-            raise NotPSDError(
-                f"minimum eigenvalue {self.min_eigenvalue:.3e} below -{PSD_ATOL}"
-            )
+        eigenvalues = eigvalsh(g)
+        self.min_eigenvalue = float(eigenvalues[0])
+        self.max_eigenvalue = float(eigenvalues[-1])
+        _check_psd(self.min_eigenvalue)
         g.flags.writeable = False
         self.points = points
         self.values = g
@@ -82,8 +99,67 @@ class GramMatrix:
     def size(self) -> int:
         return self.points.size
 
+    def apply(self, w) -> np.ndarray:
+        """G times the weights w, returned in w's shape.
+
+        On a product space w may be flat or laid out as (|X|, |Y|).
+        """
+        w = np.asarray(w)
+        # G is symmetric, so w' G is G w
+        return (w.reshape(-1) @ self.values).reshape(w.shape)
+
+    def pair_form(self, r) -> np.ndarray:
+        """m[i, j] = sum_{y, z} r[i, y] G[(i, y), (j, z)] r[j, z] on X x Y.
+
+        Row i of r is read as a weight vector on {x_i} x Y, so m is the
+        Gram matrix of the graph rows of r.
+        """
+        nx, ny = r.shape
+        blocks = self.values.reshape(nx, ny, nx, ny)
+        return np.einsum("iy,iyjz,jz->ij", r, blocks, r)
+
     def __repr__(self) -> str:
-        return f"GramMatrix({self.size} points, min eig {self.min_eigenvalue:.3e})"
+        return f"{type(self).__name__}({self.size} points, min eig {self.min_eigenvalue:.3e})"
+
+
+class KroneckerGram(GramMatrix):
+    """The Gram matrix kron(left, right) of a product kernel on X x Y, kept factored.
+
+    left and right are the Gram matrices on the two factors. The
+    eigenvalues of a Kronecker product are the products of the
+    factors' eigenvalues, so the minimum is the least product of their
+    extremes; it is held to the same -PSD_ATOL as a dense matrix.
+    `values` builds the dense matrix on first access.
+    """
+
+    def __init__(self, points: ProductSpace, left: GramMatrix, right: GramMatrix):
+        if left.points != points.left or right.points != points.right:
+            raise SpaceMismatchError("the factors do not live on the product's factors")
+        ends = [
+            a * b
+            for a in (left.min_eigenvalue, left.max_eigenvalue)
+            for b in (right.min_eigenvalue, right.max_eigenvalue)
+        ]
+        self.min_eigenvalue = min(ends)
+        self.max_eigenvalue = max(ends)
+        _check_psd(self.min_eigenvalue)
+        self.points = points
+        self.left = left
+        self.right = right
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        g = np.kron(self.left.values, self.right.values)
+        g.flags.writeable = False
+        return g
+
+    def apply(self, w) -> np.ndarray:
+        w = np.asarray(w)
+        grid = w.reshape(self.left.size, self.right.size)
+        return (self.left.values @ grid @ self.right.values).reshape(w.shape)
+
+    def pair_form(self, r) -> np.ndarray:
+        return self.left.values * (r @ self.right.values @ r.T)
 
 
 def _coord_rows(spec: KernelSpec, space: FiniteSpace) -> np.ndarray:
@@ -126,7 +202,15 @@ def kernel_eval(spec: KernelSpec, y, y_prime, space: FiniteSpace | None = None) 
 
 
 def gram(spec: KernelSpec, space: FiniteSpace) -> GramMatrix:
-    """The Gram matrix G[i][j] = K(y_i, y_j) over a whole space."""
+    """The Gram matrix G[i][j] = K(y_i, y_j) over a whole space.
+
+    On a product space the gaussian, laplacian and delta kernels give a
+    KroneckerGram; the scale goes into the left factor.
+    """
+    if isinstance(space, ProductSpace) and spec.variant != "linear":
+        return KroneckerGram(
+            space, gram(spec, space.left), gram(replace(spec, scale=1.0), space.right)
+        )
     if spec.variant == "delta":
         # labels are distinct by the space invariant
         g = spec.scale * np.eye(space.size)
@@ -145,7 +229,7 @@ def embed_inner(g: GramMatrix, mu: SignedMeasure, nu: SignedMeasure) -> float:
     """<M(mu), M(nu)> in the kernel's Hilbert space: mu' G nu."""
     if mu.space != g.points or nu.space != g.points:
         raise SpaceMismatchError("measures do not live on the Gram matrix's space")
-    return float(mu.weights @ g.values @ nu.weights)
+    return float(g.apply(mu.weights) @ nu.weights)
 
 
 def mmd(g: GramMatrix, mu: SignedMeasure, nu: SignedMeasure) -> float:
@@ -158,7 +242,7 @@ def mmd(g: GramMatrix, mu: SignedMeasure, nu: SignedMeasure) -> float:
     if mu.space != g.points or nu.space != g.points:
         raise SpaceMismatchError("measures do not live on the Gram matrix's space")
     d = mu.weights - nu.weights
-    q = float(d @ g.values @ d)
+    q = float(g.apply(d) @ d)
     if q < -INVARIANT_ATOL:
         raise NotPSDError(f"negative squared MMD {q:.3e}: Gram matrix is not PSD")
     return math.sqrt(max(q, 0.0))

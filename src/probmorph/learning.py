@@ -319,16 +319,10 @@ class _WEval:
     def __init__(self, spec: WFunctionalSpec):
         self.spec = spec
         x_space = spec.gram_x.points
-        y_space = spec.gram_y.points
-        nx, ny = x_space.size, y_space.size
-        self.nx, self.ny = nx, ny
         self.g2 = spec.gram_y.values
-        self.g1 = spec.gram_xy.values
-        self.g1_blocks = self.g1.reshape(nx, ny, nx, ny)
-        # diagonal blocks give the embedded norm of a graph row
-        self.diag_blocks = np.stack([self.g1_blocks[i, :, i, :] for i in range(nx)])
+        self.g1 = spec.gram_xy
         self.pairs, self.dists = self._lipschitz_pairs(x_space)
-        if spec.include_operator_norm and nx > 1:
+        if spec.include_operator_norm and x_space.size > 1:
             self.basis, self.c = _sum_zero_pencil(spec.gram_x.values)
         else:
             self.basis = None
@@ -342,32 +336,38 @@ class _WEval:
         c = x_space.coords
         n = x_space.size
         if n <= self.ALL_PAIRS_LIMIT:
-            idx = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            pairs = np.column_stack(np.triu_indices(n, 1))
         else:
             # nearest-neighbor pairs only: a documented lower bound
             d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2)
             np.fill_diagonal(d2, np.inf)
             idx = sorted({(min(i, j), max(i, j)) for i, j in enumerate(np.argmin(d2, axis=1))})
-        pairs = np.array(idx, dtype=int)
+            pairs = np.array(idx, dtype=int)
         dists = np.linalg.norm(c[pairs[:, 0]] - c[pairs[:, 1]], axis=1)
         return pairs, dists
 
     def value_grad(self, rows: np.ndarray, want_grad: bool = True):
-        s, gs = self._sup_term(rows, want_grad)
+        # m[i, j]: the embedded inner product of graph rows i and j
+        if self.spec.include_sup or self.basis is not None:
+            m = self.g1.pair_form(rows)
+        else:
+            m = None
+        s, gs = self._sup_term(rows, m, want_grad)
         l, gl = self._lipschitz_term(rows, want_grad)
-        o, go = self._opnorm_term(rows, want_grad)
+        o, go = self._opnorm_term(rows, m, want_grad)
         total = s + l + o
         value = total * total
         if not want_grad:
             return value, None
         return value, 2.0 * total * (gs + gl + go)
 
-    def _sup_term(self, rows, want_grad):
+    def _sup_term(self, rows, m, want_grad):
         zero = np.zeros_like(rows)
         if not self.spec.include_sup:
             return 0.0, zero
-        qy = np.einsum("xi,ij,xj->x", rows, self.g2, rows)
-        qg = np.einsum("xy,xyz,xz->x", rows, self.diag_blocks, rows)
+        g2r = rows @ self.g2
+        qy = np.einsum("xi,xi->x", g2r, rows)
+        qg = np.diag(m)
         ny_norm = np.sqrt(np.clip(qy, 0.0, None))
         ng_norm = np.sqrt(np.clip(qg, 0.0, None))
         phi = ny_norm + ng_norm
@@ -375,11 +375,13 @@ class _WEval:
         if not want_grad:
             return float(phi[i]), zero
         grad = zero
-        r = rows[i]
         if ny_norm[i] > 0:
-            grad[i] += (self.g2 @ r) / ny_norm[i]
+            grad[i] += g2r[i] / ny_norm[i]
         if ng_norm[i] > 0:
-            grad[i] += (self.diag_blocks[i] @ r) / ng_norm[i]
+            # row i of G applied to graph row i alone: its diagonal block times rows[i]
+            graph_row = np.zeros_like(rows)
+            graph_row[i] = rows[i]
+            grad[i] += self.g1.apply(graph_row)[i] / ng_norm[i]
         return float(phi[i]), grad
 
     def _lipschitz_term(self, rows, want_grad):
@@ -387,7 +389,8 @@ class _WEval:
         if not self.spec.include_lipschitz or len(self.pairs) == 0:
             return 0.0, zero
         diffs = rows[self.pairs[:, 0]] - rows[self.pairs[:, 1]]
-        q = np.einsum("pi,ij,pj->p", diffs, self.g2, diffs)
+        g2d = diffs @ self.g2
+        q = np.einsum("pi,pi->p", g2d, diffs)
         q = np.clip(q, 0.0, None)
         degenerate = self.dists == 0.0
         if np.any(degenerate & (q > 1e-20)):
@@ -399,16 +402,15 @@ class _WEval:
             return val, zero
         i, j = self.pairs[p]
         grad = zero
-        step = (self.g2 @ diffs[p]) / (math.sqrt(q[p]) * self.dists[p])
+        step = g2d[p] / (math.sqrt(q[p]) * self.dists[p])
         grad[i] += step
         grad[j] -= step
         return val, grad
 
-    def _opnorm_term(self, rows, want_grad):
+    def _opnorm_term(self, rows, m, want_grad):
         zero = np.zeros_like(rows)
-        if not self.spec.include_operator_norm or self.basis is None:
+        if self.basis is None:
             return 0.0, zero
-        m = np.einsum("iy,iyjz,jz->ij", rows, self.g1_blocks, rows)
         a = self.basis.T @ m @ self.basis
         a = (a + a.T) / 2.0
         lam, v = _top_eigpair(a, self.c)
@@ -418,8 +420,7 @@ class _WEval:
         if not want_grad:
             return o, zero
         u = self.basis @ v  # normalized so u' G_x u = 1
-        t = np.einsum("j,kyjz,jz->ky", u, self.g1_blocks, rows)
-        grad = (u[:, None] * t) / o
+        grad = (u[:, None] * self.g1.apply(u[:, None] * rows)) / o
         return o, grad
 
 
@@ -475,20 +476,18 @@ def regularized_estimate(
     counts = _pair_counts(left, right, S)
     n = counts.sum()
     mu_x = counts.sum(axis=1) / n
-    target = (counts / n).reshape(-1)
-    g1 = gXY.values
+    target = counts / n
     weval = _WEval(spec)
 
     def objective_rows(rows, want_grad=True):
-        push = (mu_x[:, None] * rows).reshape(-1)
-        d = push - target
-        g1d = g1 @ d
-        fid = float(d @ g1d)
+        d = mu_x[:, None] * rows - target
+        g1d = gXY.apply(d)
+        fid = float(d.reshape(-1) @ g1d.reshape(-1))
         wval, wgrad = weval.value_grad(rows, want_grad)
         value = fid + gamma * wval
         if not want_grad:
             return value, None
-        grad = 2.0 * mu_x[:, None] * g1d.reshape(rows.shape) + gamma * wgrad
+        grad = 2.0 * mu_x[:, None] * g1d + gamma * wgrad
         return value, grad
 
     best_rows, best_val, trace = _mirror_descent(objective_rows, _section_rows(counts), config)

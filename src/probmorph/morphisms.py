@@ -273,8 +273,7 @@ def embedded_operator_norm(T: MarkovKernel, gX: GramMatrix, gXY: GramMatrix) -> 
     if T.source.size == 1:
         return 0.0
     b, c = _sum_zero_pencil(gX.values)
-    rows = graph(T).matrix
-    a = b.T @ (rows @ gXY.values @ rows.T) @ b
+    a = b.T @ gXY.pair_form(T.matrix) @ b
     a = (a + a.T) / 2.0
     top, _ = _top_eigpair(a, c)
     return math.sqrt(max(top, 0.0))

@@ -198,6 +198,20 @@ def test_estimate_singular_source_gram_exit_64(tmp_path, capsys):
     assert estimate("off.cfg") == 0
 
 
+@pytest.mark.parametrize("kernel", ["gaussian", "delta"])
+def test_estimate_without_x_coords_exit_64(workdir, capsys, kernel):
+    # gaussian needs source coordinates for the kernel, delta for the Lipschitz term
+    cfg = EST_CFG.replace("x_coords = 0; 1; 2\n", "").replace("gaussian", kernel)
+    (workdir / "nocoords.cfg").write_text(cfg)
+    code = run(
+        "estimate", "--config", workdir / "nocoords.cfg", "--seed", 0,
+        "--out", workdir / "nope", workdir / "data.csv",
+    )
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "x_coords" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -251,6 +265,21 @@ def test_bounds_unknown_name_exit_64(bounds_dir):
         "bounds", "--config", bounds_dir / "bad.cfg", "--seed", 0,
         "--out", bounds_dir / "x",
     ) == 64
+
+
+def test_bounds_mmd_truth_weight_count_exit_65(bounds_dir, capsys):
+    (bounds_dir / "w3.json").write_text(json.dumps({"weights": [0.2, 0.3, 0.5]}))
+    cfg = (bounds_dir / "bounds.cfg").read_text()
+    (bounds_dir / "mmd.cfg").write_text(
+        cfg + f"bound = mmd_concentration\ntruth_measure = {bounds_dir}/w3.json\n"
+    )
+    code = run(
+        "bounds", "--config", bounds_dir / "mmd.cfg", "--seed", 0,
+        "--trials", 5, "--n", 10, "--out", bounds_dir / "nope",
+    )
+    assert code == 65
+    err = capsys.readouterr().err
+    assert "3 weights for 2 points" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh
+from scipy.spatial.distance import cdist
 
 from probmorph.kernels import (
     GramMatrix,
     KernelSpec,
+    KroneckerGram,
     NotPSDError,
     c_k,
     embed_inner,
@@ -16,7 +19,7 @@ from probmorph.kernels import (
     kernel_eval,
     mmd,
 )
-from probmorph.spaces import FiniteSpace, ProbMeasure, SignedMeasure, dirac
+from probmorph.spaces import FiniteSpace, ProbMeasure, ProductSpace, SignedMeasure, dirac
 
 Y01 = FiniteSpace([0, 1], coords=[[0.0], [1.0]])
 
@@ -86,6 +89,20 @@ def test_gram_examples():
 def test_gram_matrix_rejects_non_psd():
     with pytest.raises(NotPSDError):
         GramMatrix(Y01, [[1.0, 2.0], [2.0, 1.0]])
+
+
+def test_kronecker_gram_psd_threshold_matches_dense():
+    # each factor passes on its own; their product sits below -PSD_ATOL
+    x = FiniteSpace(["a", "b"])
+    left = GramMatrix(x, np.diag([100.0, 1.0]))
+    right = GramMatrix(Y01, np.diag([1.0, -1e-10]))
+    prod = ProductSpace(x, Y01)
+    with pytest.raises(NotPSDError):
+        GramMatrix(prod, np.kron(left.values, right.values))
+    with pytest.raises(NotPSDError):
+        KroneckerGram(prod, left, right)
+    small = GramMatrix(x, np.diag([1.0, 1.0]))
+    assert KroneckerGram(prod, small, right).min_eigenvalue == pytest.approx(-1e-10)
 
 
 def test_embed_inner_examples():
@@ -206,3 +223,58 @@ def test_mmd_raises_on_truly_negative_radicand():
     nu = SignedMeasure(Y01, [-5e3, 5e3])
     with pytest.raises(NotPSDError):
         mmd(g, mu, nu)
+
+
+X3 = FiniteSpace(["p", "q", "r"], coords=[[0.0, 0.5], [1.0, -0.3], [0.4, 1.2]])
+Y4 = FiniteSpace(list("stuv"), coords=[[0.0], [0.6], [1.1], [2.0]])
+PRODUCT_VARIANTS = [
+    KernelSpec("gaussian", sigma=0.7),
+    KernelSpec("laplacian", sigma=1.3),
+    KernelSpec("delta"),
+    KernelSpec("gaussian", sigma=0.7, scale=2.0),
+    KernelSpec("laplacian", sigma=1.3, scale=2.0),
+    KernelSpec("delta", scale=2.0),
+]
+
+
+def _dense_product_gram(spec: KernelSpec, prod: ProductSpace) -> GramMatrix:
+    """The product Gram built from the concatenated coordinates, entry by entry."""
+    c = prod.coords
+    if spec.variant == "delta":
+        g = spec.scale * np.eye(prod.size)
+    elif spec.variant == "gaussian":
+        g = spec.scale * np.exp(-spec.sigma * cdist(c, c, "sqeuclidean"))
+    else:
+        g = spec.scale * np.exp(-spec.sigma * cdist(c, c, "cityblock"))
+    return GramMatrix(prod, g)
+
+
+@pytest.mark.parametrize("spec", PRODUCT_VARIANTS, ids=repr)
+def test_product_gram_factored_matches_dense(spec):
+    prod = ProductSpace(X3, Y4)
+    g = gram(spec, prod)
+    dense = _dense_product_gram(spec, prod)
+    assert isinstance(g, KroneckerGram)
+    assert np.max(np.abs(g.values - dense.values)) <= 1e-15
+    assert not g.values.flags.writeable
+    assert g.min_eigenvalue == pytest.approx(float(eigvalsh(dense.values)[0]), abs=1e-12)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        mu = SignedMeasure(prod, rng.standard_normal(prod.size))
+        p = ProbMeasure(prod, rng.dirichlet(np.ones(prod.size)))
+        q = ProbMeasure(prod, rng.dirichlet(np.ones(prod.size)))
+        assert embed_inner(g, mu, p) == pytest.approx(embed_inner(dense, mu, p), abs=1e-12)
+        assert mmd(g, p, q) == pytest.approx(mmd(dense, p, q), abs=1e-12)
+        r = rng.dirichlet(np.ones(Y4.size), size=X3.size)
+        assert np.allclose(g.apply(mu.weights), dense.apply(mu.weights), rtol=0, atol=1e-12)
+        assert np.allclose(g.apply(r), dense.apply(r), rtol=0, atol=1e-12)
+        assert np.allclose(g.pair_form(r), dense.pair_form(r), rtol=0, atol=1e-12)
+
+
+def test_linear_product_gram_stays_dense():
+    g = gram(KernelSpec("linear"), ProductSpace(X3, Y4))
+    assert type(g) is GramMatrix
+    # <(x, y), (x', y')> = <x, x'> + <y, y'>: a sum, not a Kronecker product
+    gx, gy = gram(KernelSpec("linear"), X3).values, gram(KernelSpec("linear"), Y4).values
+    expected = np.kron(gx, np.ones((4, 4))) + np.kron(np.ones((3, 3)), gy)
+    assert np.allclose(g.values, expected, rtol=0, atol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probmorph.kernels import KernelSpec, gram, mmd
+from probmorph.kernels import GramMatrix, KernelSpec, KroneckerGram, gram, mmd
 from probmorph.learning import (
     EmbeddingRisk,
     FiniteClass,
@@ -330,6 +330,21 @@ def test_regularized_beats_uniform_start():
     assert 1 <= len(fit.trace) <= 251
     assert fit.trace[-1] == fit.objective
     assert all(b <= a for a, b in zip(fit.trace, fit.trace[1:]))
+
+
+def test_regularized_factored_gram_matches_dense():
+    S, spec = _criterion10_instance()
+    assert isinstance(spec.gram_xy, KroneckerGram) and spec.include_operator_norm
+    dense_xy = GramMatrix(S.space, spec.gram_xy.values)
+    dense = WFunctionalSpec(dense_xy, spec.gram_y, spec.gram_x, include_operator_norm=True)
+    gamma = 200 ** -0.5
+    config = LearnerConfig(max_iters=250)
+    fit = regularized_estimate(S, gamma, spec.gram_xy, spec, config)
+    ref = regularized_estimate(S, gamma, dense_xy, dense, config)
+    assert fit.objective == pytest.approx(ref.objective, rel=1e-12)
+    assert np.max(np.abs(fit.h.matrix - ref.h.matrix)) <= 1e-12
+    for h in (fit.h, empirical_section(S)):
+        assert w_functional(h, spec) == pytest.approx(w_functional(h, dense), abs=1e-12)
 
 
 def test_regularized_fit_ignores_seed():

@@ -244,6 +244,28 @@ def test_operator_norm_matches_direct_search():
     assert val == pytest.approx(math.sqrt(best), rel=0.05)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        KernelSpec("gaussian", sigma=0.8),
+        KernelSpec("laplacian", sigma=0.5, scale=2.0),
+        KernelSpec("delta"),
+    ],
+    ids=["gaussian", "laplacian", "delta"],
+)
+def test_operator_norm_factored_matches_dense(spec):
+    rng = np.random.default_rng(17)
+    X = FiniteSpace(["a", "b", "c", "d"], coords=[[0.0], [0.7], [1.5], [2.6]])
+    Y = FiniteSpace(["u", "v", "w"], coords=[[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    gX, gXY = gram(spec, X), gram(spec, ProductSpace(X, Y))
+    dense = GramMatrix(gXY.points, gXY.values)
+    for _ in range(5):
+        t = random_markov(rng, X, Y)
+        assert embedded_operator_norm(t, gX, gXY) == pytest.approx(
+            embedded_operator_norm(t, gX, dense), abs=1e-12
+        )
+
+
 def test_operator_norm_rejects_singular_gx():
     g_sing = GramMatrix(X2, [[1.0, 1.0], [1.0, 1.0]])
     _, gXY = _delta_pair(X2, Y2)
