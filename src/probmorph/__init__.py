@@ -51,11 +51,11 @@ from .losses import (
     instantaneous_loss,
     kl_and_bh_check,
     mmd_correct_loss,
+    sup_row_mmd,
     tv_correct_loss,
 )
 from .learning import (
     CermResult,
-    EmbeddingRisk,
     FiniteClass,
     LearnerConfig,
     NewtonInterpolant,

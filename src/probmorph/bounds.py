@@ -22,7 +22,7 @@ import numpy as np
 
 from .kernels import GramMatrix, mmd
 from .learning import FiniteClass
-from .losses import _loss_grid, empirical_risk, expected_risk
+from .losses import _loss_grid, empirical_risk, expected_risk, sup_row_mmd
 from .morphisms import MarkovKernel
 from .spaces import ProbMeasure, SignedMeasure
 
@@ -92,12 +92,9 @@ def covering_bound(n_cover: int, m: int, eps: float, c_k: float) -> float:
 def _pairwise_sup_row_mmd(cls: FiniteClass, gY: GramMatrix) -> np.ndarray:
     n = len(cls)
     d = np.zeros((n, n))
-    g = gY.values
     for i in range(n):
         for j in range(i + 1, n):
-            diff = cls.kernels[i].matrix - cls.kernels[j].matrix
-            q = np.einsum("xi,ij,xj->x", diff, g, diff)
-            d[i, j] = d[j, i] = math.sqrt(max(float(np.max(q)), 0.0))
+            d[i, j] = d[j, i] = sup_row_mmd(cls.kernels[i], cls.kernels[j], gY)
     return d
 
 
@@ -168,10 +165,7 @@ def lipschitz_deviation_check(
         (expected_risk(f, mu, gY).value - empirical_risk(f, S, gY).value)
         - (expected_risk(g, mu, gY).value - empirical_risk(g, S, gY).value)
     )
-    diff = f.matrix - g.matrix
-    q = np.einsum("xi,ij,xj->x", diff, gY.values, diff)
-    d_inf = math.sqrt(max(float(np.max(q)), 0.0))
-    return lhs <= 8.0 * c_k * d_inf + 1e-10
+    return lhs <= 8.0 * c_k * sup_row_mmd(f, g, gY) + 1e-10
 
 
 def wilson_interval(failures: int, trials: int) -> tuple[float, float]:

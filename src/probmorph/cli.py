@@ -30,6 +30,7 @@ from .learning import (
     gamma_schedule,
     regularized_estimate,
 )
+from .losses import sup_row_mmd
 from .morphisms import (
     SingularGramError,
     disintegrate,
@@ -192,6 +193,20 @@ def _cfg_delta(cfg: dict[str, str]) -> float:
     return delta
 
 
+def _cfg_eps(cfg: dict[str, str]) -> float:
+    """The deviation threshold eps, which must be finite and strictly positive."""
+    eps = _cfg_number(cfg, "eps", "0.2")
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"eps = {eps!r} must be finite and strictly positive")
+    return eps
+
+
+def _check_y_coords(kernel: KernelSpec, y_space: FiniteSpace) -> None:
+    """Reject a coordinate kernel on a target space without y_coords."""
+    if y_space.coords is None and kernel.needs_coords:
+        raise ConfigError(f"the {kernel.variant} kernel needs y_coords")
+
+
 def _kernel_spec(cfg: dict[str, str], override: str | None) -> KernelSpec:
     variant = override or cfg.get("kernel", "delta")
     sigma = _cfg_number(cfg, "sigma")
@@ -337,16 +352,15 @@ def cmd_estimate(args) -> int:
             "estimate needs x_coords: the Lipschitz term and the gaussian, "
             "laplacian and linear kernels use source coordinates"
         )
-    if y_space.coords is None and spec_kernel.needs_coords:
-        raise ConfigError(f"the {spec_kernel.variant} kernel needs y_coords")
+    _check_y_coords(spec_kernel, y_space)
     data = dataset_from_csv(_read_data_file(args.data), prod)
     gamma = args.gamma
     if gamma is None:
         gamma = _cfg_number(cfg, "gamma")
     if gamma is None:
         gamma = gamma_schedule(len(data))
-    if not gamma > 0:
-        raise _UsageError("gamma must be strictly positive")
+    if not 0 < gamma < math.inf:
+        raise _UsageError("gamma must be finite and strictly positive")
     solver_keys = (("restarts", int), ("max_iters", int), ("step_size", float), ("tol", float))
     knobs = {key: _cfg_number(cfg, key, kind=kind) for key, kind in solver_keys if key in cfg}
     try:
@@ -378,11 +392,7 @@ def cmd_estimate(args) -> int:
         truth = kernel_from_json(_load_json(cfg["truth_kernel"]))
         if truth.source != x_space or truth.target != y_space:
             raise DataFormatError("truth kernel grids do not match the config spaces")
-        g_y = wspec.gram_y
-        err = max(
-            mmd(g_y, fit.h.row(x), truth.row(x)) for x in x_space.labels
-        )
-        summary["sup_mmd_error_to_truth"] = err
+        summary["sup_mmd_error_to_truth"] = sup_row_mmd(fit.h, truth, wspec.gram_y)
     _write_json(out / "report.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
@@ -399,21 +409,19 @@ def cmd_bounds(args) -> int:
     if name not in ("hoeffding", "covering", "mmd_concentration"):
         raise _UsageError(f"unknown bound name {name!r}")
     kernel = _kernel_spec(cfg, None)
+    y_space = space_from_config(cfg, "y")
+    _check_y_coords(kernel, y_space)
+    g_y = gram(kernel, y_space)
     if name == "mmd_concentration":
         delta = _cfg_delta(cfg)
-        y_space = space_from_config(cfg, "y")
-        g = gram(kernel, y_space)
         truth = _truth_measure(cfg, y_space)
         report = bounds_mod.monte_carlo_verify(
-            name, truth, g, args.n, args.trials, args.seed, delta=delta
+            name, truth, g_y, args.n, args.trials, args.seed, delta=delta
         )
     else:
         x_space = space_from_config(cfg, "x")
-        y_space = space_from_config(cfg, "y")
-        prod = ProductSpace(x_space, y_space)
-        g_y = gram(kernel, y_space)
-        truth = _truth_measure(cfg, prod)
-        eps = _cfg_number(cfg, "eps", "0.2")
+        truth = _truth_measure(cfg, ProductSpace(x_space, y_space))
+        eps = _cfg_eps(cfg)
         if name == "hoeffding":
             if "hypothesis" not in cfg:
                 raise _UsageError("hoeffding needs a 'hypothesis' kernel file")
@@ -422,9 +430,9 @@ def cmd_bounds(args) -> int:
                 name, truth, h, args.n, args.trials, args.seed, gY=g_y, eps=eps
             )
         else:
-            if "class" not in cfg:
+            paths = [p.strip() for p in cfg.get("class", "").split(";") if p.strip()]
+            if not paths:
                 raise _UsageError("covering needs a 'class' list of kernel files")
-            paths = [p.strip() for p in cfg["class"].split(";") if p.strip()]
             cls = FiniteClass([kernel_from_json(_load_json(p)) for p in paths])
             report = bounds_mod.monte_carlo_verify(
                 name, truth, cls, args.n, args.trials, args.seed,
@@ -464,6 +472,7 @@ def cmd_embed(args) -> int:
     cfg = _load_config(args.config)
     y_space = space_from_config(cfg, "y")
     kernel = _kernel_spec(cfg, args.kernel)
+    _check_y_coords(kernel, y_space)
     delta = _cfg_delta(cfg)
     labels_a = labels_from_csv(_read_data_file(args.sample_a), y_space)
     labels_b = labels_from_csv(_read_data_file(args.sample_b), y_space)

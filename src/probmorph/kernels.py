@@ -48,8 +48,9 @@ class NotPSDError(ValueError):
 class KernelSpec:
     """A kernel family plus its parameters.
 
-    sigma is required (strictly positive) for gaussian and laplacian,
-    ignored otherwise. scale multiplies all kernel values.
+    sigma is required (finite, strictly positive) for gaussian and
+    laplacian, ignored otherwise. scale (finite, strictly positive)
+    multiplies all kernel values.
     """
 
     variant: str
@@ -60,10 +61,10 @@ class KernelSpec:
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.variant in ("gaussian", "laplacian"):
-            if self.sigma is None or not self.sigma > 0:
-                raise ValueError(f"{self.variant} kernel needs sigma > 0")
-        if not self.scale > 0:
-            raise ValueError("scale must be strictly positive")
+            if self.sigma is None or not 0 < self.sigma < math.inf:
+                raise ValueError(f"{self.variant} kernel needs a finite sigma > 0")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be finite and strictly positive")
 
     @property
     def needs_coords(self) -> bool:

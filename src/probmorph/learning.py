@@ -7,10 +7,11 @@ all Markov kernels on the grids, reached by the normalized exponential
 
 Estimators:
 
-  * cerm: empirical risk minimization under the embedded quadratic
-    loss, with a certified optimality gap of 0. Finite classes are
-    enumerated; over the parametric class the risk is minimized in
-    closed form by the empirical conditional rows.
+  * cerm: empirical risk minimization of losses.empirical_risk under a
+    label Gram matrix, with a certified optimality gap of 0. Finite
+    classes are enumerated; over the parametric class the risk is
+    minimized in closed form by the conditional rows of the dataset's
+    pair counts (Dataset.counts).
   * regularized_estimate: minimizes  fidelity^2 + gamma * W  where the
     fidelity is the embedded distance between the hypothesis' graph
     pushforward and the empirical joint measure, and W is a squared
@@ -31,7 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, gram
-from .morphisms import MarkovKernel, _sum_zero_pencil, _top_eigpair
+from .losses import empirical_risk
+from .morphisms import MarkovKernel, _conditional_rows, _sum_zero_pencil, _top_eigpair
 from .spaces import Dataset, FiniteSpace, ProbMeasure, ProductSpace, SignedMeasure
 
 _MAX_NEWTON_NODES = 12
@@ -107,39 +109,8 @@ class LearnerConfig:
             raise ValueError("restarts must be a positive integer")
         if self.max_iters < 0:
             raise ValueError("max_iters must be a nonnegative integer")
-
-
-# ---------------------------------------------------------------------------
-# risks for cerm
-# ---------------------------------------------------------------------------
-def _pair_counts(source: FiniteSpace, target: FiniteSpace, S: Dataset) -> np.ndarray:
-    c = np.zeros((source.size, target.size))
-    for x, y in S.pairs:
-        c[source.index(x), target.index(y)] += 1.0
-    return c
-
-
-class EmbeddingRisk:
-    """Mean embedded quadratic loss of a hypothesis against dataset labels."""
-
-    def __init__(self, gY: GramMatrix):
-        self.gY = gY
-
-    def counts(self, source: FiniteSpace, target: FiniteSpace, S: Dataset) -> np.ndarray:
-        return _pair_counts(source, target, S)
-
-    def value_rows(self, rows: np.ndarray, counts: np.ndarray) -> float:
-        g = self.gY.values
-        n = counts.sum()
-        gr = rows @ g
-        quad = np.einsum("xi,xi->x", gr, rows)
-        fixed = float(np.sum(counts.sum(axis=0) * np.diag(g)))
-        cross = float(np.sum(gr * counts))
-        return (float(quad @ counts.sum(axis=1)) + fixed - 2.0 * cross) / n
-
-    def value(self, h: MarkovKernel, S: Dataset) -> float:
-        counts = self.counts(h.source, h.target, S)
-        return self.value_rows(h.matrix, counts)
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be finite and strictly positive")
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +163,11 @@ class CermResult:
     trace: list[float] = field(default_factory=list)
 
 
-def cerm(
-    cls, S: Dataset, risk: EmbeddingRisk, config: LearnerConfig | None = None
-) -> CermResult:
+def cerm(cls, S: Dataset, gY: GramMatrix, config: LearnerConfig | None = None) -> CermResult:
     """Empirical risk minimization with a certified optimality gap of 0.
 
-    Finite classes are enumerated exactly. Over a ParametricClass the
+    The risk is empirical_risk under the label Gram matrix gY. Finite
+    classes are enumerated exactly. Over a ParametricClass the
     risk at input x is n_x times the squared embedded distance from the
     row to the empirical conditional row at x, plus a constant, so the
     empirical section minimizes it in closed form: conditional rows at
@@ -207,22 +177,14 @@ def cerm(
     """
     if len(S) == 0:
         raise ValueError("cerm needs a nonempty dataset")
-    if isinstance(risk, GramMatrix):
-        risk = EmbeddingRisk(risk)
     if isinstance(cls, FiniteClass):
-        values = [risk.value(h, S) for h in cls]
+        values = [empirical_risk(h, S, gY).value for h in cls]
         best = int(np.argmin(values))
         return CermResult(h=cls.kernels[best], certified_gap=0.0, risk=values[best])
 
-    counts = risk.counts(cls.source, cls.target, S)
-    rows = _section_rows(counts)
-    value = risk.value_rows(rows, counts)
-    return CermResult(
-        h=MarkovKernel(cls.source, cls.target, rows),
-        certified_gap=0.0,
-        risk=value,
-        trace=[value],
-    )
+    h = MarkovKernel(cls.source, cls.target, _conditional_rows(S.counts()))
+    value = empirical_risk(h, S, gY).value
+    return CermResult(h=h, certified_gap=0.0, risk=value, trace=[value])
 
 
 def _probe_rows(nx: int, ny: int, seed: int) -> list[np.ndarray]:
@@ -235,16 +197,6 @@ def _probe_rows(nx: int, ny: int, seed: int) -> list[np.ndarray]:
     return rows
 
 
-def _section_rows(counts: np.ndarray) -> np.ndarray:
-    """Empirical conditional rows; uniform where x was never observed."""
-    ny = counts.shape[1]
-    totals = counts.sum(axis=1)
-    rows = np.full(counts.shape, 1.0 / ny)
-    seen = totals > 0
-    rows[seen] = counts[seen] / totals[seen, None]
-    return rows
-
-
 def empirical_section(S: Dataset) -> MarkovKernel:
     """The empirical conditional kernel of a dataset.
 
@@ -254,9 +206,7 @@ def empirical_section(S: Dataset) -> MarkovKernel:
     """
     if len(S) == 0:
         raise ValueError("cannot build an empirical section from no samples")
-    left, right = S.space.left, S.space.right
-    counts = _pair_counts(left, right, S)
-    return MarkovKernel(left, right, _section_rows(counts))
+    return MarkovKernel(S.space.left, S.space.right, _conditional_rows(S.counts()))
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +361,7 @@ class _WEval:
         zero = np.zeros_like(rows)
         if self.basis is None:
             return 0.0, zero
-        a = self.basis.T @ m @ self.basis
-        a = (a + a.T) / 2.0
-        lam, v = _top_eigpair(a, self.c)
+        lam, v = _top_eigpair(m, self.basis, self.c)
         if lam <= 0.0:
             return 0.0, zero
         o = math.sqrt(lam)
@@ -465,16 +413,16 @@ def regularized_estimate(
     """
     if len(S) == 0:
         raise ValueError("regularized_estimate needs a nonempty dataset")
-    if not gamma > 0:
-        raise ValueError("gamma must be strictly positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be finite and strictly positive")
     config = config or LearnerConfig()
     left, right = S.space.left, S.space.right
     if gXY.points != S.space:
         raise ValueError("gXY must live on the dataset's product space")
     if spec.gram_x.points != left or spec.gram_y.points != right:
         raise ValueError("W geometry does not match the dataset grids")
-    counts = _pair_counts(left, right, S)
-    n = counts.sum()
+    counts = S.counts()
+    n = len(S)
     mu_x = counts.sum(axis=1) / n
     target = counts / n
     weval = _WEval(spec)
@@ -490,7 +438,7 @@ def regularized_estimate(
         grad = 2.0 * mu_x[:, None] * g1d + gamma * wgrad
         return value, grad
 
-    best_rows, best_val, trace = _mirror_descent(objective_rows, _section_rows(counts), config)
+    best_rows, best_val, trace = _mirror_descent(objective_rows, _conditional_rows(counts), config)
     probe_best = min(
         objective_rows(r, want_grad=False)[0]
         for r in _probe_rows(left.size, right.size, config.seed)

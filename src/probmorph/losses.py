@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._tol import INVARIANT_ATOL
-from .kernels import GramMatrix, embed_inner, mmd
-from .morphisms import MarkovKernel, disintegrate, graph_pushforward
+from .kernels import GramMatrix, NotPSDError, mmd
+from .morphisms import MarkovKernel, SignedKernel, disintegrate, graph_pushforward
 from .spaces import (
     Dataset,
     ProbMeasure,
@@ -61,6 +61,8 @@ def _check_joint(h: MarkovKernel, mu: SignedMeasure) -> ProductSpace:
 
 def _loss_grid(h: MarkovKernel, g: GramMatrix) -> np.ndarray:
     """Matrix of instantaneous losses, indexed by (x, y)."""
+    if g.points != h.target:
+        raise SpaceMismatchError("Gram matrix does not live on the hypothesis target")
     gm = g.values
     hg = h.matrix @ gm
     quad = np.einsum("xi,xi->x", hg, h.matrix)
@@ -81,8 +83,6 @@ def instantaneous_loss(h: MarkovKernel, x, y, gY: GramMatrix) -> float:
 def expected_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> RiskReport:
     """Integral of the instantaneous loss against a joint measure."""
     space = _check_joint(h, mu)
-    if gY.points != h.target:
-        raise SpaceMismatchError("Gram matrix does not live on the hypothesis target")
     w = mu.weights.reshape(space.left.size, space.right.size)
     value = float(np.sum(w * _loss_grid(h, gY)))
     return RiskReport(value=value)
@@ -94,10 +94,7 @@ def empirical_risk(h: MarkovKernel, S: Dataset, gY: GramMatrix) -> RiskReport:
         raise ValueError("cannot evaluate a risk on an empty dataset")
     if S.space.left != h.source or S.space.right != h.target:
         raise SpaceMismatchError("dataset does not match the hypothesis spaces")
-    grid = _loss_grid(h, gY)
-    losses = [
-        float(grid[h.source.index(x), h.target.index(y)]) for x, y in S.pairs
-    ]
+    losses = _loss_grid(h, gY).reshape(-1)[S.cells].tolist()
     return RiskReport(value=math.fsum(losses) / len(losses), per_sample=losses)
 
 
@@ -115,15 +112,27 @@ def excess_risk(
     """
     _check_joint(h, mu)
     mu_x, cond = disintegrate(mu, zero_row_policy)
-    g = gY.values
-    total = 0.0
-    for i in range(h.source.size):
-        d = h.matrix[i] - cond.matrix[i]
-        q = float(d @ g @ d)
-        if q < -INVARIANT_ATOL:
-            raise ValueError(f"negative squared row MMD {q:.3e}: Gram not PSD")
-        total += mu_x.weights[i] * max(q, 0.0)
-    return total
+    return float(mu_x.weights @ _row_sq_mmd(h, cond, gY))
+
+
+def _row_sq_mmd(f: SignedKernel, h: SignedKernel, gY: GramMatrix) -> np.ndarray:
+    """The squared embedded distance between the rows of f and h, one per input.
+
+    Values in [-1e-12, 0) are roundoff and clamp to 0; anything lower
+    means the Gram matrix is not PSD and raises.
+    """
+    if f.source != h.source or f.target != h.target or gY.points != f.target:
+        raise SpaceMismatchError("the kernels and the Gram matrix do not share grids")
+    d = f.matrix - h.matrix
+    q = np.einsum("xi,xi->x", d @ gY.values, d)
+    if q.min() < -INVARIANT_ATOL:
+        raise NotPSDError(f"negative squared row MMD {q.min():.3e}: Gram matrix is not PSD")
+    return np.maximum(q, 0.0)
+
+
+def sup_row_mmd(f: SignedKernel, h: SignedKernel, gY: GramMatrix) -> float:
+    """d_inf(f, h): the largest embedded distance between two kernels' rows."""
+    return math.sqrt(float(_row_sq_mmd(f, h, gY).max()))
 
 
 def tv_correct_loss(h: MarkovKernel, mu: ProbMeasure, k: int = 1) -> float:

@@ -203,20 +203,26 @@ def disintegrate(mu: ProbMeasure, zero_row_policy: str = "uniform"):
     space = mu.space
     if not isinstance(space, ProductSpace) or not isinstance(mu, ProbMeasure):
         raise SpaceMismatchError("disintegrate needs a ProbMeasure on a ProductSpace")
-    nx, ny = space.left.size, space.right.size
-    w = mu.weights.reshape(nx, ny)
+    w = mu.weights.reshape(space.left.size, space.right.size)
     mass = w.sum(axis=1)
-    dead = mass <= 0.0
-    if np.any(dead):
-        if zero_row_policy == "error":
-            labels = [space.left.labels[i] for i in np.flatnonzero(dead)]
-            raise ValueError(f"marginal mass is zero at {labels!r}")
-        rows = np.full((nx, ny), 1.0 / ny)
-    else:
-        rows = np.empty((nx, ny))
-    alive = ~dead
+    dead = np.flatnonzero(mass <= 0.0)
+    if zero_row_policy == "error" and dead.size:
+        labels = [space.left.labels[i] for i in dead]
+        raise ValueError(f"marginal mass is zero at {labels!r}")
+    return ProbMeasure(space.left, mass), MarkovKernel(space.left, space.right, _conditional_rows(w))
+
+
+def _conditional_rows(w: np.ndarray) -> np.ndarray:
+    """The rows of a nonnegative (|X|, |Y|) array divided by their sums.
+
+    Rows that sum to zero become uniform. w may hold joint weights or
+    pair counts; either way the result is the conditional kernel.
+    """
+    mass = w.sum(axis=1)
+    rows = np.full(w.shape, 1.0 / w.shape[1])
+    alive = mass > 0.0
     rows[alive] = w[alive] / mass[alive, None]
-    return ProbMeasure(space.left, mass), MarkovKernel(space.left, space.right, rows)
+    return rows
 
 
 def sup_tv_norm(T: SignedKernel) -> float:
@@ -250,9 +256,13 @@ def _sum_zero_pencil(g_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
-def _top_eigpair(a: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
-    """The top eigenvalue of the pencil (a, c) and its eigenvector, with v' c v = 1."""
-    vals, vecs = eigh(a, c)
+def _top_eigpair(m: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
+    """The top eigenpair of the pencil (b' m b, c), with v' c v = 1.
+
+    m is projected onto the basis b and symmetrized against roundoff.
+    """
+    a = b.T @ m @ b
+    vals, vecs = eigh((a + a.T) / 2.0, c)
     return float(vals[-1]), vecs[:, -1]
 
 
@@ -273,7 +283,5 @@ def embedded_operator_norm(T: MarkovKernel, gX: GramMatrix, gXY: GramMatrix) -> 
     if T.source.size == 1:
         return 0.0
     b, c = _sum_zero_pencil(gX.values)
-    a = b.T @ gXY.pair_form(T.matrix) @ b
-    a = (a + a.T) / 2.0
-    top, _ = _top_eigpair(a, c)
+    top, _ = _top_eigpair(gXY.pair_form(T.matrix), b, c)
     return math.sqrt(max(top, 0.0))

@@ -16,6 +16,7 @@ function, so unrestricted concurrent use is safe.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -197,6 +198,16 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.pairs)
 
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """The flat product-space index of each pair, in sample order."""
+        return np.fromiter(map(self.space.index, self.pairs), dtype=np.intp, count=len(self.pairs))
+
+    def counts(self) -> np.ndarray:
+        """How often each (x, y) occurs, as an (|X|, |Y|) integer array."""
+        c = np.bincount(self.cells, minlength=self.space.size)
+        return c.reshape(self.space.left.size, self.space.right.size)
+
     def xs(self) -> tuple:
         return tuple(x for x, _ in self.pairs)
 
@@ -226,18 +237,15 @@ def empirical(data, space: FiniteSpace | None = None) -> ProbMeasure:
     so weights are exact ratios of integers.
     """
     if isinstance(data, Dataset):
-        space = data.space
-        points = data.pairs
+        space, cells = data.space, data.cells
     else:
         if space is None:
             raise ValueError("a space is required when data is a list of labels")
-        points = list(data)
-    if len(points) == 0:
+        cells = [space.index(p) for p in data]
+    if len(cells) == 0:
         raise ValueError("cannot build an empirical measure from no samples")
-    counts = np.zeros(space.size, dtype=np.int64)
-    for p in points:
-        counts[space.index(p)] += 1
-    return ProbMeasure(space, counts / len(points))
+    counts = np.bincount(cells, minlength=space.size)
+    return ProbMeasure(space, counts / len(cells))
 
 
 def tv_norm(mu: SignedMeasure) -> float:

@@ -292,10 +292,23 @@ def test_bounds_mmd_truth_weight_count_exit_65(bounds_dir, capsys):
         ("estimate", "restarts = 0"),
         ("embed", "delta = 2"),
         ("bounds", "bound = mmd_concentration\ndelta = 2"),
+        ("estimate", "step_size = nan"),
+        ("estimate", "step_size = inf"),
+        ("estimate", "step_size = 0"),
+        ("estimate", "step_size = -1"),
+        ("estimate", "gamma = inf"),
+        ("estimate", "sigma = inf"),
+        ("embed", "kernel = gaussian\nsigma = inf"),
+        ("embed", "scale = inf"),
+        ("bounds", "eps = 0"),
+        ("bounds", "eps = -1"),
+        ("bounds", "eps = nan"),
     ],
     ids=[
         "restarts-abc", "max_iters-1.5", "sigma-x", "eps-nope", "restarts-0",
-        "embed-delta-2", "mmd-delta-2",
+        "embed-delta-2", "mmd-delta-2", "step_size-nan", "step_size-inf",
+        "step_size-0", "step_size-neg", "gamma-inf", "sigma-inf",
+        "embed-sigma-inf", "embed-scale-inf", "eps-0", "eps-neg", "eps-nan",
     ],
 )
 def test_bad_numeric_config_exit_64(workdir, bounds_dir, embed_dir, capsys, command, line):
@@ -314,6 +327,35 @@ def test_bad_numeric_config_exit_64(workdir, bounds_dir, embed_dir, capsys, comm
         (bounds_dir / "bad.cfg").write_text(cfg + line + "\n")
         argv = ["bounds", "--config", bounds_dir / "bad.cfg", "--seed", 0,
                 "--trials", 5, "--n", 10, "--out", bounds_dir / "nope"]
+    assert run(*argv) == 64
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_estimate_gamma_flag_inf_exit_64(workdir, capsys):
+    code = run(
+        "estimate", "--config", workdir / "est.cfg", "--seed", 0, "--gamma", "inf",
+        "--out", workdir / "nope", workdir / "data.csv",
+    )
+    assert code == 64
+    assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("embed", "y_labels = u, v\nkernel = linear\n"),
+        ("bounds", "bound = mmd_concentration\ny_labels = u, v\nkernel = gaussian\n"),
+        ("bounds", "bound = covering\nx_labels = a, b, c\ny_labels = u, v\nclass = ;\n"),
+    ],
+    ids=["embed-linear-no-y_coords", "mmd-gaussian-no-y_coords", "covering-empty-class"],
+)
+def test_missing_coords_or_empty_class_exit_64(embed_dir, capsys, command, cfg):
+    (embed_dir / "bad.cfg").write_text(cfg)
+    if command == "embed":
+        argv = ["embed", "--config", embed_dir / "bad.cfg", embed_dir / "a.csv", embed_dir / "b.csv"]
+    else:
+        argv = ["bounds", "--config", embed_dir / "bad.cfg", "--seed", 0,
+                "--trials", 5, "--n", 10, "--out", embed_dir / "nope"]
     assert run(*argv) == 64
     assert "Traceback" not in capsys.readouterr().err
 

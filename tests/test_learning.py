@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from probmorph.kernels import GramMatrix, KernelSpec, KroneckerGram, gram, mmd
 from probmorph.learning import (
-    EmbeddingRisk,
     FiniteClass,
     LearnerConfig,
     NewtonInterpolant,
@@ -83,6 +82,7 @@ def test_cerm_finite_enumerates():
     uniform = MarkovKernel(X3, Y2, np.full((3, 2), 0.5))
     res = cerm(FiniteClass([uniform, cond]), S, G_Y)
     assert res.certified_gap == 0.0
+    assert res.risk == empirical_risk(res.h, S, G_Y).value
     assert np.allclose(res.h.matrix, cond.matrix)
     assert res.risk == pytest.approx(empirical_risk(cond, S, G_Y).value, abs=1e-12)
     assert res.risk <= empirical_risk(uniform, S, G_Y).value
@@ -110,6 +110,7 @@ def test_cerm_parametric_recovers_empirical_conditional():
         g = gram(kernel, Y2)
         res = cerm(ParametricClass(X3, Y2), S, g, LearnerConfig(seed=0))
         assert res.certified_gap == 0.0
+        assert res.risk == empirical_risk(res.h, S, g).value
         assert res.risk == pytest.approx(empirical_risk(sec, S, g).value, abs=1e-12)
         assert all(res.risk <= empirical_risk(h, S, g).value + 1e-12 for h in others)
         if kernel.variant != "linear":

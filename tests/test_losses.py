@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probmorph.kernels import KernelSpec, c_k, gram
+from probmorph.kernels import GramMatrix, KernelSpec, NotPSDError, c_k, gram, mmd
 from probmorph.losses import (
     empirical_risk,
     excess_risk,
@@ -13,6 +13,7 @@ from probmorph.losses import (
     instantaneous_loss,
     kl_and_bh_check,
     mmd_correct_loss,
+    sup_row_mmd,
     tv_correct_loss,
 )
 from probmorph.morphisms import (
@@ -26,6 +27,7 @@ from probmorph.spaces import (
     FiniteSpace,
     ProbMeasure,
     ProductSpace,
+    SpaceMismatchError,
     dirac,
     empirical,
     product,
@@ -131,6 +133,41 @@ def test_excess_risk_examples():
     h = MarkovKernel(X2, Y2, np.tile(prime, (2, 1)))
     expected = float(np.sum((prime - nu.weights) ** 2))  # delta-kernel mmd^2
     assert excess_risk(h, indep, G_DELTA) == pytest.approx(expected, abs=1e-12)
+
+
+def test_sup_row_mmd_is_the_largest_row_mmd():
+    rng = np.random.default_rng(11)
+    for nx, ny in ((1, 2), (3, 4), (5, 3)):
+        X, Y, h, _ = random_instance(rng, nx, ny)
+        _, _, f, _ = random_instance(rng, nx, ny)
+        f = MarkovKernel(X, Y, f.matrix)
+        for spec in (
+            KernelSpec("delta"),
+            KernelSpec("gaussian", sigma=0.7),
+            KernelSpec("laplacian", sigma=1.3),
+        ):
+            g = gram(spec, Y)
+            rows = max(mmd(g, f.row(x), h.row(x)) for x in X.labels)
+            assert sup_row_mmd(f, h, g) == pytest.approx(rows, abs=1e-12)
+        assert sup_row_mmd(h, h, g) == 0.0
+
+
+def test_sup_row_mmd_checks_grids_and_psd():
+    f = MarkovKernel(X2, Y2, [[1.0, 0.0], [0.5, 0.5]])
+    h = MarkovKernel(X2, Y2, [[0.0, 1.0], [0.5, 0.5]])
+    with pytest.raises(SpaceMismatchError):
+        sup_row_mmd(f, h, gram(KernelSpec("delta"), X2))
+    with pytest.raises(SpaceMismatchError):
+        sup_row_mmd(f, MarkovKernel(Y2, Y2, h.matrix), G_DELTA)
+    with pytest.raises(SpaceMismatchError):
+        excess_risk(f, ProbMeasure(PROD, [0.25] * 4), gram(KernelSpec("delta"), X2))
+    # eigenvalue -5e-10 along (1, -1): within the Gram tolerance, but the
+    # squared row distance -1e-9 is not roundoff
+    g = GramMatrix(Y2, [[1.0, 1.0 + 5e-10], [1.0 + 5e-10, 1.0]])
+    with pytest.raises(NotPSDError):
+        sup_row_mmd(f, h, g)
+    with pytest.raises(NotPSDError):
+        excess_risk(f, ProbMeasure(PROD, [0.0, 0.5, 0.25, 0.25]), g)
 
 
 @settings(max_examples=60, deadline=None)

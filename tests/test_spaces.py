@@ -77,8 +77,26 @@ def test_prob_measure_renormalizes_tiny_drift():
 
 def test_dataset_rejects_unknown_labels():
     prod = ProductSpace(AB, CD)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="y label 'z' is not in the right factor"):
         Dataset(prod, [("a", "z")])
+    with pytest.raises(KeyError, match="x label 'z' is not in the left factor"):
+        Dataset(prod, [("a", "c"), ("z", "c")])
+
+
+def test_dataset_counts_match_a_pair_loop():
+    x = FiniteSpace([f"x{i}" for i in range(4)])
+    y = FiniteSpace([f"y{j}" for j in range(3)])
+    prod = ProductSpace(x, y)
+    rng = np.random.default_rng(5)
+    pairs = [(f"x{i}", f"y{j}") for i, j in zip(rng.integers(0, 3, 50), rng.integers(0, 3, 50))]
+    S = Dataset(prod, pairs)
+    loop = np.zeros((4, 3))
+    for a, b in pairs:
+        loop[x.index(a), y.index(b)] += 1
+    assert np.array_equal(S.counts(), loop)
+    assert loop[3].sum() == 0  # x3 is never drawn
+    assert np.array_equal(empirical(S).weights, loop.reshape(-1) / 50)
+    assert S.counts().shape == (4, 3) and Dataset(prod, []).counts().sum() == 0
 
 
 # ---------------------------------------------------------------------------
