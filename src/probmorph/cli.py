@@ -207,6 +207,26 @@ def _check_y_coords(kernel: KernelSpec, y_space: FiniteSpace) -> None:
         raise ConfigError(f"the {kernel.variant} kernel needs y_coords")
 
 
+def _cfg_switch(cfg: dict[str, str], key: str) -> bool | None:
+    """cfg[key] read as on/true/1 or off/false/0 in any case; None when absent."""
+    text = cfg.get(key)
+    if text is None:
+        return None
+    if text.lower() in ("on", "true", "1"):
+        return True
+    if text.lower() in ("off", "false", "0"):
+        return False
+    raise ConfigError(f"{key} = {text!r} is not one of on, off, true, false, 1, 0")
+
+
+def _config_gram(kernel: KernelSpec, space: FiniteSpace):
+    """gram(kernel, space), with a Gram the config makes invalid reported as a ConfigError."""
+    try:
+        return gram(kernel, space)
+    except ValueError as exc:
+        raise ConfigError(f"{kernel.variant} kernel: {exc}") from exc
+
+
 def _kernel_spec(cfg: dict[str, str], override: str | None) -> KernelSpec:
     variant = override or cfg.get("kernel", "delta")
     sigma = _cfg_number(cfg, "sigma")
@@ -367,8 +387,7 @@ def cmd_estimate(args) -> int:
         config = LearnerConfig(seed=args.seed, **knobs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    opnorm = cfg.get("operator_norm")
-    include_opnorm = None if opnorm is None else opnorm.lower() in ("on", "true", "1")
+    include_opnorm = _cfg_switch(cfg, "operator_norm")
     try:
         wspec = WFunctionalSpec.from_kernel(
             spec_kernel, x_space, y_space, include_operator_norm=include_opnorm
@@ -377,7 +396,12 @@ def cmd_estimate(args) -> int:
         raise ConfigError(
             f"{exc}, so the operator-norm term is undefined; set operator_norm = off"
         ) from exc
-    fit = regularized_estimate(data, gamma, wspec.gram_xy, wspec, config)
+    except ValueError as exc:
+        raise ConfigError(f"{spec_kernel.variant} kernel: {exc}") from exc
+    try:
+        fit = regularized_estimate(data, gamma, wspec.gram_xy, wspec, config)
+    except ArithmeticError as exc:
+        raise ConfigError(f"the fit overflowed ({exc}); lower gamma or step_size") from exc
     out = Path(args.out)
     _write_json(out / "estimate.json", kernel_to_json(fit.h))
     _write_json(out / "trace.json", {"objective": fit.trace})
@@ -411,7 +435,7 @@ def cmd_bounds(args) -> int:
     kernel = _kernel_spec(cfg, None)
     y_space = space_from_config(cfg, "y")
     _check_y_coords(kernel, y_space)
-    g_y = gram(kernel, y_space)
+    g_y = _config_gram(kernel, y_space)
     if name == "mmd_concentration":
         delta = _cfg_delta(cfg)
         truth = _truth_measure(cfg, y_space)
@@ -476,7 +500,7 @@ def cmd_embed(args) -> int:
     delta = _cfg_delta(cfg)
     labels_a = labels_from_csv(_read_data_file(args.sample_a), y_space)
     labels_b = labels_from_csv(_read_data_file(args.sample_b), y_space)
-    g = gram(kernel, y_space)
+    g = _config_gram(kernel, y_space)
     mu_a = empirical(labels_a, y_space)
     mu_b = empirical(labels_b, y_space)
     value = mmd(g, mu_a, mu_b)

@@ -79,15 +79,19 @@ def _check_psd(min_eigenvalue: float) -> None:
 class GramMatrix:
     """Pairwise kernel values on a point set, symmetrized and PSD-checked.
 
-    The matrix is symmetrized as (G + G') / 2 before validation; the
-    minimum eigenvalue must not fall below -PSD_ATOL.
+    The matrix is symmetrized as (G + G') / 2 before validation; its
+    entries must then be finite, and the minimum eigenvalue must not fall
+    below -PSD_ATOL.
     """
 
     def __init__(self, points: FiniteSpace, entries):
         g = np.asarray(entries, dtype=float)
         if g.shape != (points.size, points.size):
             raise ValueError(f"Gram matrix shape {g.shape} for {points.size} points")
-        g = (g + g.T) / 2.0
+        with np.errstate(over="ignore"):
+            g = (g + g.T) / 2.0
+        if not np.all(np.isfinite(g)):
+            raise ValueError("Gram matrix entries overflow or are not finite")
         eigenvalues = eigvalsh(g)
         self.min_eigenvalue = float(eigenvalues[0])
         self.max_eigenvalue = float(eigenvalues[-1])
@@ -217,12 +221,15 @@ def gram(spec: KernelSpec, space: FiniteSpace) -> GramMatrix:
         g = spec.scale * np.eye(space.size)
     else:
         c = _coord_rows(spec, space)
-        if spec.variant == "gaussian":
-            g = spec.scale * np.exp(-spec.sigma * cdist(c, c, "sqeuclidean"))
-        elif spec.variant == "laplacian":
-            g = spec.scale * np.exp(-spec.sigma * cdist(c, c, "cityblock"))
-        else:
-            g = spec.scale * (c @ c.T)
+        # -sigma * d may overflow to -inf, whose exp is the exact 0; an entry
+        # that overflows to inf is rejected by GramMatrix
+        with np.errstate(over="ignore"):
+            if spec.variant == "gaussian":
+                g = spec.scale * np.exp(-spec.sigma * cdist(c, c, "sqeuclidean"))
+            elif spec.variant == "laplacian":
+                g = spec.scale * np.exp(-spec.sigma * cdist(c, c, "cityblock"))
+            else:
+                g = spec.scale * (c @ c.T)
     return GramMatrix(space, g)
 
 

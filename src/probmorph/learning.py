@@ -2,8 +2,7 @@
 
 Hypotheses are Markov kernels on fixed finite grids. Two class shapes
 are supported: an explicit finite list, and the parametric family of
-all Markov kernels on the grids, reached by the normalized exponential
-(softmax) of a logit vector per row.
+all Markov kernels on the grids.
 
 Estimators:
 
@@ -66,19 +65,11 @@ class FiniteClass:
 
 
 class ParametricClass:
-    """All Markov kernels on fixed grids, reached through rowwise softmax."""
+    """All Markov kernels on fixed grids: one point of the simplex per row."""
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace):
         self.source = source
         self.target = target
-
-    def realize(self, logits) -> MarkovKernel:
-        z = np.asarray(logits, dtype=float)
-        if z.shape != (self.source.size, self.target.size):
-            raise ValueError(f"logit shape {z.shape} does not match the grids")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("logits must be finite")
-        return MarkovKernel(self.source, self.target, _softmax_rows(z))
 
 
 def gamma_schedule(n: int) -> float:
@@ -131,24 +122,29 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
     not stall it. The run stops after max_iters steps, or earlier once
     the Frank-Wolfe gap sum_x (<g_x, x_x> - min_j g_xj) is at most tol.
     The best rows seen, `incumbent` included, are returned; the trace
-    holds their value after each step, so it never increases.
+    holds their value after each step, so it never increases. A
+    non-finite objective or step raises ArithmeticError.
     """
     z = np.zeros_like(incumbent)  # logits: softmax(log x) == softmax(z) rowwise
     best_rows = incumbent
-    best_val, _ = objective_rows(incumbent, want_grad=False)
     trace = []
-    for t in range(config.max_iters + 1):
-        rows = _softmax_rows(z)
-        value, grad = objective_rows(rows)
-        if not math.isfinite(value):
-            raise ArithmeticError(f"non-finite objective {value!r} after {t} steps")
-        if value < best_val:
-            best_rows, best_val = rows, value
-        trace.append(best_val)
-        gap = float(np.sum(grad * rows) - np.sum(grad.min(axis=1)))
-        if t == config.max_iters or gap <= config.tol:
-            break
-        z = z - config.step_size / (math.sqrt(t + 1) * np.max(np.abs(grad))) * grad
+    # an overflow surfaces as one of the two ArithmeticErrors, not as a warning
+    with np.errstate(all="ignore"):
+        best_val, _ = objective_rows(incumbent, want_grad=False)
+        for t in range(config.max_iters + 1):
+            rows = _softmax_rows(z)
+            value, grad = objective_rows(rows)
+            if not math.isfinite(value):
+                raise ArithmeticError(f"non-finite objective {value!r} after {t} steps")
+            if value < best_val:
+                best_rows, best_val = rows, value
+            trace.append(best_val)
+            gap = float(np.sum(grad * rows) - np.sum(grad.min(axis=1)))
+            if t == config.max_iters or gap <= config.tol:
+                break
+            z = z - config.step_size / (math.sqrt(t + 1) * np.max(np.abs(grad))) * grad
+            if not np.isfinite(z).all():
+                raise ArithmeticError(f"non-finite logits after {t + 1} steps")
     return best_rows, best_val, trace
 
 
@@ -261,10 +257,11 @@ class WFunctionalSpec:
 
 
 class _WEval:
-    """Value and row-gradient of W(h) = (sup + lipschitz + opnorm)^2."""
+    """Value and row-gradient of W(h) = (sup + lipschitz + opnorm)^2.
 
-    # all-pairs Lipschitz below this source size, nearest neighbors above
-    ALL_PAIRS_LIMIT = 256
+    The Lipschitz term is the exact all-pairs maximum at every |X|: it
+    scans neighbours in coordinate order on 1-D sources, all pairs otherwise.
+    """
 
     def __init__(self, spec: WFunctionalSpec):
         self.spec = spec
@@ -284,15 +281,13 @@ class _WEval:
         if x_space.coords is None:
             raise ValueError("the Lipschitz term needs coordinates on the source")
         c = x_space.coords
-        n = x_space.size
-        if n <= self.ALL_PAIRS_LIMIT:
-            pairs = np.column_stack(np.triu_indices(n, 1))
+        if c.shape[1] == 1:
+            # the row distance is a seminorm: for i < j < k in coordinate order, ||r_i - r_k||
+            # <= ||r_i - r_j|| + ||r_j - r_k|| <= L |x_i - x_k|, so neighbours attain the max
+            order = np.argsort(c[:, 0], kind="stable")
+            pairs = np.column_stack((order[:-1], order[1:]))
         else:
-            # nearest-neighbor pairs only: a documented lower bound
-            d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2)
-            np.fill_diagonal(d2, np.inf)
-            idx = sorted({(min(i, j), max(i, j)) for i, j in enumerate(np.argmin(d2, axis=1))})
-            pairs = np.array(idx, dtype=int)
+            pairs = np.column_stack(np.triu_indices(x_space.size, 1))
         dists = np.linalg.norm(c[pairs[:, 0]] - c[pairs[:, 1]], axis=1)
         return pairs, dists
 

@@ -331,6 +331,56 @@ def test_bad_numeric_config_exit_64(workdir, bounds_dir, embed_dir, capsys, comm
     assert "Traceback" not in capsys.readouterr().err
 
 
+FUZZ_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", "1e400", "maybe", ""]
+FUZZ_KERNELS = ["gaussian", "laplacian", "linear", "delta"]
+
+
+@pytest.mark.filterwarnings("error")  # the library prints nothing, warnings included
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        *(("estimate", key) for key in (
+            "gamma", "sigma", "scale", "restarts", "max_iters", "step_size", "tol",
+            "operator_norm",
+        )),
+        *(("embed", key) for key in ("sigma", "scale", "delta")),
+        *(("bounds", key) for key in ("sigma", "scale", "eps", "c_m", "delta")),
+    ],
+)
+def test_config_fuzz_keeps_exit_contract(workdir, bounds_dir, embed_dir, capsys, command, key):
+    # every value crossed with every kernel; a later line overrides an earlier one
+    if command == "estimate":
+        base = EST_CFG + "max_iters = 40\n"
+        cfg_path = workdir / "fuzz.cfg"
+        argv = ["estimate", "--config", cfg_path, "--seed", 0,
+                "--out", workdir / "fit", workdir / "data.csv"]
+    elif command == "embed":
+        base = (embed_dir / "embed.cfg").read_text()
+        cfg_path = embed_dir / "fuzz.cfg"
+        argv = ["embed", "--config", cfg_path, embed_dir / "a.csv", embed_dir / "b.csv"]
+    else:
+        bound = {"delta": "mmd_concentration", "c_m": "covering"}.get(key, "hoeffding")
+        hyp = bounds_dir / "hyp.json"
+        base = (bounds_dir / "bounds.cfg").read_text() + f"bound = {bound}\nclass = {hyp}; {hyp}\n"
+        cfg_path = bounds_dir / "fuzz.cfg"
+        argv = ["bounds", "--config", cfg_path, "--seed", 0,
+                "--trials", 5, "--n", 10, "--out", bounds_dir / "rep"]
+    broken = []
+    for kernel in FUZZ_KERNELS:
+        for value in FUZZ_VALUES:
+            cfg_path.write_text(base + f"kernel = {kernel}\n{key} = {value}\n")
+            try:
+                code = run(*argv)
+            except Exception as exc:  # what the console entry point would print as a traceback
+                code = repr(exc)
+            err = capsys.readouterr().err
+            # "0" is the one fuzz value that spells a switch (off)
+            expected = {64} if key == "operator_norm" and value != "0" else {0, 2, 64, 65}
+            if code not in expected or "Traceback" in err:
+                broken.append((kernel, value, code, err.strip()[-200:]))
+    assert broken == []
+
+
 def test_estimate_gamma_flag_inf_exit_64(workdir, capsys):
     code = run(
         "estimate", "--config", workdir / "est.cfg", "--seed", 0, "--gamma", "inf",

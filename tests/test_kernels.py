@@ -91,6 +91,18 @@ def test_gram_matrix_rejects_non_psd():
         GramMatrix(Y01, [[1.0, 2.0], [2.0, 1.0]])
 
 
+@pytest.mark.filterwarnings("error")
+def test_gram_overflow_is_rejected_silently():
+    # the diagonal 1e308 doubles to inf in the symmetrization
+    with pytest.raises(ValueError, match="not finite"):
+        gram(KernelSpec("delta", scale=1e308), Y01)
+    with pytest.raises(ValueError, match="not finite"):
+        GramMatrix(Y01, [[1.0, math.inf], [math.inf, 1.0]])
+    # -sigma * d overflows to -inf, whose exp is the exact 0
+    far = gram(KernelSpec("gaussian", sigma=1e308), FiniteSpace([0, 1], coords=[[0.0], [2.0]]))
+    assert np.array_equal(far.values, np.eye(2))
+
+
 def test_kronecker_gram_psd_threshold_matches_dense():
     # each factor passes on its own; their product sits below -PSD_ATOL
     x = FiniteSpace(["a", "b"])

@@ -64,14 +64,6 @@ def test_finite_class_requires_members():
         FiniteClass([])
 
 
-def test_parametric_realize_is_markov():
-    cls = ParametricClass(X3, Y2)
-    rng = np.random.default_rng(0)
-    h = cls.realize(rng.standard_normal((3, 2)))
-    assert isinstance(h, MarkovKernel)
-    assert np.allclose(h.matrix.sum(axis=1), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # cerm
 # ---------------------------------------------------------------------------
@@ -218,6 +210,70 @@ def test_w_duplicate_coords_error():
     # equal rows at duplicate coords are fine (difference quotient is 0/0 -> 0)
     same = MarkovKernel(dup, Y2, [[0.5, 0.5], [0.5, 0.5]])
     assert math.isfinite(w_functional(same, spec))
+    # a and c share a coordinate but are not neighbours in label order
+    split = FiniteSpace(["a", "b", "c"], coords=[[0.0], [1.0], [0.0]])
+    spec = WFunctionalSpec.from_kernel(
+        KernelSpec("delta"), split, Y2, include_operator_norm=False
+    )
+    h = MarkovKernel(split, Y2, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="duplicate source coordinates"):
+        w_functional(h, spec)
+
+
+def _lipschitz_only(kernel, xs, ys, rows):
+    spec = WFunctionalSpec.from_kernel(
+        kernel, xs, ys, include_sup=False, include_operator_norm=False
+    )
+    return w_functional(MarkovKernel(xs, ys, rows), spec), spec.gram_y.values
+
+
+def _all_pairs_lipschitz_sq(rows, coords, g_y):
+    """The squared Lipschitz term by brute force over every pair of distinct points."""
+    best = 0.0
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            dist = float(np.linalg.norm(coords[i] - coords[j]))
+            if dist > 0.0:
+                d = rows[i] - rows[j]
+                best = max(best, math.sqrt(max(float(d @ g_y @ d), 0.0)) / dist)
+    return best * best
+
+
+W_KERNELS = [
+    KernelSpec("gaussian", sigma=0.7),
+    KernelSpec("laplacian", sigma=0.5),
+    KernelSpec("delta"),
+    KernelSpec("linear"),
+]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_w_lipschitz_term_is_the_all_pairs_maximum(dim):
+    ys = FiniteSpace(["u", "v", "w"], coords=[[0.0], [1.0], [2.5]])
+    for trial in range(120):
+        rng = np.random.default_rng((dim, trial))
+        n = int(rng.integers(2, 41))
+        # a coarse grid of distinct sites, so coordinates repeat
+        sites = rng.integers(0, n, size=(n, dim)) * rng.uniform(0.1, 2.0)
+        if dim == 1 and trial % 2 == 0:
+            sites = np.sort(sites, axis=0)
+        _, site_of = np.unique(sites, axis=0, return_inverse=True)
+        rows = rng.dirichlet(np.ones(3), size=n)[site_of.reshape(-1)]  # equal at equal sites
+        xs = FiniteSpace([f"x{i}" for i in range(n)], coords=sites)
+        kernel = W_KERNELS[trial % 4]
+        value, g_y = _lipschitz_only(kernel, xs, ys, rows)
+        assert value == pytest.approx(_all_pairs_lipschitz_sq(rows, sites, g_y), rel=1e-12)
+
+
+def test_w_lipschitz_term_exact_beyond_256_points():
+    # 150 clusters {k, k + 0.01}; rows constant in a cluster, alternating across clusters
+    k = np.repeat(np.arange(150), 2)
+    coords = k + np.tile([0.0, 0.01], 150)
+    rows = np.column_stack([k % 2, 1 - k % 2]).astype(float)
+    xs = FiniteSpace([f"x{i}" for i in range(300)], coords=coords[:, None])
+    value, _ = _lipschitz_only(KernelSpec("delta"), xs, Y2, rows)
+    # the steepest pair is 0.99 apart with rows sqrt(2) apart under the delta kernel
+    assert value == pytest.approx(2.0 / 0.99**2, rel=1e-12)
 
 
 @pytest.mark.parametrize("nx", [3, 80])
