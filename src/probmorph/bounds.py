@@ -9,8 +9,13 @@ The harness draws i.i.d. datasets from an explicit finite ground
 truth, evaluates each bound's failure event exactly, and reports the
 empirical failure rate with a 95% Wilson interval. On finite sample
 spaces every event is measurable, so the probability of the event is
-the exact object the bounds control. Trials use per-trial counter
-seeds, so reports are identical regardless of scheduling.
+the exact object the bounds control. All trials come from one seeded
+stream: trial t's cell counts, the histogram of its n i.i.d. draws, are
+row t of default_rng(seed).multinomial(n, weights, size=trials). The
+rows are drawn and scored as arrays in blocks of 4096 from that one
+generator, which yields exactly the rows of a single call: trial t
+depends only on (seed, t), not on how many trials follow, and memory
+stays bounded for any number of trials.
 """
 from __future__ import annotations
 
@@ -20,13 +25,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .kernels import GramMatrix, mmd
+from .kernels import GramMatrix, _clamp_sq_norms
 from .learning import FiniteClass
-from .losses import _loss_grid, empirical_risk, expected_risk, sup_row_mmd
+from .losses import _loss_grid, _risk_gap, expected_risk, sup_row_mmd
 from .morphisms import MarkovKernel
-from .spaces import ProbMeasure, SignedMeasure
+from .spaces import ProbMeasure
 
 _WILSON_Z = 1.959963984540054  # 97.5% normal quantile
+_BLOCK = 4096  # trials drawn and scored per block
 
 
 @dataclass
@@ -161,10 +167,7 @@ def lipschitz_deviation_check(
     d_inf is the sup over inputs of the row MMD between f and g. A
     1e-10 additive slack absorbs roundoff.
     """
-    lhs = abs(
-        (expected_risk(f, mu, gY).value - empirical_risk(f, S, gY).value)
-        - (expected_risk(g, mu, gY).value - empirical_risk(g, S, gY).value)
-    )
+    lhs = abs(_risk_gap(f, mu, S, gY) - _risk_gap(g, mu, S, gY))
     return lhs <= 8.0 * c_k * sup_row_mmd(f, g, gY) + 1e-10
 
 
@@ -185,18 +188,15 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
 
 
 def _trial_counts(mu: ProbMeasure, n: int, trials: int, seed: int):
-    """Yield, per trial, the cell counts of n i.i.d. draws from mu.
+    """Yield the trials' cell counts of n i.i.d. draws from mu, in row blocks.
 
-    Trial t samples by inverse CDF from default_rng((seed, t)), so each
-    trial's draws do not depend on the others.
+    Stacked, the blocks are default_rng(seed).multinomial(n, mu.weights,
+    size=trials): one generator, so trial t is the same row for any
+    number of trials of at least t + 1.
     """
-    cumulative = np.cumsum(mu.weights)
-    for t in range(trials):
-        u = np.random.default_rng((seed, t)).random(n)
-        idx = np.searchsorted(cumulative, u, side="right")
-        # the final cumulative value can round below 1, clamp the overflow cell
-        idx = np.minimum(idx, cumulative.size - 1)
-        yield np.bincount(idx, minlength=cumulative.size)
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, _BLOCK):
+        yield rng.multinomial(n, mu.weights, size=min(_BLOCK, trials - start))
 
 
 def monte_carlo_verify(
@@ -216,9 +216,10 @@ def monte_carlo_verify(
                             MarkovKernel; params gY and eps. The event is
                             |empirical risk - expected risk| > eps.
       "covering":           subject is a FiniteClass; params gY, eps and
-                            optional c_m. The event is the sup over the
-                            class of the risk deviation exceeding eps;
-                            the excess-risk implication (sup deviation
+                            c_m (the learner's optimization gap: finite,
+                            nonnegative, default 0). The event is the sup
+                            over the class of the risk deviation exceeding
+                            eps; the excess-risk implication (sup deviation
                             <= eps and gap <= c_m force excess risk
                             <= 2 eps + c_m) is also checked every trial
                             and counted in the report parameters.
@@ -263,32 +264,30 @@ def _verify_hoeffding(mu: ProbMeasure, h: MarkovKernel, n, trials, seed, *, gY, 
     true_risk = expected_risk(h, mu, gY).value
     failures = 0
     for counts in _trial_counts(mu, n, trials, seed):
-        emp_risk = float(counts @ grid) / n
-        if abs(emp_risk - true_risk) > eps:
-            failures += 1
+        failures += int(np.count_nonzero(np.abs(counts @ grid / n - true_risk) > eps))
     theoretical = hoeffding_bound(n, eps, ck)
     params = {"m": n, "eps": eps, "c_k": ck}
     return _finish("hoeffding", params, theoretical, failures, trials, seed)
 
 
 def _verify_covering(mu: ProbMeasure, cls: FiniteClass, n, trials, seed, *, gY, eps, c_m=0.0):
+    if not 0.0 <= c_m < math.inf:
+        raise ValueError(f"c_m = {c_m!r} must be finite and nonnegative")
     ck = math.sqrt(float(np.max(np.abs(np.diag(gY.values)))))
     grids = np.stack([_loss_grid(h, gY).reshape(-1) for h in cls])
     true_risks = np.array([expected_risk(h, mu, gY).value for h in cls])
-    best_true = float(np.min(true_risks))
-    failures = 0
-    implication_violations = 0
+    # exact ERM on a finite class has gap 0 <= c_m, so its excess risk
+    # must stay within 2 eps + c_m whenever the sup deviation does not fail
+    excess = true_risks - float(np.min(true_risks))
+    failures = implication_violations = 0
     for counts in _trial_counts(mu, n, trials, seed):
-        emp_risks = grids @ counts / n
-        sup_dev = float(np.max(np.abs(emp_risks - true_risks)))
-        if sup_dev > eps:
-            failures += 1
-        else:
-            # exact ERM on a finite class has gap 0 <= c_m
-            chosen = int(np.argmin(emp_risks))
-            excess = float(true_risks[chosen]) - best_true
-            if excess > 2.0 * eps + c_m + 1e-12:
-                implication_violations += 1
+        emp_risks = counts @ grids.T / n
+        failed = np.max(np.abs(emp_risks - true_risks), axis=1) > eps
+        chosen = np.argmin(emp_risks, axis=1)
+        failures += int(np.count_nonzero(failed))
+        implication_violations += int(
+            np.count_nonzero(~failed & (excess[chosen] > 2.0 * eps + c_m + 1e-12))
+        )
     n_cover = covering_number(cls, eps / (8.0 * ck), gY)
     theoretical = covering_bound(n_cover, n, eps, ck)
     params = {
@@ -312,8 +311,8 @@ def _verify_mmd(mu: ProbMeasure, g: GramMatrix, n, trials, seed, *, delta):
     dev_bound = mmd_concentration_bound(n, delta, k_diag_mean)
     failures = 0
     for counts in _trial_counts(mu, n, trials, seed):
-        emp = SignedMeasure(mu.space, counts / n)
-        if mmd(g, emp, mu) > dev_bound:
-            failures += 1
+        d = counts / n - mu.weights
+        dist = np.sqrt(_clamp_sq_norms(np.einsum("ti,ti->t", d @ g.values, d)))
+        failures += int(np.count_nonzero(dist > dev_bound))
     params = {"n": n, "delta": delta, "k_diag_mean": k_diag_mean, "deviation_bound": dev_bound}
     return _finish("mmd_concentration", params, delta, failures, trials, seed)

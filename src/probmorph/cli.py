@@ -201,6 +201,14 @@ def _cfg_eps(cfg: dict[str, str]) -> float:
     return eps
 
 
+def _cfg_c_m(cfg: dict[str, str]) -> float:
+    """The covering bound's optimization gap c_m, which must be finite and nonnegative."""
+    c_m = _cfg_number(cfg, "c_m", "0.0")
+    if not 0.0 <= c_m < math.inf:
+        raise ConfigError(f"c_m = {c_m!r} must be finite and nonnegative")
+    return c_m
+
+
 def _check_y_coords(kernel: KernelSpec, y_space: FiniteSpace) -> None:
     """Reject a coordinate kernel on a target space without y_coords."""
     if y_space.coords is None and kernel.needs_coords:
@@ -460,7 +468,7 @@ def cmd_bounds(args) -> int:
             cls = FiniteClass([kernel_from_json(_load_json(p)) for p in paths])
             report = bounds_mod.monte_carlo_verify(
                 name, truth, cls, args.n, args.trials, args.seed,
-                gY=g_y, eps=eps, c_m=_cfg_number(cfg, "c_m", "0.0"),
+                gY=g_y, eps=eps, c_m=_cfg_c_m(cfg),
             )
     out = Path(args.out)
     _write_json(out / "report.json", report.to_json())

@@ -38,6 +38,7 @@ from ._tol import INVARIANT_ATOL, PSD_ATOL
 from .spaces import FiniteSpace, ProductSpace, SignedMeasure, SpaceMismatchError
 
 _VARIANTS = ("gaussian", "laplacian", "linear", "delta")
+_EPS = float(np.finfo(float).eps)
 
 
 class NotPSDError(ValueError):
@@ -71,9 +72,16 @@ class KernelSpec:
         return self.variant in ("gaussian", "laplacian", "linear")
 
 
-def _check_psd(min_eigenvalue: float) -> None:
-    if min_eigenvalue < -PSD_ATOL:
-        raise NotPSDError(f"minimum eigenvalue {min_eigenvalue:.3e} below -{PSD_ATOL}")
+def _check_psd(min_eigenvalue: float, size: int, max_entry: float) -> None:
+    """Reject a minimum eigenvalue below -max(PSD_ATOL, size * eps * max_entry).
+
+    size * max_entry bounds the spectral norm, so the second term is the
+    roundoff of an eigen-solve on a matrix with large entries; for
+    entries at most 1 in absolute value the floor is PSD_ATOL.
+    """
+    floor = max(PSD_ATOL, size * _EPS * max_entry)
+    if min_eigenvalue < -floor:
+        raise NotPSDError(f"minimum eigenvalue {min_eigenvalue:.3e} below -{floor}")
 
 
 class GramMatrix:
@@ -81,7 +89,8 @@ class GramMatrix:
 
     The matrix is symmetrized as (G + G') / 2 before validation; its
     entries must then be finite, and the minimum eigenvalue must not fall
-    below -PSD_ATOL.
+    below -PSD_ATOL, or below the eigen-solve's roundoff when entries are
+    large (see _check_psd).
     """
 
     def __init__(self, points: FiniteSpace, entries):
@@ -95,7 +104,8 @@ class GramMatrix:
         eigenvalues = eigvalsh(g)
         self.min_eigenvalue = float(eigenvalues[0])
         self.max_eigenvalue = float(eigenvalues[-1])
-        _check_psd(self.min_eigenvalue)
+        self.max_entry = float(np.max(np.abs(g)))
+        _check_psd(self.min_eigenvalue, points.size, self.max_entry)
         g.flags.writeable = False
         self.points = points
         self.values = g
@@ -133,7 +143,8 @@ class KroneckerGram(GramMatrix):
     left and right are the Gram matrices on the two factors. The
     eigenvalues of a Kronecker product are the products of the
     factors' eigenvalues, so the minimum is the least product of their
-    extremes; it is held to the same -PSD_ATOL as a dense matrix.
+    extremes, and the largest entry is the product of the factors'
+    largest entries; both are held to the same floor as a dense matrix.
     `values` builds the dense matrix on first access.
     """
 
@@ -147,7 +158,8 @@ class KroneckerGram(GramMatrix):
         ]
         self.min_eigenvalue = min(ends)
         self.max_eigenvalue = max(ends)
-        _check_psd(self.min_eigenvalue)
+        self.max_entry = left.max_entry * right.max_entry
+        _check_psd(self.min_eigenvalue, points.size, self.max_entry)
         self.points = points
         self.left = left
         self.right = right
@@ -240,20 +252,30 @@ def embed_inner(g: GramMatrix, mu: SignedMeasure, nu: SignedMeasure) -> float:
     return float(g.apply(mu.weights) @ nu.weights)
 
 
+def _clamp_sq_norms(q) -> np.ndarray:
+    """Squared embedding norms q, with roundoff below zero clamped to 0.
+
+    Values in [-1e-12, 0) are roundoff and become 0; a value below
+    -1e-12 means the Gram matrix is not PSD and raises NotPSDError.
+    """
+    q = np.asarray(q)
+    low = float(q.min())
+    if low < -INVARIANT_ATOL:
+        raise NotPSDError(f"negative squared MMD {low:.3e}: Gram matrix is not PSD")
+    return np.maximum(q, 0.0)
+
+
 def mmd(g: GramMatrix, mu: SignedMeasure, nu: SignedMeasure) -> float:
     """Maximum mean discrepancy: the embedding norm of mu - nu.
 
     The squared norm is clamped to 0 when it sits in [-1e-12, 0), which
     absorbs roundoff; a radicand below -1e-12 means the Gram matrix is
-    not PSD and raises.
+    not PSD and raises (_clamp_sq_norms).
     """
     if mu.space != g.points or nu.space != g.points:
         raise SpaceMismatchError("measures do not live on the Gram matrix's space")
     d = mu.weights - nu.weights
-    q = float(g.apply(d) @ d)
-    if q < -INVARIANT_ATOL:
-        raise NotPSDError(f"negative squared MMD {q:.3e}: Gram matrix is not PSD")
-    return math.sqrt(max(q, 0.0))
+    return math.sqrt(float(_clamp_sq_norms(g.apply(d) @ d)))
 
 
 def c_k(spec: KernelSpec, space: FiniteSpace) -> float:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._tol import INVARIANT_ATOL
-from .kernels import GramMatrix, NotPSDError, mmd
+from .kernels import GramMatrix, _clamp_sq_norms, mmd
 from .morphisms import MarkovKernel, SignedKernel, disintegrate, graph_pushforward
 from .spaces import (
     Dataset,
@@ -80,22 +80,42 @@ def instantaneous_loss(h: MarkovKernel, x, y, gY: GramMatrix) -> float:
     return float(r @ g @ r + g[j, j] - 2.0 * (r @ g[:, j]))
 
 
-def expected_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> RiskReport:
-    """Integral of the instantaneous loss against a joint measure."""
-    space = _check_joint(h, mu)
-    w = mu.weights.reshape(space.left.size, space.right.size)
-    value = float(np.sum(w * _loss_grid(h, gY)))
-    return RiskReport(value=value)
-
-
-def empirical_risk(h: MarkovKernel, S: Dataset, gY: GramMatrix) -> RiskReport:
-    """Mean instantaneous loss over a dataset, with the per-sample trail."""
+def _check_sample(h: MarkovKernel, S: Dataset) -> None:
     if len(S) == 0:
         raise ValueError("cannot evaluate a risk on an empty dataset")
     if S.space.left != h.source or S.space.right != h.target:
         raise SpaceMismatchError("dataset does not match the hypothesis spaces")
-    losses = _loss_grid(h, gY).reshape(-1)[S.cells].tolist()
+
+
+def _grid_expected_risk(grid: np.ndarray, mu: ProbMeasure) -> float:
+    """The integral of a loss grid against a joint measure on its (x, y) cells."""
+    return float(np.sum(mu.weights.reshape(grid.shape) * grid))
+
+
+def _grid_empirical_risk(grid: np.ndarray, S: Dataset) -> RiskReport:
+    """The mean of a loss grid over a dataset's cells, with the per-sample trail."""
+    losses = grid.reshape(-1)[S.cells].tolist()
     return RiskReport(value=math.fsum(losses) / len(losses), per_sample=losses)
+
+
+def expected_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> RiskReport:
+    """Integral of the instantaneous loss against a joint measure."""
+    _check_joint(h, mu)
+    return RiskReport(value=_grid_expected_risk(_loss_grid(h, gY), mu))
+
+
+def empirical_risk(h: MarkovKernel, S: Dataset, gY: GramMatrix) -> RiskReport:
+    """Mean instantaneous loss over a dataset, with the per-sample trail."""
+    _check_sample(h, S)
+    return _grid_empirical_risk(_loss_grid(h, gY), S)
+
+
+def _risk_gap(h: MarkovKernel, mu: ProbMeasure, S: Dataset, gY: GramMatrix) -> float:
+    """expected_risk(h, mu, gY) - empirical_risk(h, S, gY), from one loss grid."""
+    _check_joint(h, mu)
+    _check_sample(h, S)
+    grid = _loss_grid(h, gY)
+    return _grid_expected_risk(grid, mu) - _grid_empirical_risk(grid, S).value
 
 
 def excess_risk(
@@ -118,16 +138,12 @@ def excess_risk(
 def _row_sq_mmd(f: SignedKernel, h: SignedKernel, gY: GramMatrix) -> np.ndarray:
     """The squared embedded distance between the rows of f and h, one per input.
 
-    Values in [-1e-12, 0) are roundoff and clamp to 0; anything lower
-    means the Gram matrix is not PSD and raises.
+    Roundoff below zero is clamped by kernels._clamp_sq_norms.
     """
     if f.source != h.source or f.target != h.target or gY.points != f.target:
         raise SpaceMismatchError("the kernels and the Gram matrix do not share grids")
     d = f.matrix - h.matrix
-    q = np.einsum("xi,xi->x", d @ gY.values, d)
-    if q.min() < -INVARIANT_ATOL:
-        raise NotPSDError(f"negative squared row MMD {q.min():.3e}: Gram matrix is not PSD")
-    return np.maximum(q, 0.0)
+    return _clamp_sq_norms(np.einsum("xi,xi->x", d @ gY.values, d))
 
 
 def sup_row_mmd(f: SignedKernel, h: SignedKernel, gY: GramMatrix) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from probmorph import bounds
 from probmorph.bounds import (
     covering_bound,
     covering_number,
@@ -14,10 +15,11 @@ from probmorph.bounds import (
     monte_carlo_verify,
     wilson_interval,
 )
-from probmorph.kernels import KernelSpec, gram
+from probmorph.kernels import KernelSpec, gram, mmd
 from probmorph.learning import FiniteClass
+from probmorph.losses import _risk_gap, empirical_risk, expected_risk, sup_row_mmd
 from probmorph.morphisms import MarkovKernel, graph_pushforward
-from probmorph.spaces import Dataset, FiniteSpace, ProbMeasure, ProductSpace
+from probmorph.spaces import Dataset, FiniteSpace, ProbMeasure, ProductSpace, SignedMeasure
 
 X3 = FiniteSpace(["x1", "x2", "x3"])
 Y3 = FiniteSpace(["y1", "y2", "y3"])
@@ -164,6 +166,28 @@ def test_lipschitz_deviation_random_draws():
         assert lipschitz_deviation_check(f, g, mu, S, 1.0, G_Y3)
 
 
+def test_lipschitz_deviation_lhs_matches_public_risks():
+    # criterion-09 draws: the check's left side, from one loss grid per
+    # hypothesis, equals the public risks' to the bit
+    rng = np.random.default_rng(9)
+    prod = ProductSpace(X3, Y3)
+    for _ in range(1000):
+        rows_f = rng.random((3, 3)) + 1e-3
+        rows_g = rng.random((3, 3)) + 1e-3
+        f = MarkovKernel(X3, Y3, rows_f / rows_f.sum(axis=1, keepdims=True))
+        g = MarkovKernel(X3, Y3, rows_g / rows_g.sum(axis=1, keepdims=True))
+        w = rng.random(9) + 1e-3
+        mu = ProbMeasure(prod, w / w.sum())
+        S = Dataset(prod, [prod.labels[i] for i in rng.integers(0, 9, size=6)])
+        lhs = abs(
+            (expected_risk(f, mu, G_Y3).value - empirical_risk(f, S, G_Y3).value)
+            - (expected_risk(g, mu, G_Y3).value - empirical_risk(g, S, G_Y3).value)
+        )
+        assert abs(_risk_gap(f, mu, S, G_Y3) - _risk_gap(g, mu, S, G_Y3)) == lhs
+        rhs = 8.0 * sup_row_mmd(f, g, G_Y3) + 1e-10
+        assert lipschitz_deviation_check(f, g, mu, S, 1.0, G_Y3) == (lhs <= rhs)
+
+
 def test_lipschitz_deviation_hand_case():
     # deterministic predictors differing at one input, delta kernel
     f = MarkovKernel(X3, Y3, np.eye(3))
@@ -240,3 +264,99 @@ def test_monte_carlo_mmd_rejects_big_diagonal():
     big = gram(KernelSpec("delta", scale=4.0), Y3)
     with pytest.raises(ValueError):
         monte_carlo_verify("mmd_concentration", mu, big, 100, 10, 0, delta=0.05)
+
+
+def test_monte_carlo_covering_rejects_bad_c_m():
+    t, mu = _fixed_instance()
+    for c_m in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="c_m"):
+            monte_carlo_verify(
+                "covering", mu, FiniteClass([t]), 10, 5, 0, gY=G_Y3, eps=0.3, c_m=c_m
+            )
+
+
+# ---------------------------------------------------------------------------
+# the trials' counts and their vectorized events
+# ---------------------------------------------------------------------------
+def _stacked_counts(mu, n, trials, seed):
+    return np.concatenate(list(bounds._trial_counts(mu, n, trials, seed)))
+
+
+def test_trial_counts_are_one_prefix_stable_multinomial_stream():
+    _, mu = _fixed_instance()
+    short = _stacked_counts(mu, 40, 100, 11)
+    assert np.array_equal(_stacked_counts(mu, 40, 300, 11)[:100], short)
+    # blocks of 4096 rows give exactly the rows of one call, across the boundary
+    whole = np.random.default_rng(11).multinomial(40, mu.weights, size=5000)
+    blocks = list(bounds._trial_counts(mu, 40, 5000, 11))
+    assert [len(b) for b in blocks] == [4096, 904]
+    assert np.array_equal(np.concatenate(blocks), whole)
+    assert np.array_equal(_stacked_counts(mu, 40, 4100, 11), whole[:4100])
+    assert np.all(whole.sum(axis=1) == 40)
+
+
+def test_trial_counts_column_means_match_n_weights():
+    _, mu = _fixed_instance()
+    n, trials = 30, 5000
+    counts = _stacked_counts(mu, n, trials, 4)
+    w = mu.weights
+    stderr = np.sqrt(n * w * (1.0 - w) / trials)
+    assert np.all(np.abs(counts.mean(axis=0) - n * w) <= 4.0 * stderr)
+
+
+def _fixed_counts(monkeypatch, counts):
+    # two blocks, so the events are summed across blocks as well
+    monkeypatch.setattr(bounds, "_trial_counts", lambda *args: iter(np.array_split(counts, 2)))
+
+
+def _dataset(prod, counts):
+    return Dataset(prod, [label for label, c in zip(prod.labels, counts) for _ in range(c)])
+
+
+def test_vectorized_hoeffding_and_covering_match_per_trial_loop(monkeypatch):
+    t, mu = _fixed_instance()
+    prod = mu.space
+    rng = np.random.default_rng(3)
+    members = [t]
+    for _ in range(4):
+        rows = rng.random((3, 3)) + 1e-3
+        members.append(MarkovKernel(X3, Y3, rows / rows.sum(axis=1, keepdims=True)))
+    cls = FiniteClass(members)
+    n, trials, eps = 20, 400, 0.1
+    counts = _stacked_counts(mu, n, trials, 8)
+    _fixed_counts(monkeypatch, counts)
+    true = np.array([expected_risk(h, mu, G_Y3).value for h in cls])
+    hoeffding_failures = covering_failures = violations = 0
+    for row in counts:
+        S = _dataset(prod, row)
+        emp = np.array([empirical_risk(h, S, G_Y3).value for h in cls])
+        hoeffding_failures += abs(emp[0] - true[0]) > eps
+        if np.max(np.abs(emp - true)) > eps:
+            covering_failures += 1
+        elif true[np.argmin(emp)] - true.min() > 2.0 * eps + 1e-12:
+            violations += 1
+    assert 0 < hoeffding_failures < trials and 0 < covering_failures < trials
+    rep = monte_carlo_verify("hoeffding", mu, t, n, trials, 8, gY=G_Y3, eps=eps)
+    assert rep.empirical_failure_rate == hoeffding_failures / trials
+    rep = monte_carlo_verify("covering", mu, cls, n, trials, 8, gY=G_Y3, eps=eps)
+    assert rep.empirical_failure_rate == covering_failures / trials
+    assert rep.parameters["implication_violations"] == violations
+
+
+def test_vectorized_mmd_matches_per_trial_loop(monkeypatch):
+    ys = FiniteSpace([f"y{i}" for i in range(5)], coords=[[float(i)] for i in range(5)])
+    mu = ProbMeasure(ys, [0.1, 0.3, 0.2, 0.25, 0.15])
+    g = gram(KernelSpec("gaussian", sigma=0.5), ys)
+    n, trials, delta = 100, 400, 0.9
+    # the bound holds on draws from mu, so the rows draw from mixtures of mu
+    # and a point mass whose distance to mu sweeps across the bound
+    rng = np.random.default_rng(2)
+    point = np.eye(5)[1]
+    mixtures = [(1.0 - a) * mu.weights + a * point for a in np.linspace(0.0, 1.0, trials)]
+    counts = np.stack([rng.multinomial(n, w) for w in mixtures])
+    _fixed_counts(monkeypatch, counts)
+    rep = monte_carlo_verify("mmd_concentration", mu, g, n, trials, 2, delta=delta)
+    bound = rep.parameters["deviation_bound"]
+    failures = sum(mmd(g, SignedMeasure(ys, row / n), mu) > bound for row in counts)
+    assert 0 < failures < trials
+    assert rep.empirical_failure_rate == failures / trials

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -282,6 +283,10 @@ def test_bounds_mmd_truth_weight_count_exit_65(bounds_dir, capsys):
     assert "3 weights for 2 points" in err and "Traceback" not in err
 
 
+# a covering config whose one-member class is the bounds fixture's hypothesis
+COVERING = "bound = covering\nclass = {dir}/hyp.json\n"
+
+
 @pytest.mark.parametrize(
     "command, line",
     [
@@ -303,12 +308,16 @@ def test_bounds_mmd_truth_weight_count_exit_65(bounds_dir, capsys):
         ("bounds", "eps = 0"),
         ("bounds", "eps = -1"),
         ("bounds", "eps = nan"),
+        ("bounds", COVERING + "c_m = nan"),
+        ("bounds", COVERING + "c_m = inf"),
+        ("bounds", COVERING + "c_m = -1"),
     ],
     ids=[
         "restarts-abc", "max_iters-1.5", "sigma-x", "eps-nope", "restarts-0",
         "embed-delta-2", "mmd-delta-2", "step_size-nan", "step_size-inf",
         "step_size-0", "step_size-neg", "gamma-inf", "sigma-inf",
         "embed-sigma-inf", "embed-scale-inf", "eps-0", "eps-neg", "eps-nan",
+        "c_m-nan", "c_m-inf", "c_m-neg",
     ],
 )
 def test_bad_numeric_config_exit_64(workdir, bounds_dir, embed_dir, capsys, command, line):
@@ -324,7 +333,7 @@ def test_bad_numeric_config_exit_64(workdir, bounds_dir, embed_dir, capsys, comm
                 embed_dir / "a.csv", embed_dir / "b.csv"]
     else:
         cfg = (bounds_dir / "bounds.cfg").read_text()
-        (bounds_dir / "bad.cfg").write_text(cfg + line + "\n")
+        (bounds_dir / "bad.cfg").write_text(cfg + line.format(dir=bounds_dir) + "\n")
         argv = ["bounds", "--config", bounds_dir / "bad.cfg", "--seed", 0,
                 "--trials", 5, "--n", 10, "--out", bounds_dir / "nope"]
     assert run(*argv) == 64
@@ -352,33 +361,65 @@ def test_config_fuzz_keeps_exit_contract(workdir, bounds_dir, embed_dir, capsys,
     if command == "estimate":
         base = EST_CFG + "max_iters = 40\n"
         cfg_path = workdir / "fuzz.cfg"
+        out = workdir / "fit"
         argv = ["estimate", "--config", cfg_path, "--seed", 0,
-                "--out", workdir / "fit", workdir / "data.csv"]
+                "--out", out, workdir / "data.csv"]
     elif command == "embed":
         base = (embed_dir / "embed.cfg").read_text()
         cfg_path = embed_dir / "fuzz.cfg"
-        argv = ["embed", "--config", cfg_path, embed_dir / "a.csv", embed_dir / "b.csv"]
+        out = embed_dir / "embed.json"
+        argv = ["embed", "--config", cfg_path, embed_dir / "a.csv", embed_dir / "b.csv",
+                "--out", out]
     else:
         bound = {"delta": "mmd_concentration", "c_m": "covering"}.get(key, "hoeffding")
         hyp = bounds_dir / "hyp.json"
         base = (bounds_dir / "bounds.cfg").read_text() + f"bound = {bound}\nclass = {hyp}; {hyp}\n"
         cfg_path = bounds_dir / "fuzz.cfg"
+        out = bounds_dir / "rep"
         argv = ["bounds", "--config", cfg_path, "--seed", 0,
-                "--trials", 5, "--n", 10, "--out", bounds_dir / "rep"]
+                "--trials", 5, "--n", 10, "--out", out]
     broken = []
     for kernel in FUZZ_KERNELS:
         for value in FUZZ_VALUES:
             cfg_path.write_text(base + f"kernel = {kernel}\n{key} = {value}\n")
+            shutil.rmtree(out, ignore_errors=True)
+            out.unlink(missing_ok=True)
             try:
                 code = run(*argv)
             except Exception as exc:  # what the console entry point would print as a traceback
                 code = repr(exc)
             err = capsys.readouterr().err
-            # "0" is the one fuzz value that spells a switch (off)
-            expected = {64} if key == "operator_norm" and value != "0" else {0, 2, 64, 65}
+            if key == "operator_norm":
+                # "0" is the one fuzz value that spells a switch (off)
+                expected = {0, 2, 64, 65} if value == "0" else {64}
+            elif key == "c_m":
+                expected = {0, 2, 64, 65} if _finite_nonnegative(value) else {64}
+            else:
+                expected = {0, 2, 64, 65}
             if code not in expected or "Traceback" in err:
                 broken.append((kernel, value, code, err.strip()[-200:]))
+            elif code == 0:
+                # every JSON file written must be strict JSON: no NaN or Infinity
+                written = [out] if out.is_file() else sorted(out.glob("*.json"))
+                for path in written:
+                    try:
+                        json.loads(path.read_text(), parse_constant=_reject_constant)
+                    except ValueError as exc:
+                        broken.append((kernel, value, path.name, str(exc)))
+                if not written:
+                    broken.append((kernel, value, code, "no JSON written"))
     assert broken == []
+
+
+def _finite_nonnegative(text):
+    try:
+        return 0.0 <= float(text) < math.inf
+    except ValueError:
+        return False
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
 
 
 def test_estimate_gamma_flag_inf_exit_64(workdir, capsys):

@@ -117,6 +117,35 @@ def test_kronecker_gram_psd_threshold_matches_dense():
     assert KroneckerGram(prod, small, right).min_eigenvalue == pytest.approx(-1e-10)
 
 
+def test_psd_floor_scales_with_the_largest_entry():
+    # a rank-2 linear Gram with entries near 5e300: eigvalsh's roundoff
+    # puts its zero eigenvalues near -1e285, far below an absolute -1e-9
+    x = FiniteSpace([0, 1, 2], coords=[[0.0], [1.0], [2.0]])
+    g = gram(KernelSpec("linear", scale=1e300), ProductSpace(x, Y01))
+    assert g.min_eigenvalue < -1e-9
+    with pytest.raises(NotPSDError):
+        GramMatrix(Y01, np.array([[0.0, 1.0], [1.0, 0.0]]) * 1e300)
+    # entries at most 1 keep the absolute floor -PSD_ATOL
+    GramMatrix(Y01, np.diag([1.0, -0.9e-9]))
+    with pytest.raises(NotPSDError, match="below -1e-09"):
+        GramMatrix(Y01, np.diag([1.0, -1.1e-9]))
+    # a Kronecker Gram's largest entry is the product of its factors', and
+    # it meets the floor of its dense matrix
+    prod = ProductSpace(Y01, Y01)
+    big = GramMatrix(Y01, np.diag([1e300, 1e300]))
+    for tiny, accepted in ((-1e-16, True), (-1e-10, False)):
+        small = GramMatrix(Y01, np.diag([1.0, tiny]))
+        for build in (
+            lambda: KroneckerGram(prod, big, small),
+            lambda: GramMatrix(prod, np.kron(big.values, small.values)),
+        ):
+            if accepted:
+                assert build().min_eigenvalue == pytest.approx(tiny * 1e300)
+            else:
+                with pytest.raises(NotPSDError):
+                    build()
+
+
 def test_embed_inner_examples():
     d = gram(KernelSpec("delta"), Y01)
     mu = SignedMeasure(Y01, [0.3, 0.7])
