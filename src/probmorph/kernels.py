@@ -292,6 +292,8 @@ def embedding_injective(g: GramMatrix, tol: float = PSD_ATOL) -> bool:
     """Whether the mean embedding is injective on signed measures.
 
     On a finite space this is exactly nonsingularity of the Gram
-    matrix: true iff its minimum eigenvalue exceeds tol.
+    matrix: true iff its minimum eigenvalue exceeds tol times its
+    largest |entry|, so the answer does not change with the kernel's
+    scale.
     """
-    return g.min_eigenvalue > tol
+    return g.min_eigenvalue > tol * g.max_entry

@@ -32,7 +32,7 @@ import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, gram
 from .losses import empirical_risk
-from .morphisms import MarkovKernel, _conditional_rows, _sum_zero_pencil, _top_eigpair
+from .morphisms import MarkovKernel, _conditional_rows, _sum_zero_pencil, _top_eigspace
 from .spaces import Dataset, FiniteSpace, ProbMeasure, ProductSpace, SignedMeasure
 
 _MAX_NEWTON_NODES = 12
@@ -215,6 +215,11 @@ class WFunctionalSpec:
     gram_xy embeds joint measures, gram_y embeds rows, gram_x embeds
     input measures (used by the operator-norm term). At least one term
     must be enabled.
+
+    Construction precomputes the pieces every evaluation reads: the
+    Lipschitz pairs and their coordinate distances, and the sum-zero
+    basis whitened by gram_x for the operator norm. Change a field by
+    building a new spec, not by assigning to it.
     """
 
     gram_xy: GramMatrix
@@ -223,16 +228,21 @@ class WFunctionalSpec:
     include_sup: bool = True
     include_lipschitz: bool = True
     include_operator_norm: bool = False
+    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    _dists: np.ndarray = field(init=False, repr=False, compare=False)
+    _basis: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.include_sup or self.include_lipschitz or self.include_operator_norm):
             raise ValueError("at least one W term must be enabled")
-        expected = ProductSpace(self.gram_x.points, self.gram_y.points)
-        if self.gram_xy.points != expected:
+        x_space = self.gram_x.points
+        if self.gram_xy.points != ProductSpace(x_space, self.gram_y.points):
             raise ValueError("gram_xy must live on the product of gram_x and gram_y points")
-        if self.include_operator_norm and self.gram_x.points.size > 1:
-            # reject a degenerate source Gram here, not at the first evaluation
-            _sum_zero_pencil(self.gram_x.values)
+        # a source without coordinates or a degenerate source Gram is rejected here
+        self._pairs, self._dists = _lipschitz_pairs(x_space, self.include_lipschitz)
+        self._basis = None
+        if self.include_operator_norm and x_space.size > 1:
+            self._basis = _sum_zero_pencil(self.gram_x.values)
 
     @classmethod
     def from_kernel(
@@ -255,48 +265,10 @@ class WFunctionalSpec:
             include_operator_norm=include_operator_norm,
         )
 
-
-class _WEval:
-    """Value and row-gradient of W(h) = (sup + lipschitz + opnorm)^2.
-
-    The Lipschitz term is the exact all-pairs maximum at every |X|: it
-    scans neighbours in coordinate order on 1-D sources, all pairs otherwise.
-    """
-
-    def __init__(self, spec: WFunctionalSpec):
-        self.spec = spec
-        x_space = spec.gram_x.points
-        self.g2 = spec.gram_y.values
-        self.g1 = spec.gram_xy
-        self.pairs, self.dists = self._lipschitz_pairs(x_space)
-        if spec.include_operator_norm and x_space.size > 1:
-            self.basis, self.c = _sum_zero_pencil(spec.gram_x.values)
-        else:
-            self.basis = None
-            self.c = None
-
-    def _lipschitz_pairs(self, x_space: FiniteSpace):
-        if not self.spec.include_lipschitz or x_space.size < 2:
-            return np.zeros((0, 2), dtype=int), np.zeros(0)
-        if x_space.coords is None:
-            raise ValueError("the Lipschitz term needs coordinates on the source")
-        c = x_space.coords
-        if c.shape[1] == 1:
-            # the row distance is a seminorm: for i < j < k in coordinate order, ||r_i - r_k||
-            # <= ||r_i - r_j|| + ||r_j - r_k|| <= L |x_i - x_k|, so neighbours attain the max
-            order = np.argsort(c[:, 0], kind="stable")
-            pairs = np.column_stack((order[:-1], order[1:]))
-        else:
-            pairs = np.column_stack(np.triu_indices(x_space.size, 1))
-        dists = np.linalg.norm(c[pairs[:, 0]] - c[pairs[:, 1]], axis=1)
-        return pairs, dists
-
-    def value_grad(self, rows: np.ndarray, want_grad: bool = True):
+    def _value_grad(self, rows: np.ndarray, want_grad: bool = True):
+        """Value and row-gradient of W(h) = (sup + lipschitz + opnorm)^2."""
         # m[i, j]: the embedded inner product of graph rows i and j
-        if self.spec.include_sup or self.basis is not None:
-            m = self.g1.pair_form(rows)
-        else:
-            m = None
+        m = self.gram_xy.pair_form(rows) if self.include_sup or self._basis is not None else None
         s, gs = self._sup_term(rows, m, want_grad)
         l, gl = self._lipschitz_term(rows, want_grad)
         o, go = self._opnorm_term(rows, m, want_grad)
@@ -306,72 +278,94 @@ class _WEval:
             return value, None
         return value, 2.0 * total * (gs + gl + go)
 
+    def _graph_grad(self, u: np.ndarray, rows: np.ndarray, norm: float) -> np.ndarray:
+        """The row-gradient of ||sum_i u_i (graph row i)||_gram_xy, whose value is norm > 0."""
+        return u[:, None] * self.gram_xy.apply(u[:, None] * rows) / norm
+
     def _sup_term(self, rows, m, want_grad):
         zero = np.zeros_like(rows)
-        if not self.spec.include_sup:
+        if not self.include_sup:
             return 0.0, zero
-        g2r = rows @ self.g2
+        g2r = rows @ self.gram_y.values
         qy = np.einsum("xi,xi->x", g2r, rows)
-        qg = np.diag(m)
         ny_norm = np.sqrt(np.clip(qy, 0.0, None))
-        ng_norm = np.sqrt(np.clip(qg, 0.0, None))
+        ng_norm = np.sqrt(np.clip(np.diag(m), 0.0, None))
         phi = ny_norm + ng_norm
         i = int(np.argmax(phi))
         if not want_grad:
             return float(phi[i]), zero
         grad = zero
+        if ng_norm[i] > 0:
+            u = np.zeros(len(rows))
+            u[i] = 1.0
+            grad = self._graph_grad(u, rows, ng_norm[i])
         if ny_norm[i] > 0:
             grad[i] += g2r[i] / ny_norm[i]
-        if ng_norm[i] > 0:
-            # row i of G applied to graph row i alone: its diagonal block times rows[i]
-            graph_row = np.zeros_like(rows)
-            graph_row[i] = rows[i]
-            grad[i] += self.g1.apply(graph_row)[i] / ng_norm[i]
         return float(phi[i]), grad
 
     def _lipschitz_term(self, rows, want_grad):
         zero = np.zeros_like(rows)
-        if not self.spec.include_lipschitz or len(self.pairs) == 0:
+        if len(self._pairs) == 0:
             return 0.0, zero
-        diffs = rows[self.pairs[:, 0]] - rows[self.pairs[:, 1]]
-        g2d = diffs @ self.g2
+        diffs = rows[self._pairs[:, 0]] - rows[self._pairs[:, 1]]
+        g2d = diffs @ self.gram_y.values
         q = np.einsum("pi,pi->p", g2d, diffs)
         q = np.clip(q, 0.0, None)
-        degenerate = self.dists == 0.0
+        degenerate = self._dists == 0.0
         if np.any(degenerate & (q > 1e-20)):
             raise ValueError("duplicate source coordinates with differing rows")
-        ratios = np.where(degenerate, 0.0, np.sqrt(q) / np.where(degenerate, 1.0, self.dists))
+        ratios = np.where(degenerate, 0.0, np.sqrt(q) / np.where(degenerate, 1.0, self._dists))
         p = int(np.argmax(ratios))
         val = float(ratios[p])
         if not want_grad or val == 0.0:
             return val, zero
-        i, j = self.pairs[p]
+        i, j = self._pairs[p]
         grad = zero
-        step = g2d[p] / (math.sqrt(q[p]) * self.dists[p])
+        step = g2d[p] / (math.sqrt(q[p]) * self._dists[p])
         grad[i] += step
         grad[j] -= step
         return val, grad
 
     def _opnorm_term(self, rows, m, want_grad):
         zero = np.zeros_like(rows)
-        if self.basis is None:
+        if self._basis is None:
             return 0.0, zero
-        lam, v = _top_eigpair(m, self.basis, self.c)
+        lam, us = _top_eigspace(m, self._basis)
         if lam <= 0.0:
             return 0.0, zero
         o = math.sqrt(lam)
         if not want_grad:
             return o, zero
-        u = self.basis @ v  # normalized so u' G_x u = 1
-        grad = (u[:, None] * self.g1.apply(u[:, None] * rows)) / o
-        return o, grad
+        # the mean over a tied top eigenspace does not depend on the basis eigh picks in it
+        return o, sum(self._graph_grad(u, rows, o) for u in us.T) / us.shape[1]
+
+
+def _lipschitz_pairs(x_space: FiniteSpace, include: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The source pairs the Lipschitz term scans, and their coordinate distances.
+
+    The term is the exact all-pairs maximum at every |X|: neighbours in
+    coordinate order on 1-D sources, all pairs otherwise.
+    """
+    if not include or x_space.size < 2:
+        return np.zeros((0, 2), dtype=int), np.zeros(0)
+    if x_space.coords is None:
+        raise ValueError("the Lipschitz term needs coordinates on the source")
+    c = x_space.coords
+    if c.shape[1] == 1:
+        # the row distance is a seminorm: for i < j < k in coordinate order, ||r_i - r_k||
+        # <= ||r_i - r_j|| + ||r_j - r_k|| <= L |x_i - x_k|, so neighbours attain the max
+        order = np.argsort(c[:, 0], kind="stable")
+        pairs = np.column_stack((order[:-1], order[1:]))
+    else:
+        pairs = np.column_stack(np.triu_indices(x_space.size, 1))
+    return pairs, np.linalg.norm(c[pairs[:, 0]] - c[pairs[:, 1]], axis=1)
 
 
 def w_functional(h: MarkovKernel, spec: WFunctionalSpec) -> float:
     """The regularizer (sup + lipschitz + opnorm)^2 of a hypothesis."""
     if h.source != spec.gram_x.points or h.target != spec.gram_y.points:
         raise ValueError("hypothesis grids do not match the W geometry")
-    value, _ = _WEval(spec).value_grad(h.matrix, want_grad=False)
+    value, _ = spec._value_grad(h.matrix, want_grad=False)
     return value
 
 
@@ -400,10 +394,11 @@ def regularized_estimate(
     geometry of gXY. The objective is convex over the product of row
     simplices, and one entropic mirror-descent run (see LearnerConfig)
     minimizes it. The result is never worse than the empirical section
-    or the uniform kernel, and it does not depend on config.seed.
-    eps_certificate is the margin (clamped at 0) by which 16 random
-    probe kernels failed to beat the returned optimum; it is a sanity
-    check, not a bound on suboptimality. Callers expecting a
+    or the uniform kernel. Its rows, objective and trace ignore
+    config.seed; eps_certificate does not. It is the margin (clamped at
+    0) by which 16 random probe kernels drawn from the seed failed to
+    beat the returned optimum: a sanity check, not a bound on
+    suboptimality. Callers expecting a
     gamma^2-minimizer should check eps_certificate <= gamma^2.
     """
     if len(S) == 0:
@@ -420,13 +415,12 @@ def regularized_estimate(
     n = len(S)
     mu_x = counts.sum(axis=1) / n
     target = counts / n
-    weval = _WEval(spec)
 
     def objective_rows(rows, want_grad=True):
         d = mu_x[:, None] * rows - target
         g1d = gXY.apply(d)
         fid = float(d.reshape(-1) @ g1d.reshape(-1))
-        wval, wgrad = weval.value_grad(rows, want_grad)
+        wval, wgrad = spec._value_grad(rows, want_grad)
         value = fid + gamma * wval
         if not want_grad:
             return value, None

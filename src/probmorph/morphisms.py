@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
 
 from ._tol import INVARIANT_ATOL
 from .kernels import GramMatrix
@@ -230,40 +229,42 @@ def sup_tv_norm(T: SignedKernel) -> float:
     return float(np.max(np.abs(T.matrix).sum(axis=1))) if T.source.size else 0.0
 
 
-def _sum_zero_basis(n: int) -> np.ndarray:
-    """An orthonormal basis of the weight vectors summing to zero."""
-    seed = np.column_stack([np.ones(n), np.eye(n)[:, : n - 1]])
-    q, _ = np.linalg.qr(seed)
-    return q[:, 1:]
-
-
 class SingularGramError(ValueError):
     """Raised when a source Gram matrix is singular on the sum-zero subspace."""
 
 
-def _sum_zero_pencil(g_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An orthonormal sum-zero basis b and the form c = b' g_x b on it.
+def _sum_zero_pencil(g_x: np.ndarray) -> np.ndarray:
+    """A sum-zero basis w whitened by g_x: 1' w = 0 and w' g_x w = I.
 
-    c is the right-hand matrix of the operator-norm eigenproblem, so it
-    must be positive definite: a Gram matrix singular on the sum-zero
-    subspace is rejected.
+    One symmetric eigen-solve of g_x on an orthonormal sum-zero basis
+    gives both the whitening and the singularity test: a least
+    eigenvalue there of at most 1e-9 times the largest |entry| of g_x
+    is rejected. Whitened, the operator-norm pencil is a standard
+    symmetric eigenproblem.
     """
-    b = _sum_zero_basis(g_x.shape[0])
+    n = g_x.shape[0]
+    q, _ = np.linalg.qr(np.column_stack([np.ones(n), np.eye(n)[:, : n - 1]]))
+    b = q[:, 1:]  # orthonormal, orthogonal to the ones vector
     c = b.T @ g_x @ b
-    c = (c + c.T) / 2.0
-    if float(eigvalsh(c)[0]) <= 1e-9:
+    lam, v = np.linalg.eigh((c + c.T) / 2.0)
+    if float(lam[0]) <= 1e-9 * float(np.max(np.abs(g_x))):
         raise SingularGramError("source Gram matrix is singular on the sum-zero subspace")
-    return b, c
+    return b @ (v / np.sqrt(lam))
 
 
-def _top_eigpair(m: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
-    """The top eigenpair of the pencil (b' m b, c), with v' c v = 1.
+def _top_eigspace(m: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """The top eigenvalue of w' m w and the eigenvectors u = w v that tie with it.
 
-    m is projected onto the basis b and symmetrized against roundoff.
+    With w from _sum_zero_pencil(g_x) this is the top generalized
+    eigenpair of m against g_x on sum-zero weights, and u' g_x u = 1.
+    Eigenvalues within 1e-9 of the top, relatively, tie with it: at
+    constant rows all of them do, and roundoff alone would pick one
+    eigenvector among them. w' m w is symmetrized against roundoff.
     """
-    a = b.T @ m @ b
-    vals, vecs = eigh((a + a.T) / 2.0, c)
-    return float(vals[-1]), vecs[:, -1]
+    a = w.T @ m @ w
+    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
+    top = float(vals[-1])
+    return top, w @ vecs[:, vals >= top - 1e-9 * abs(top)]
 
 
 def embedded_operator_norm(T: MarkovKernel, gX: GramMatrix, gXY: GramMatrix) -> float:
@@ -282,6 +283,5 @@ def embedded_operator_norm(T: MarkovKernel, gX: GramMatrix, gXY: GramMatrix) -> 
         raise SpaceMismatchError("gXY must live on the source x target product")
     if T.source.size == 1:
         return 0.0
-    b, c = _sum_zero_pencil(gX.values)
-    top, _ = _top_eigpair(gXY.pair_form(T.matrix), b, c)
+    top, _ = _top_eigspace(gXY.pair_form(T.matrix), _sum_zero_pencil(gX.values))
     return math.sqrt(max(top, 0.0))

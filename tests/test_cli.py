@@ -199,6 +199,19 @@ def test_estimate_singular_source_gram_exit_64(tmp_path, capsys):
     assert estimate("off.cfg") == 0
 
 
+def test_estimate_tiny_kernel_scale_exit_0(workdir, capsys):
+    # the sum-zero singularity test is relative to the largest Gram entry, so a
+    # kernel scaled by 1e-12 keeps the operator-norm term defined
+    (workdir / "tiny.cfg").write_text(EST_CFG + "scale = 1e-12\n")
+    code = run(
+        "estimate", "--config", workdir / "tiny.cfg", "--seed", 0,
+        "--out", workdir / "tiny", workdir / "data.csv",
+    )
+    assert code == 0, capsys.readouterr().err
+    report = json.loads((workdir / "tiny" / "report.json").read_text())
+    assert math.isfinite(report["objective"])
+
+
 @pytest.mark.parametrize("kernel", ["gaussian", "delta"])
 def test_estimate_without_x_coords_exit_64(workdir, capsys, kernel):
     # gaussian needs source coordinates for the kernel, delta for the Lipschitz term

@@ -176,6 +176,11 @@ def test_embedding_injective_examples():
     assert embedding_injective(gram(KernelSpec("delta"), Y01))
     assert not embedding_injective(gram(KernelSpec("linear"), Y01))
     assert embedding_injective(gram(KernelSpec("gaussian", sigma=1.0), Y01))
+    # the tolerance is relative to the largest |entry|, so scaling the kernel keeps the answer
+    x = FiniteSpace(["a", "b", "c"], coords=[[0.0], [1.0], [2.0]])
+    for scale in (1e-12, 1e12):
+        assert embedding_injective(gram(KernelSpec("gaussian", sigma=1.0, scale=scale), x))
+        assert not embedding_injective(gram(KernelSpec("linear", scale=scale), x))
 
 
 VARIANTS = [

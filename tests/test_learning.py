@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -286,6 +287,71 @@ def test_w_opnorm_term_is_embedded_operator_norm(nx):
     h = MarkovKernel(xs, Y2, np.random.default_rng(nx).dirichlet(np.ones(2), size=nx))
     expect = embedded_operator_norm(h, spec.gram_x, spec.gram_xy) ** 2
     assert w_functional(h, spec) == pytest.approx(expect, abs=1e-12)
+
+
+def test_w_lipschitz_without_coords_rejected_at_construction():
+    bare = FiniteSpace(["a", "b"])
+    with pytest.raises(ValueError, match="coordinates"):
+        WFunctionalSpec.from_kernel(KernelSpec("delta"), bare, Y2, include_operator_norm=False)
+    # without the Lipschitz term, or on a single point, no coordinates are needed
+    WFunctionalSpec.from_kernel(KernelSpec("delta"), bare, Y2, include_lipschitz=False)
+    WFunctionalSpec.from_kernel(KernelSpec("delta"), FiniteSpace(["a"]), Y2)
+
+
+def _graph_gram(g_xy, rows):
+    """m[i, j]: the inner product of graph rows i and j under the dense product Gram."""
+    nx, ny = rows.shape
+    graph_rows = np.zeros((nx, nx * ny))
+    for i in range(nx):
+        graph_rows[i, i * ny : (i + 1) * ny] = rows[i]
+    return graph_rows @ g_xy.values @ graph_rows.T
+
+
+@pytest.mark.parametrize("nx", [3, 12])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        KernelSpec("gaussian", sigma=1.0),
+        KernelSpec("laplacian", sigma=0.5, scale=2.0),
+        KernelSpec("delta"),
+    ],
+    ids=["gaussian", "laplacian", "delta"],
+)
+def test_operator_norm_matches_generalized_eigh_oracle(kernel, nx):
+    rng = np.random.default_rng(nx)
+    xs = FiniteSpace(
+        [f"x{i}" for i in range(nx)], coords=(np.arange(nx) + rng.uniform(0.0, 0.3, nx))[:, None]
+    )
+    ys = FiniteSpace(["u", "v", "w"], coords=[[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    spec = WFunctionalSpec.from_kernel(
+        kernel, xs, ys, include_sup=False, include_lipschitz=False, include_operator_norm=True
+    )
+    g_x = spec.gram_x.values
+    w = spec._basis
+    assert np.max(np.abs(w.T @ g_x @ w - np.eye(nx - 1))) <= 1e-12
+    assert np.max(np.abs(np.ones(nx) @ w)) <= 1e-12
+    b = scipy.linalg.null_space(np.ones((1, nx)))  # an orthonormal sum-zero basis
+    for _ in range(5):
+        h = MarkovKernel(xs, ys, rng.dirichlet(np.ones(3), size=nx))
+        m = _graph_gram(spec.gram_xy, h.matrix)
+        top = scipy.linalg.eigh(b.T @ m @ b, b.T @ g_x @ b, eigvals_only=True)[-1]
+        expect = pytest.approx(math.sqrt(top), rel=1e-12)
+        assert embedded_operator_norm(h, spec.gram_x, spec.gram_xy) == expect
+        assert math.sqrt(w_functional(h, spec)) == expect
+
+
+def test_w_opnorm_gradient_at_constant_rows_ignores_the_basis():
+    # at constant rows every eigenvalue of the whitened pencil ties, so a single
+    # eigenvector would be picked by roundoff; the gradient must not depend on the
+    # orthonormal basis of the tied eigenspace that the eigen-solver returns
+    S, spec = _criterion10_instance()
+    rows = np.full((6, 4), 0.25)
+    value, grad = spec._value_grad(rows)
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))
+    spec._basis = spec._basis @ q  # still sum-zero and whitened by gram_x
+    value_q, grad_q = spec._value_grad(rows)
+    assert value_q == pytest.approx(value, rel=1e-12)
+    assert np.max(np.abs(grad_q - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
 def test_w_monotone_in_terms():
