@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .kernels import GramMatrix, _clamp_sq_norms
+from .kernels import GramMatrix
 from .learning import FiniteClass
 from .losses import _loss_grid, _risk_gap, expected_risk, sup_row_mmd
 from .morphisms import MarkovKernel
@@ -311,8 +311,7 @@ def _verify_mmd(mu: ProbMeasure, g: GramMatrix, n, trials, seed, *, delta):
     dev_bound = mmd_concentration_bound(n, delta, k_diag_mean)
     failures = 0
     for counts in _trial_counts(mu, n, trials, seed):
-        d = counts / n - mu.weights
-        dist = np.sqrt(_clamp_sq_norms(np.einsum("ti,ti->t", d @ g.values, d)))
+        dist = np.sqrt(g.sq_norms(counts / n - mu.weights)[1])
         failures += int(np.count_nonzero(dist > dev_bound))
     params = {"n": n, "delta": delta, "k_diag_mean": k_diag_mean, "deviation_bound": dev_bound}
     return _finish("mmd_concentration", params, delta, failures, trials, seed)

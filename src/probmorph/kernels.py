@@ -21,8 +21,10 @@ stores the two factors: |X|^2 + |Y|^2 numbers instead of (|X||Y|)^2,
 a PSD check on the factors' eigenvalues, and products in
 O(|X||Y|(|X| + |Y|)). The linear kernel on a product is
 G_X (x) 1 + 1 (x) G_Y, a sum rather than a product, and stays dense.
-Consumers of a product Gram go through apply and pair_form, which
-both representations implement, and never need the dense matrix.
+Consumers of a product Gram go through apply, sq_norms and pair_form,
+which both representations implement, and never need the dense matrix.
+Every squared embedded norm d' G d is GramMatrix.sq_norms, under one
+rule for roundoff below zero.
 """
 from __future__ import annotations
 
@@ -39,6 +41,8 @@ from .spaces import FiniteSpace, ProductSpace, SignedMeasure, SpaceMismatchError
 
 _VARIANTS = ("gaussian", "laplacian", "linear", "delta")
 _EPS = float(np.finfo(float).eps)
+# roundoff of an eigen-solve or a quadratic form on a Gram: _ROUNDOFF * size * eps * max_entry
+_ROUNDOFF = 4.0
 
 
 class NotPSDError(ValueError):
@@ -73,13 +77,13 @@ class KernelSpec:
 
 
 def _check_psd(min_eigenvalue: float, size: int, max_entry: float) -> None:
-    """Reject a minimum eigenvalue below -max(PSD_ATOL, size * eps * max_entry).
+    """Reject a minimum eigenvalue below -max(PSD_ATOL, _ROUNDOFF * size * eps * max_entry).
 
     size * max_entry bounds the spectral norm, so the second term is the
     roundoff of an eigen-solve on a matrix with large entries; for
     entries at most 1 in absolute value the floor is PSD_ATOL.
     """
-    floor = max(PSD_ATOL, size * _EPS * max_entry)
+    floor = max(PSD_ATOL, _ROUNDOFF * size * _EPS * max_entry)
     if min_eigenvalue < -floor:
         raise NotPSDError(f"minimum eigenvalue {min_eigenvalue:.3e} below -{floor}")
 
@@ -115,13 +119,36 @@ class GramMatrix:
         return self.points.size
 
     def apply(self, w) -> np.ndarray:
-        """G times the weights w, returned in w's shape.
+        """G times each weight vector in w, returned in w's shape.
 
-        On a product space w may be flat or laid out as (|X|, |Y|).
+        w is one vector, flat or (on a product space) laid out as
+        (|X|, |Y|), or a stack of flat vectors, one per row.
         """
         w = np.asarray(w)
         # G is symmetric, so w' G is G w
-        return (w.reshape(-1) @ self.values).reshape(w.shape)
+        return (w.reshape(-1, self.size) @ self.values).reshape(w.shape)
+
+    def sq_norms(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d G, q) for a stack d of weight vectors: q[k] = ||M(d[k])||^2, clamped."""
+        dg = self.apply(d)
+        return dg, self._clamp_roundoff(np.einsum("ki,ki->k", dg, d), d)
+
+    def _clamp_roundoff(self, q: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """q[k] = d[k]' G d[k] with roundoff below zero read as 0.
+
+        The floor max(1e-12, _ROUNDOFF * size * eps * max_entry) * ||d[k]||_1^2
+        bounds the roundoff of the product; q[k] below -floor raises
+        NotPSDError, even on a Gram accepted with an eigenvalue near
+        -PSD_ATOL. The floor is computed only when some q is negative.
+        """
+        if q.min() >= 0.0:
+            return q
+        l1 = np.abs(d).sum(axis=1)
+        floor = max(INVARIANT_ATOL, _ROUNDOFF * self.size * _EPS * self.max_entry) * l1 * l1
+        k = int(np.argmin(q + floor))
+        if q[k] < -floor[k]:
+            raise NotPSDError(f"squared norm {q[k]:.3e} below -{floor[k]:.3e}: Gram is not PSD")
+        return np.maximum(q, 0.0)
 
     def pair_form(self, r) -> np.ndarray:
         """m[i, j] = sum_{y, z} r[i, y] G[(i, y), (j, z)] r[j, z] on X x Y.
@@ -172,8 +199,8 @@ class KroneckerGram(GramMatrix):
 
     def apply(self, w) -> np.ndarray:
         w = np.asarray(w)
-        grid = w.reshape(self.left.size, self.right.size)
-        return (self.left.values @ grid @ self.right.values).reshape(w.shape)
+        grids = w.reshape(-1, self.left.size, self.right.size)
+        return (self.left.values @ grids @ self.right.values).reshape(w.shape)
 
     def pair_form(self, r) -> np.ndarray:
         return self.left.values * (r @ self.right.values @ r.T)
@@ -252,30 +279,15 @@ def embed_inner(g: GramMatrix, mu: SignedMeasure, nu: SignedMeasure) -> float:
     return float(g.apply(mu.weights) @ nu.weights)
 
 
-def _clamp_sq_norms(q) -> np.ndarray:
-    """Squared embedding norms q, with roundoff below zero clamped to 0.
-
-    Values in [-1e-12, 0) are roundoff and become 0; a value below
-    -1e-12 means the Gram matrix is not PSD and raises NotPSDError.
-    """
-    q = np.asarray(q)
-    low = float(q.min())
-    if low < -INVARIANT_ATOL:
-        raise NotPSDError(f"negative squared MMD {low:.3e}: Gram matrix is not PSD")
-    return np.maximum(q, 0.0)
-
-
 def mmd(g: GramMatrix, mu: SignedMeasure, nu: SignedMeasure) -> float:
     """Maximum mean discrepancy: the embedding norm of mu - nu.
 
-    The squared norm is clamped to 0 when it sits in [-1e-12, 0), which
-    absorbs roundoff; a radicand below -1e-12 means the Gram matrix is
-    not PSD and raises (_clamp_sq_norms).
+    The squared norm comes from GramMatrix.sq_norms, which reads roundoff
+    below zero as 0 and raises NotPSDError below it.
     """
     if mu.space != g.points or nu.space != g.points:
         raise SpaceMismatchError("measures do not live on the Gram matrix's space")
-    d = mu.weights - nu.weights
-    return math.sqrt(float(_clamp_sq_norms(g.apply(d) @ d)))
+    return math.sqrt(float(g.sq_norms((mu.weights - nu.weights)[None])[1][0]))
 
 
 def c_k(spec: KernelSpec, space: FiniteSpace) -> float:
@@ -288,12 +300,12 @@ def c_k(spec: KernelSpec, space: FiniteSpace) -> float:
     return math.sqrt(float(np.max(np.abs(diag))))
 
 
-def embedding_injective(g: GramMatrix, tol: float = PSD_ATOL) -> bool:
+def embedding_injective(g: GramMatrix) -> bool:
     """Whether the mean embedding is injective on signed measures.
 
     On a finite space this is exactly nonsingularity of the Gram
-    matrix: true iff its minimum eigenvalue exceeds tol times its
+    matrix: true iff its minimum eigenvalue exceeds PSD_ATOL times its
     largest |entry|, so the answer does not change with the kernel's
     scale.
     """
-    return g.min_eigenvalue > tol * g.max_entry
+    return g.min_eigenvalue > PSD_ATOL * g.max_entry

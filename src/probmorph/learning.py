@@ -286,10 +286,10 @@ class WFunctionalSpec:
         zero = np.zeros_like(rows)
         if not self.include_sup:
             return 0.0, zero
-        g2r = rows @ self.gram_y.values
-        qy = np.einsum("xi,xi->x", g2r, rows)
-        ny_norm = np.sqrt(np.clip(qy, 0.0, None))
-        ng_norm = np.sqrt(np.clip(np.diag(m), 0.0, None))
+        g2r, qy = self.gram_y.sq_norms(rows)
+        ny_norm = np.sqrt(qy)
+        # graph row i is rows[i] on {x_i} x Y, so it has the l1 norm of rows[i]
+        ng_norm = np.sqrt(self.gram_xy._clamp_roundoff(np.diag(m), rows))
         phi = ny_norm + ng_norm
         i = int(np.argmax(phi))
         if not want_grad:
@@ -308,9 +308,7 @@ class WFunctionalSpec:
         if len(self._pairs) == 0:
             return 0.0, zero
         diffs = rows[self._pairs[:, 0]] - rows[self._pairs[:, 1]]
-        g2d = diffs @ self.gram_y.values
-        q = np.einsum("pi,pi->p", g2d, diffs)
-        q = np.clip(q, 0.0, None)
+        g2d, q = self.gram_y.sq_norms(diffs)
         degenerate = self._dists == 0.0
         if np.any(degenerate & (q > 1e-20)):
             raise ValueError("duplicate source coordinates with differing rows")

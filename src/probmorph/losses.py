@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._tol import INVARIANT_ATOL
-from .kernels import GramMatrix, _clamp_sq_norms, mmd
+from .kernels import GramMatrix, mmd
 from .morphisms import MarkovKernel, SignedKernel, disintegrate, graph_pushforward
 from .spaces import (
     Dataset,
@@ -63,21 +63,13 @@ def _loss_grid(h: MarkovKernel, g: GramMatrix) -> np.ndarray:
     """Matrix of instantaneous losses, indexed by (x, y)."""
     if g.points != h.target:
         raise SpaceMismatchError("Gram matrix does not live on the hypothesis target")
-    gm = g.values
-    hg = h.matrix @ gm
-    quad = np.einsum("xi,xi->x", hg, h.matrix)
-    return quad[:, None] + np.diag(gm)[None, :] - 2.0 * hg
+    hg, quad = g.sq_norms(h.matrix)
+    return quad[:, None] + np.diag(g.values)[None, :] - 2.0 * hg
 
 
 def instantaneous_loss(h: MarkovKernel, x, y, gY: GramMatrix) -> float:
     """The embedded squared distance between h's row at x and the Dirac at y."""
-    if gY.points != h.target:
-        raise SpaceMismatchError("Gram matrix does not live on the hypothesis target")
-    i = h.source.index(x)
-    j = h.target.index(y)
-    g = gY.values
-    r = h.matrix[i]
-    return float(r @ g @ r + g[j, j] - 2.0 * (r @ g[:, j]))
+    return float(_loss_grid(h, gY)[h.source.index(x), h.target.index(y)])
 
 
 def _check_sample(h: MarkovKernel, S: Dataset) -> None:
@@ -118,12 +110,7 @@ def _risk_gap(h: MarkovKernel, mu: ProbMeasure, S: Dataset, gY: GramMatrix) -> f
     return _grid_expected_risk(grid, mu) - _grid_empirical_risk(grid, S).value
 
 
-def excess_risk(
-    h: MarkovKernel,
-    mu: ProbMeasure,
-    gY: GramMatrix,
-    zero_row_policy: str = "uniform",
-) -> float:
+def excess_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> float:
     """Risk above the minimum: the input-averaged squared row MMD to the conditional.
 
     Equals expected_risk(h) - expected_risk(conditional of mu); zero
@@ -131,19 +118,18 @@ def excess_risk(
     marginal has mass (for an injective embedding).
     """
     _check_joint(h, mu)
-    mu_x, cond = disintegrate(mu, zero_row_policy)
+    mu_x, cond = disintegrate(mu)
     return float(mu_x.weights @ _row_sq_mmd(h, cond, gY))
 
 
 def _row_sq_mmd(f: SignedKernel, h: SignedKernel, gY: GramMatrix) -> np.ndarray:
     """The squared embedded distance between the rows of f and h, one per input.
 
-    Roundoff below zero is clamped by kernels._clamp_sq_norms.
+    Roundoff below zero is read as 0 by GramMatrix.sq_norms.
     """
     if f.source != h.source or f.target != h.target or gY.points != f.target:
         raise SpaceMismatchError("the kernels and the Gram matrix do not share grids")
-    d = f.matrix - h.matrix
-    return _clamp_sq_norms(np.einsum("xi,xi->x", d @ gY.values, d))
+    return gY.sq_norms(f.matrix - h.matrix)[1]
 
 
 def sup_row_mmd(f: SignedKernel, h: SignedKernel, gY: GramMatrix) -> float:

@@ -79,7 +79,7 @@ def kernel_to_json(T: SignedKernel) -> dict:
     }
 
 
-def kernel_from_json(doc: dict, markov: bool = True) -> SignedKernel:
+def kernel_from_json(doc: dict) -> MarkovKernel:
     if not isinstance(doc, dict):
         raise DataFormatError("a kernel document must be a JSON object")
     for key in ("source", "target", "rows"):
@@ -87,9 +87,8 @@ def kernel_from_json(doc: dict, markov: bool = True) -> SignedKernel:
             raise DataFormatError(f"kernel document lacks {key!r}")
     source = space_from_json(doc["source"])
     target = space_from_json(doc["target"])
-    cls = MarkovKernel if markov else SignedKernel
     try:
-        return cls(source, target, doc["rows"])
+        return MarkovKernel(source, target, doc["rows"])
     except ValueError as exc:
         raise DataFormatError(f"bad kernel document: {exc}") from exc
 

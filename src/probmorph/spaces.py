@@ -237,15 +237,15 @@ def empirical(data, space: FiniteSpace | None = None) -> ProbMeasure:
     so weights are exact ratios of integers.
     """
     if isinstance(data, Dataset):
-        space, cells = data.space, data.cells
+        space, counts = data.space, data.counts().reshape(-1)
+    elif space is None:
+        raise ValueError("a space is required when data is a list of labels")
     else:
-        if space is None:
-            raise ValueError("a space is required when data is a list of labels")
-        cells = [space.index(p) for p in data]
-    if len(cells) == 0:
+        counts = np.bincount(np.fromiter(map(space.index, data), np.intp), minlength=space.size)
+    n = int(counts.sum())
+    if n == 0:
         raise ValueError("cannot build an empirical measure from no samples")
-    counts = np.bincount(cells, minlength=space.size)
-    return ProbMeasure(space, counts / len(cells))
+    return ProbMeasure(space, counts / n)
 
 
 def tv_norm(mu: SignedMeasure) -> float:

@@ -212,6 +212,20 @@ def test_estimate_tiny_kernel_scale_exit_0(workdir, capsys):
     assert math.isfinite(report["objective"])
 
 
+def test_embed_rank_one_linear_kernel_exit_0(workdir, capsys):
+    # both samples have mean coordinate 0.8, so the exact squared MMD is 0;
+    # its roundoff on the rank-one Gram (-4.7e-10 at scale 1e8) reads as 0
+    (workdir / "lin.cfg").write_text(
+        "y_labels = a, b, c\ny_coords = 0.1; 0.8; 1.5\nkernel = linear\nscale = 1e8\n"
+    )
+    (workdir / "ac.csv").write_text("y\na\nc\n")
+    (workdir / "bb.csv").write_text("y\nb\nb\n")
+    code = run("embed", "--config", workdir / "lin.cfg", workdir / "ac.csv", workdir / "bb.csv")
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert 0.0 <= json.loads(captured.out)["mmd"] < 1e-6 * math.sqrt(1e8 * 1.5**2)
+
+
 @pytest.mark.parametrize("kernel", ["gaussian", "delta"])
 def test_estimate_without_x_coords_exit_64(workdir, capsys, kernel):
     # gaussian needs source coordinates for the kernel, delta for the Lipschitz term

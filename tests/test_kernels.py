@@ -146,6 +146,27 @@ def test_psd_floor_scales_with_the_largest_entry():
                     build()
 
 
+def test_psd_floor_accepts_a_rank_one_linear_gram():
+    # c c' is PSD with rank 1; eigvalsh puts its zero eigenvalues near
+    # -8.4e-7, just below size * eps * max_entry = 8.2e-7
+    g = gram(KernelSpec("linear", scale=1e8), FiniteSpace(["a", "b", "c"], [[1.8], [2.9], [3.5]]))
+    assert g.min_eigenvalue < -1e-9
+
+
+def test_sq_norms_floor_is_relative_to_the_weights():
+    # eigenvalue -5e-10 along (1, -1): d' G d / ||d||_1^2 = -2.5e-10 at every
+    # size of d, so even a squared norm of -1e-21 is not roundoff
+    g = GramMatrix(Y01, [[1.0, 1.0 + 5e-10], [1.0 + 5e-10, 1.0]])
+    for t in (1e-6, 1.0, 1e6):
+        with pytest.raises(NotPSDError):
+            g.sq_norms(np.array([[t, -t]]))
+    # on a rank-one linear Gram, c'd = 0 leaves only roundoff (-4.7e-10 here), read as 0
+    lin = gram(KernelSpec("linear", scale=1e8), FiniteSpace([0, 1, 2], [[0.1], [0.8], [1.5]]))
+    dg, q = lin.sq_norms(np.array([[0.5, -1.0, 0.5], [1.0, 0.0, 0.0]]))
+    assert 0.0 <= q[0] < 1e-5 and q[1] == pytest.approx(1e6)
+    assert np.array_equal(dg, np.array([[0.5, -1.0, 0.5], [1.0, 0.0, 0.0]]) @ lin.values)
+
+
 def test_embed_inner_examples():
     d = gram(KernelSpec("delta"), Y01)
     mu = SignedMeasure(Y01, [0.3, 0.7])
@@ -300,6 +321,12 @@ def test_product_gram_factored_matches_dense(spec):
     prod = ProductSpace(X3, Y4)
     g = gram(spec, prod)
     dense = _dense_product_gram(spec, prod)
+    # sq_norms reads the factors alone and agrees with the dense product
+    d = np.random.default_rng(11).standard_normal((6, prod.size))
+    (dg, q), (dense_dg, dense_q) = g.sq_norms(d), dense.sq_norms(d)
+    assert "values" not in vars(g)
+    assert np.max(np.abs(dg - dense_dg)) <= 1e-12 * np.max(np.abs(dense_dg))
+    assert np.all(q > 0) and np.allclose(q, dense_q, rtol=1e-12, atol=0)
     assert isinstance(g, KroneckerGram)
     assert np.max(np.abs(g.values - dense.values)) <= 1e-15
     assert not g.values.flags.writeable

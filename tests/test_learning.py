@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probmorph.kernels import GramMatrix, KernelSpec, KroneckerGram, gram, mmd
+from probmorph.kernels import GramMatrix, KernelSpec, KroneckerGram, NotPSDError, gram, mmd
 from probmorph.learning import (
     FiniteClass,
     LearnerConfig,
@@ -20,7 +20,7 @@ from probmorph.learning import (
     regularized_estimate,
     w_functional,
 )
-from probmorph.losses import empirical_risk
+from probmorph.losses import empirical_risk, sup_row_mmd
 from probmorph.morphisms import (
     MarkovKernel,
     disintegrate,
@@ -198,6 +198,24 @@ def test_w_lipschitz_term():
     )
     vary_wide = MarkovKernel(X_wide, Y2, vary.matrix)
     assert w_functional(vary_wide, spec_wide) == pytest.approx(base / 4.0, rel=1e-10)
+
+
+def test_w_terms_reject_what_sup_row_mmd_rejects():
+    # eigenvalue -5e-10 along (1, -1): within the Gram tolerance, but the
+    # squared row distance -1e-9 between these rows is not roundoff
+    x2 = FiniteSpace(["x1", "x2"], coords=[[0.0], [1.0]])
+    g_y = GramMatrix(Y2, [[1.0, 1.0 + 5e-10], [1.0 + 5e-10, 1.0]])
+    g_xy = GramMatrix(ProductSpace(x2, Y2), np.kron(np.eye(2), g_y.values))
+    f = MarkovKernel(x2, Y2, [[1.0, 0.0], [0.0, 1.0]])
+    h = MarkovKernel(x2, Y2, [[0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NotPSDError):
+        sup_row_mmd(f, h, g_y)
+    lip = WFunctionalSpec(g_xy, g_y, gram(KernelSpec("delta"), x2), include_sup=False)
+    with pytest.raises(NotPSDError):
+        w_functional(f, lip)
+    # the sup term reads norms of single rows, which are positive here
+    sup = WFunctionalSpec(g_xy, g_y, gram(KernelSpec("delta"), x2), include_lipschitz=False)
+    assert w_functional(f, sup) == pytest.approx(4.0)
 
 
 def test_w_duplicate_coords_error():

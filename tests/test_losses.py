@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probmorph.kernels import GramMatrix, KernelSpec, NotPSDError, c_k, gram, mmd
+from probmorph.learning import WFunctionalSpec, w_functional
 from probmorph.losses import (
     empirical_risk,
     excess_risk,
@@ -168,6 +169,32 @@ def test_sup_row_mmd_checks_grids_and_psd():
         sup_row_mmd(f, h, g)
     with pytest.raises(NotPSDError):
         excess_risk(f, ProbMeasure(PROD, [0.0, 0.5, 0.25, 0.25]), g)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8, 1e12, 1e100])
+def test_rank_deficient_linear_grams_raise_no_error(scale):
+    # the rows of f and h differ along v, orthogonal to 1 and to the label
+    # coordinates, so every exact squared row distance is 0 and only
+    # roundoff of the Gram's size is left
+    rng = np.random.default_rng(int(math.log10(scale)))
+    spec = KernelSpec("linear", scale=scale)
+    for _ in range(40):
+        nx, dim = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+        ny = dim + int(rng.integers(2, 6))
+        X = FiniteSpace([f"x{i}" for i in range(nx)], coords=rng.uniform(-2, 4, (nx, 1)))
+        Y = FiniteSpace([f"y{i}" for i in range(ny)], coords=rng.uniform(-2, 4, (ny, dim)))
+        v = np.linalg.svd(np.vstack([np.ones(ny), Y.coords.T]))[2][-1]
+        f = 0.5 * rng.dirichlet(np.ones(ny), nx) + 0.5 / ny
+        h = f + rng.uniform(-0.5, 0.5, (nx, 1)) / (ny * np.abs(v).max()) * v
+        F, H = MarkovKernel(X, Y, f), MarkovKernel(X, Y, h)
+        mu = ProbMeasure(ProductSpace(X, Y), (rng.dirichlet(np.ones(nx))[:, None] * f).reshape(-1))
+        g = gram(spec, Y)
+        tiny = 1e-6 * math.sqrt(g.max_entry)
+        assert all(mmd(g, F.row(x), H.row(x)) <= tiny for x in X.labels)
+        assert sup_row_mmd(F, H, g) <= tiny
+        assert excess_risk(H, mu, g) <= tiny * tiny
+        w = WFunctionalSpec.from_kernel(spec, X, Y, include_operator_norm=False)
+        assert math.isfinite(w_functional(H, w))
 
 
 @settings(max_examples=60, deadline=None)
