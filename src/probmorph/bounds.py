@@ -259,7 +259,7 @@ def _finish(bound_name, params, theoretical, failures, trials, seed) -> BoundRep
 
 
 def _verify_hoeffding(mu: ProbMeasure, h: MarkovKernel, n, trials, seed, *, gY, eps):
-    ck = math.sqrt(float(np.max(np.abs(np.diag(gY.values)))))
+    ck = math.sqrt(float(np.max(np.abs(gY.diag))))
     grid = _loss_grid(h, gY).reshape(-1)
     true_risk = expected_risk(h, mu, gY).value
     failures = 0
@@ -273,7 +273,7 @@ def _verify_hoeffding(mu: ProbMeasure, h: MarkovKernel, n, trials, seed, *, gY, 
 def _verify_covering(mu: ProbMeasure, cls: FiniteClass, n, trials, seed, *, gY, eps, c_m=0.0):
     if not 0.0 <= c_m < math.inf:
         raise ValueError(f"c_m = {c_m!r} must be finite and nonnegative")
-    ck = math.sqrt(float(np.max(np.abs(np.diag(gY.values)))))
+    ck = math.sqrt(float(np.max(np.abs(gY.diag))))
     grids = np.stack([_loss_grid(h, gY).reshape(-1) for h in cls])
     true_risks = np.array([expected_risk(h, mu, gY).value for h in cls])
     # exact ERM on a finite class has gap 0 <= c_m, so its excess risk
@@ -302,7 +302,7 @@ def _verify_covering(mu: ProbMeasure, cls: FiniteClass, n, trials, seed, *, gY, 
 
 
 def _verify_mmd(mu: ProbMeasure, g: GramMatrix, n, trials, seed, *, delta):
-    diag = np.diag(g.values)
+    diag = g.diag
     if float(np.max(diag)) > 1.0 + 1e-12:
         raise ValueError("rescale the kernel so its diagonal is at most 1")
     if mu.space != g.points:

@@ -486,6 +486,8 @@ def cmd_bounds(args) -> int:
 def _truth_measure(cfg: dict[str, str], space: FiniteSpace) -> ProbMeasure:
     if "truth_measure" in cfg:
         doc = _load_json(cfg["truth_measure"])
+        if not isinstance(doc, dict):
+            raise DataFormatError("a truth measure document must be a JSON object")
         if "weights" not in doc:
             raise DataFormatError("truth measure document lacks weights")
         weights = doc["weights"]
@@ -493,7 +495,8 @@ def _truth_measure(cfg: dict[str, str], space: FiniteSpace) -> ProbMeasure:
         weights = np.full(space.size, 1.0 / space.size)
     try:
         return ProbMeasure(space, weights)
-    except ValueError as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
+        # TypeError: weights that are not numbers; OverflowError: math.fsum of huge weights
         raise DataFormatError(f"bad truth measure: {exc}") from exc
 
 
@@ -512,7 +515,7 @@ def cmd_embed(args) -> int:
     mu_a = empirical(labels_a, y_space)
     mu_b = empirical(labels_b, y_space)
     value = mmd(g, mu_a, mu_b)
-    diag = np.diag(g.values)
+    diag = g.diag
     scale = max(1.0, float(np.max(diag)))
     pooled = empirical(labels_a + labels_b, y_space)
     k_diag_mean = float(pooled.weights @ (diag / scale))

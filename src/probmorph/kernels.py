@@ -118,6 +118,11 @@ class GramMatrix:
     def size(self) -> int:
         return self.points.size
 
+    @cached_property
+    def diag(self) -> np.ndarray:
+        """The diagonal K(y, y) of the Gram matrix, read-only."""
+        return self.values.diagonal()
+
     def apply(self, w) -> np.ndarray:
         """G times each weight vector in w, returned in w's shape.
 
@@ -172,7 +177,8 @@ class KroneckerGram(GramMatrix):
     factors' eigenvalues, so the minimum is the least product of their
     extremes, and the largest entry is the product of the factors'
     largest entries; both are held to the same floor as a dense matrix.
-    `values` builds the dense matrix on first access.
+    `values` builds the dense matrix on first access; `diag` does not
+    need it.
     """
 
     def __init__(self, points: ProductSpace, left: GramMatrix, right: GramMatrix):
@@ -196,6 +202,12 @@ class KroneckerGram(GramMatrix):
         g = np.kron(self.left.values, self.right.values)
         g.flags.writeable = False
         return g
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        d = np.kron(self.left.diag, self.right.diag)
+        d.flags.writeable = False
+        return d
 
     def apply(self, w) -> np.ndarray:
         w = np.asarray(w)

@@ -64,7 +64,7 @@ def _loss_grid(h: MarkovKernel, g: GramMatrix) -> np.ndarray:
     if g.points != h.target:
         raise SpaceMismatchError("Gram matrix does not live on the hypothesis target")
     hg, quad = g.sq_norms(h.matrix)
-    return quad[:, None] + np.diag(g.values)[None, :] - 2.0 * hg
+    return quad[:, None] + g.diag[None, :] - 2.0 * hg
 
 
 def instantaneous_loss(h: MarkovKernel, x, y, gY: GramMatrix) -> float:

@@ -35,14 +35,9 @@ class SignedKernel:
     markov = False
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, rows):
-        m = np.asarray(rows, dtype=float)
-        if m.shape != (source.size, target.size):
-            raise ValueError(
-                f"row matrix shape {m.shape}, expected {(source.size, target.size)}"
-            )
-        if not np.all(np.isfinite(m)):
-            raise ValueError("kernel rows must be finite")
-        m = m.copy()
+        m = np.array(rows, dtype=float, order="C")
+        if m.shape != (source.size, target.size) or not np.isfinite(m).all():
+            raise ValueError(_rows_error(source, target, m, markov=False))
         m.flags.writeable = False
         self.source = source
         self.target = target
@@ -76,24 +71,38 @@ class MarkovKernel(SignedKernel):
     markov = True
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, rows):
-        m = np.asarray(rows, dtype=float)
-        if m.shape == (source.size, target.size) and np.all(np.isfinite(m)):
-            if np.any(m < -INVARIANT_ATOL):
-                bad = float(m.min())
-                raise ValueError(f"negative entry {bad:.3e} in a Markov kernel row")
-            m = np.clip(m, 0.0, None)
-            sums = m.sum(axis=1)
-            off = np.abs(sums - 1.0)
-            if np.any(off > INVARIANT_ATOL):
-                i = int(np.argmax(off))
-                raise ValueError(
-                    f"row-stochasticity: row at {source.labels[i]!r} "
-                    f"sums to {sums[i]!r}, not 1"
-                )
-        super().__init__(source, target, m)
+        m = np.array(rows, dtype=float, order="C")
+        # NaN and -inf fail the bound on the minimum, +inf the bound on its row's sum
+        if m.shape == (source.size, target.size) and (lo := m.min()) >= -INVARIANT_ATOL:
+            if lo <= 0.0:
+                np.maximum(m, 0.0, out=m)  # also turns -0.0 into +0.0
+            if np.abs(m.sum(axis=1) - 1.0).max() <= INVARIANT_ATOL:
+                m.flags.writeable = False
+                self.source = source
+                self.target = target
+                self.matrix = m
+                return
+        raise ValueError(_rows_error(source, target, m, markov=True))
 
     def row(self, x) -> ProbMeasure:
         return ProbMeasure(self.target, self.matrix[self.source.index(x)])
+
+
+def _rows_error(source: FiniteSpace, target: FiniteSpace, m: np.ndarray, markov: bool) -> str:
+    """Why m is not the row matrix of a (Markov) kernel from source to target.
+
+    The rules run in the order of their precedence: shape, finite,
+    then for a Markov kernel negative and row sum (of the clamped rows).
+    """
+    if m.shape != (source.size, target.size):
+        return f"row matrix shape {m.shape}, expected {(source.size, target.size)}"
+    if not np.isfinite(m).all():
+        return "kernel rows must be finite"
+    if markov and m.min() < -INVARIANT_ATOL:
+        return f"negative entry {float(m.min()):.3e} in a Markov kernel row"
+    sums = np.maximum(m, 0.0).sum(axis=1)
+    i = int(np.argmax(np.abs(sums - 1.0)))
+    return f"row-stochasticity: row at {source.labels[i]!r} sums to {sums[i]!r}, not 1"
 
 
 def deterministic(source: FiniteSpace, target: FiniteSpace, mapping) -> MarkovKernel:

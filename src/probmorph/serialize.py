@@ -89,7 +89,7 @@ def kernel_from_json(doc: dict) -> MarkovKernel:
     target = space_from_json(doc["target"])
     try:
         return MarkovKernel(source, target, doc["rows"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataFormatError(f"bad kernel document: {exc}") from exc
 
 

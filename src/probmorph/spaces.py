@@ -16,7 +16,6 @@ function, so unrestricted concurrent use is safe.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,6 +80,8 @@ class FiniteSpace:
         return len(self.labels)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FiniteSpace):
             return NotImplemented
         if self.labels != other.labels:
@@ -120,13 +121,11 @@ class SignedMeasure:
     """A finite signed measure: one real weight per point of a space."""
 
     def __init__(self, space: FiniteSpace, weights):
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape[0] != space.size:
-            raise ValueError(f"{w.shape[0]} weights for {space.size} points")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
+        w = np.array(weights, dtype=float, order="C").reshape(-1)
+        if w.shape[0] != space.size or not np.isfinite(w).all():
+            raise ValueError(_measure_error(space, w, prob=False))
         self.space = space
-        self.weights = _freeze(w.copy())
+        self.weights = _freeze(w)
 
     def weight(self, label: Label) -> float:
         return float(self.weights[self.space.index(label)])
@@ -164,20 +163,35 @@ class ProbMeasure(SignedMeasure):
     """
 
     def __init__(self, space: FiniteSpace, weights):
-        w = np.asarray(weights, dtype=float).reshape(-1).copy()
-        if w.shape[0] != space.size:
-            raise ValueError(f"{w.shape[0]} weights for {space.size} points")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < -INVARIANT_ATOL):
-            raise ValueError(f"negative weight {w.min():.3e} in a probability measure")
-        np.clip(w, 0.0, None, out=w)
-        s = math.fsum(w)
-        if abs(s - 1.0) > PROB_SUM_ATOL:
-            raise ValueError(f"weights sum to {s!r}, not 1")
-        if s != 1.0:
-            w /= s
-        super().__init__(space, w)
+        w = np.array(weights, dtype=float, order="C").reshape(-1)
+        # NaN and +-inf fail these comparisons, so they decide finiteness too
+        if w.shape[0] == space.size and (lo := w.min()) >= -INVARIANT_ATOL and w.max() < math.inf:
+            if lo <= 0.0:
+                np.maximum(w, 0.0, out=w)  # also turns -0.0 into +0.0
+            s = math.fsum(w)
+            if abs(s - 1.0) <= PROB_SUM_ATOL:
+                if s != 1.0:
+                    w /= s
+                self.space = space
+                self.weights = _freeze(w)
+                return
+        raise ValueError(_measure_error(space, w, prob=True))
+
+
+def _measure_error(space: FiniteSpace, w: np.ndarray, prob: bool) -> str:
+    """Why w is not a weight vector of a (probability) measure on space.
+
+    The rules run in the order of their precedence: shape, finite,
+    then for a probability measure negative and sum (of the clamped
+    weights).
+    """
+    if w.shape[0] != space.size:
+        return f"{w.shape[0]} weights for {space.size} points"
+    if not np.isfinite(w).all():
+        return "weights must be finite"
+    if prob and w.min() < -INVARIANT_ATOL:
+        return f"negative weight {w.min():.3e} in a probability measure"
+    return f"weights sum to {math.fsum(np.maximum(w, 0.0))!r}, not 1"
 
 
 class Dataset:
@@ -187,21 +201,23 @@ class Dataset:
         if not isinstance(space, ProductSpace):
             raise TypeError("Dataset requires a ProductSpace")
         pairs = tuple((x, y) for x, y in pairs)
+        left, right, ny = space.left._index, space.right._index, space.right.size
+        cells = []
         for x, y in pairs:
-            if x not in space.left:
+            i = left.get(x)
+            if i is None:
                 raise KeyError(f"x label {x!r} is not in the left factor")
-            if y not in space.right:
+            j = right.get(y)
+            if j is None:
                 raise KeyError(f"y label {y!r} is not in the right factor")
+            cells.append(i * ny + j)
         self.space = space
         self.pairs = pairs
+        # the flat product-space index of each pair, in sample order
+        self.cells = _freeze(np.array(cells, dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    @cached_property
-    def cells(self) -> np.ndarray:
-        """The flat product-space index of each pair, in sample order."""
-        return np.fromiter(map(self.space.index, self.pairs), dtype=np.intp, count=len(self.pairs))
 
     def counts(self) -> np.ndarray:
         """How often each (x, y) occurs, as an (|X|, |Y|) integer array."""

@@ -72,8 +72,9 @@ def test_laws_corrupt_fixture(tmp_path, capsys):
         [[0.5, 0.5], [1.0]],  # ragged
         "abc",
         [[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]],  # three rows on a two-point source
+        {"a": 1},
     ],
-    ids=["flat", "ragged", "string", "extra-row"],
+    ids=["flat", "ragged", "string", "extra-row", "object"],
 )
 def test_laws_malformed_fixture_rows(tmp_path, capsys, rows):
     doc = kernel_to_json(MarkovKernel(Y, Y, [[0.5, 0.5], [0.0, 1.0]]))
@@ -435,6 +436,62 @@ def test_config_fuzz_keeps_exit_contract(workdir, bounds_dir, embed_dir, capsys,
                         broken.append((kernel, value, path.name, str(exc)))
                 if not written:
                     broken.append((kernel, value, code, "no JSON written"))
+    assert broken == []
+
+
+# hostile JSON documents: whole truth-measure files, and the rows of a kernel file
+BAD_TRUTH_DOCS = [
+    3, "weights", None, [], {}, {"weights": {"a": 1}}, {"weights": "abc"},
+    {"weights": None}, {"weights": [[0.5], [0.5, 0.0]]}, {"weights": [math.nan] * 6},
+    {"weights": [1e308] * 6},
+]
+BAD_KERNEL_ROWS = [
+    {"a": 1}, None, 3, "abc", [[math.nan, 1.0]] * 3, [[{"a": 1}, 0.0]] * 3, [[0.5, 0.5]] * 2,
+]
+
+
+@pytest.mark.filterwarnings("error")  # the library prints nothing, warnings included
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("hoeffding", "truth_measure"),
+        ("mmd_concentration", "truth_measure"),
+        ("hoeffding", "hypothesis"),
+        ("covering", "class"),
+        ("estimate", "truth_kernel"),
+        ("laws", "kernel_file"),
+    ],
+)
+def test_json_fuzz_keeps_exit_contract(workdir, bounds_dir, capsys, command, key):
+    # a bad JSON input is a data error (65); laws reports a bad fixture as a failed invariant (2)
+    bad = bounds_dir / "bad.json"
+    if key == "truth_measure":
+        docs = BAD_TRUTH_DOCS
+    else:
+        good = json.loads((bounds_dir / "hyp.json").read_text())
+        docs = [3, "rows", [], *({**good, "rows": rows} for rows in BAD_KERNEL_ROWS)]
+    if command == "estimate":
+        cfg = EST_CFG + f"max_iters = 20\n{key} = {bad}\n"
+        argv = ["estimate", "--seed", 0, "--out", workdir / "fit", workdir / "data.csv"]
+    elif command == "laws":
+        cfg = f"{key} = {bad}\n"
+        argv = ["laws", "--seed", 0, "--trials", 2]
+    else:
+        value = f"{bounds_dir}/hyp.json; {bad}" if key == "class" else bad
+        cfg = (bounds_dir / "bounds.cfg").read_text() + f"bound = {command}\n{key} = {value}\n"
+        argv = ["bounds", "--seed", 0, "--trials", 5, "--n", 10, "--out", bounds_dir / "rep"]
+    (bounds_dir / "fuzz.cfg").write_text(cfg)
+    expected = 2 if command == "laws" else 65
+    broken = []
+    for doc in docs:
+        bad.write_text(json.dumps(doc))
+        try:
+            code = run(*argv, "--config", bounds_dir / "fuzz.cfg")
+        except Exception as exc:  # what the console entry point would print as a traceback
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code != expected or "Traceback" in err:
+            broken.append((doc, code, err.strip()[-200:]))
     assert broken == []
 
 

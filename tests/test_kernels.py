@@ -324,11 +324,13 @@ def test_product_gram_factored_matches_dense(spec):
     # sq_norms reads the factors alone and agrees with the dense product
     d = np.random.default_rng(11).standard_normal((6, prod.size))
     (dg, q), (dense_dg, dense_q) = g.sq_norms(d), dense.sq_norms(d)
-    assert "values" not in vars(g)
+    diag = g.diag
+    assert "values" not in vars(g) and not diag.flags.writeable
     assert np.max(np.abs(dg - dense_dg)) <= 1e-12 * np.max(np.abs(dense_dg))
     assert np.all(q > 0) and np.allclose(q, dense_q, rtol=1e-12, atol=0)
     assert isinstance(g, KroneckerGram)
     assert np.max(np.abs(g.values - dense.values)) <= 1e-15
+    assert diag.tobytes() == np.diag(g.values).tobytes()  # kron of the factors' diagonals
     assert not g.values.flags.writeable
     assert g.min_eigenvalue == pytest.approx(float(eigvalsh(dense.values)[0]), abs=1e-12)
     rng = np.random.default_rng(3)
@@ -351,3 +353,4 @@ def test_linear_product_gram_stays_dense():
     gx, gy = gram(KernelSpec("linear"), X3).values, gram(KernelSpec("linear"), Y4).values
     expected = np.kron(gx, np.ones((4, 4))) + np.kron(np.ones((3, 3)), gy)
     assert np.allclose(g.values, expected, rtol=0, atol=1e-12)
+    assert g.diag.tobytes() == np.diag(g.values).tobytes() and not g.diag.flags.writeable

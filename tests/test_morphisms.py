@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constructor_inputs import assert_builds_like, just_outside, shaped_inputs, weight_rows
+from probmorph._tol import INVARIANT_ATOL
 from probmorph.kernels import GramMatrix, KernelSpec, gram
 from probmorph.morphisms import (
     MarkovKernel,
@@ -59,6 +61,83 @@ def test_markov_kernel_validation():
     row = k.row("x2")
     assert isinstance(row, ProbMeasure)
     assert row.weights.tolist() == [0.0, 1.0]
+
+
+# Reference copies of the kernel constructors' rules, one check per rule in
+# precedence order. They return the array a constructor must store, or raise.
+def reference_signed_rows(source, target, rows):
+    m = np.asarray(rows, dtype=float)
+    if m.shape != (source.size, target.size):
+        raise ValueError(f"row matrix shape {m.shape}, expected {(source.size, target.size)}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("kernel rows must be finite")
+    return m.copy()
+
+
+def reference_markov_rows(source, target, rows):
+    m = np.asarray(rows, dtype=float)
+    if m.shape == (source.size, target.size) and np.all(np.isfinite(m)):
+        if np.any(m < -INVARIANT_ATOL):
+            raise ValueError(f"negative entry {float(m.min()):.3e} in a Markov kernel row")
+        m = np.clip(m, 0.0, None)
+        sums = m.sum(axis=1)
+        off = np.abs(sums - 1.0)
+        if np.any(off > INVARIANT_ATOL):
+            i = int(np.argmax(off))
+            raise ValueError(
+                f"row-stochasticity: row at {source.labels[i]!r} sums to {sums[i]!r}, not 1"
+            )
+    return reference_signed_rows(source, target, m)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Spaces of 1 to 4 points and a row matrix for them, rows summing near 1."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [draw(weight_rows(k, INVARIANT_ATOL)) for _ in range(n)]
+    return FiniteSpace(list(range(n))), FiniteSpace(list(range(k))), shaped_inputs(draw, rows)
+
+
+# a row of two 1e308 entries overflows its sum, in the reference as in the constructor
+OVERFLOW_WARNING = "ignore:overflow encountered in reduce:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(OVERFLOW_WARNING)
+@settings(max_examples=400, deadline=None)
+@given(kernel_inputs())
+def test_markov_kernel_matches_the_reference_rules(case):
+    source, target, rows = case
+    assert_builds_like(MarkovKernel, reference_markov_rows, [source, target], rows, "matrix")
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs())
+def test_signed_kernel_matches_the_reference_rules(case):
+    source, target, rows = case
+    assert_builds_like(SignedKernel, reference_signed_rows, [source, target], rows, "matrix")
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([[1.0, -INVARIANT_ATOL], [0.0, 1.0]], None),
+        ([[1.0, just_outside(-INVARIANT_ATOL)], [0.0, 1.0]], ValueError),
+        ([[1.0, -0.0], [-0.0, 1.0]], None),
+        ([[1.0, 0.0], [math.inf, -math.inf]], ValueError),
+        ([[1e308, 1e308], [0.0, 1.0]], ValueError),  # the row sum overflows
+        ({"a": 1.0}, TypeError),
+        ([[0.5, 0.5], [1.0]], ValueError),
+    ],
+)
+@pytest.mark.filterwarnings(OVERFLOW_WARNING)
+def test_markov_kernel_boundaries(rows, error):
+    if error is None:
+        k = assert_builds_like(MarkovKernel, reference_markov_rows, [X2, Y2], rows, "matrix")
+        assert not np.signbit(k.matrix).any()
+    else:
+        with pytest.raises(error):
+            MarkovKernel(X2, Y2, rows)
+        assert_builds_like(MarkovKernel, reference_markov_rows, [X2, Y2], rows, "matrix")
 
 
 def test_deterministic_examples():

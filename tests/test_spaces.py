@@ -5,6 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constructor_inputs import (
+    assert_builds_like,
+    edge_of_sum,
+    just_outside,
+    past_edge_of_sum,
+    shaped_inputs,
+    weight_rows,
+)
+from probmorph._tol import INVARIANT_ATOL, PROB_SUM_ATOL
 from probmorph.spaces import (
     Dataset,
     FiniteSpace,
@@ -97,6 +106,102 @@ def test_dataset_counts_match_a_pair_loop():
     assert loop[3].sum() == 0  # x3 is never drawn
     assert np.array_equal(empirical(S).weights, loop.reshape(-1) / 50)
     assert S.counts().shape == (4, 3) and Dataset(prod, []).counts().sum() == 0
+
+
+def test_dataset_cells_are_the_product_indices_of_the_pairs():
+    prod = ProductSpace(FiniteSpace(["a", "b", "c"]), FiniteSpace([0, 1.5]))
+    pairs = [("c", 1.5), ("a", 0), ("b", 1.5), ("c", 0)]
+    S = Dataset(prod, pairs)
+    assert S.cells.tolist() == [prod.index(p) for p in pairs] == [5, 0, 3, 4]
+    assert S.cells.dtype == np.intp and not S.cells.flags.writeable
+    with pytest.raises(TypeError, match="unhashable"):
+        Dataset(prod, [(["a"], 0)])
+
+
+# Reference copies of the measure constructors' rules, one check per rule in
+# precedence order. They return the array a constructor must store, or raise.
+def reference_signed_weights(space, weights):
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.shape[0] != space.size:
+        raise ValueError(f"{w.shape[0]} weights for {space.size} points")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    return w.copy()
+
+
+def reference_prob_weights(space, weights):
+    w = np.asarray(weights, dtype=float).reshape(-1).copy()
+    if w.shape[0] != space.size:
+        raise ValueError(f"{w.shape[0]} weights for {space.size} points")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if np.any(w < -INVARIANT_ATOL):
+        raise ValueError(f"negative weight {w.min():.3e} in a probability measure")
+    np.clip(w, 0.0, None, out=w)
+    s = math.fsum(w)
+    if abs(s - 1.0) > PROB_SUM_ATOL:
+        raise ValueError(f"weights sum to {s!r}, not 1")
+    if s != 1.0:
+        w /= s
+    return reference_signed_weights(space, w)
+
+
+@st.composite
+def measure_inputs(draw, atol):
+    """A space of 1 to 5 points and weights for it: flat, as a column, or as two rows."""
+    n = draw(st.integers(1, 5))
+    weights = draw(weight_rows(n, atol))
+    layout = draw(st.sampled_from(["flat", "column", "two-rows"]))
+    if layout == "column":
+        return FiniteSpace(list(range(n))), shaped_inputs(draw, [[w] for w in weights])
+    if layout == "two-rows":
+        return FiniteSpace(list(range(n))), shaped_inputs(draw, [weights, weights])
+    shaped = shaped_inputs(draw, [weights])
+    if isinstance(shaped, np.ndarray) and shaped.shape[0] == 1:
+        shaped = shaped[0]
+    return FiniteSpace(list(range(n))), shaped
+
+
+@settings(max_examples=400, deadline=None)
+@given(measure_inputs(PROB_SUM_ATOL))
+def test_prob_measure_matches_the_reference_rules(case):
+    space, weights = case
+    assert_builds_like(ProbMeasure, reference_prob_weights, [space], weights, "weights")
+
+
+@settings(max_examples=200, deadline=None)
+@given(measure_inputs(PROB_SUM_ATOL))
+def test_signed_measure_matches_the_reference_rules(case):
+    space, weights = case
+    assert_builds_like(SignedMeasure, reference_signed_weights, [space], weights, "weights")
+
+
+@pytest.mark.parametrize(
+    "n, weights, error",
+    [
+        (2, [edge_of_sum(PROB_SUM_ATOL, -1), 0.0], None),
+        (2, [edge_of_sum(PROB_SUM_ATOL, 1), 0.0], None),
+        (2, [past_edge_of_sum(PROB_SUM_ATOL, 1), 0.0], ValueError),
+        (2, [past_edge_of_sum(PROB_SUM_ATOL, -1), 0.0], ValueError),
+        (2, [1.0, -INVARIANT_ATOL], None),
+        (2, [1.0, just_outside(-INVARIANT_ATOL)], ValueError),
+        (2, [1.0, -0.0], None),
+        (3, [math.inf, 1e308, 1e308], ValueError),  # not finite, before any sum
+        (2, [1e308, 1e308], OverflowError),  # math.fsum overflows
+        (2, {"a": 1.0}, TypeError),
+        (2, [[0.5], [0.5, 0.0]], ValueError),
+        (2, 0.5, ValueError),
+    ],
+)
+def test_prob_measure_boundaries(n, weights, error):
+    space = FiniteSpace(list(range(n)))
+    if error is None:
+        mu = assert_builds_like(ProbMeasure, reference_prob_weights, [space], weights, "weights")
+        assert not np.signbit(mu.weights).any()
+    else:
+        with pytest.raises(error):
+            ProbMeasure(space, weights)
+        assert_builds_like(ProbMeasure, reference_prob_weights, [space], weights, "weights")
 
 
 # ---------------------------------------------------------------------------
