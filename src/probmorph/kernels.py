@@ -134,8 +134,8 @@ class GramMatrix:
         return (w.reshape(-1, self.size) @ self.values).reshape(w.shape)
 
     def sq_norms(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d G, q) for a stack d of weight vectors: q[k] = ||M(d[k])||^2, clamped."""
-        dg = self.apply(d)
+        """(d G, q) for a stack d of flat weight vectors: q[k] = ||M(d[k])||^2, clamped."""
+        dg = d @ self.values  # G is symmetric, so row k of d G is G d[k]
         return dg, self._clamp_roundoff(np.einsum("ki,ki->k", dg, d), d)
 
     def _clamp_roundoff(self, q: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -213,6 +213,10 @@ class KroneckerGram(GramMatrix):
         w = np.asarray(w)
         grids = w.reshape(-1, self.left.size, self.right.size)
         return (self.left.values @ grids @ self.right.values).reshape(w.shape)
+
+    def sq_norms(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dg = self.apply(d)
+        return dg, self._clamp_roundoff(np.einsum("ki,ki->k", dg, d), d)
 
     def pair_form(self, r) -> np.ndarray:
         return self.left.values * (r @ self.right.values @ r.T)

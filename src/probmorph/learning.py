@@ -139,10 +139,10 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
             if value < best_val:
                 best_rows, best_val = rows, value
             trace.append(best_val)
-            gap = float(np.sum(grad * rows) - np.sum(grad.min(axis=1)))
+            gap = float(np.vdot(grad, rows) - grad.min(axis=1).sum())
             if t == config.max_iters or gap <= config.tol:
                 break
-            z = z - config.step_size / (math.sqrt(t + 1) * np.max(np.abs(grad))) * grad
+            z = z - config.step_size / (math.sqrt(t + 1) * abs(grad).max()) * grad
             if not np.isfinite(z).all():
                 raise ArithmeticError(f"non-finite logits after {t + 1} steps")
     return best_rows, best_val, trace
@@ -217,7 +217,8 @@ class WFunctionalSpec:
     must be enabled.
 
     Construction precomputes the pieces every evaluation reads: the
-    Lipschitz pairs and their coordinate distances, and the sum-zero
+    Lipschitz pairs, their coordinate distances (1 at a zero distance)
+    and the indices of the pairs at zero distance, and the sum-zero
     basis whitened by gram_x for the operator norm. Change a field by
     building a new spec, not by assigning to it.
     """
@@ -230,6 +231,7 @@ class WFunctionalSpec:
     include_operator_norm: bool = False
     _pairs: np.ndarray = field(init=False, repr=False, compare=False)
     _dists: np.ndarray = field(init=False, repr=False, compare=False)
+    _zero: np.ndarray = field(init=False, repr=False, compare=False)
     _basis: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -239,7 +241,7 @@ class WFunctionalSpec:
         if self.gram_xy.points != ProductSpace(x_space, self.gram_y.points):
             raise ValueError("gram_xy must live on the product of gram_x and gram_y points")
         # a source without coordinates or a degenerate source Gram is rejected here
-        self._pairs, self._dists = _lipschitz_pairs(x_space, self.include_lipschitz)
+        self._pairs, self._dists, self._zero = _lipschitz_pairs(x_space, self.include_lipschitz)
         self._basis = None
         if self.include_operator_norm and x_space.size > 1:
             self._basis = _sum_zero_pencil(self.gram_x.values)
@@ -266,86 +268,82 @@ class WFunctionalSpec:
         )
 
     def _value_grad(self, rows: np.ndarray, want_grad: bool = True):
-        """Value and row-gradient of W(h) = (sup + lipschitz + opnorm)^2."""
+        """Value and row-gradient of W(h) = (sup + lipschitz + opnorm)^2, in one pass.
+
+        The gradient of a graph norm ||sum_i u_i (graph row i)|| under gram_xy
+        is u * G_XY(u * rows) / norm. Those of the sup row and of every tied top
+        eigenvector come from one batched gram_xy.apply. One buffer sums the
+        terms' gradients in the fixed order sup, Lipschitz, operator norm.
+        """
         # m[i, j]: the embedded inner product of graph rows i and j
         m = self.gram_xy.pair_form(rows) if self.include_sup or self._basis is not None else None
-        s, gs = self._sup_term(rows, m, want_grad)
-        l, gl = self._lipschitz_term(rows, want_grad)
-        o, go = self._opnorm_term(rows, m, want_grad)
-        total = s + l + o
-        value = total * total
+        total = 0.0
+        us = []  # graph-norm weights: the sup row's, then the tied top eigenvectors
+        sup = lip = opnorm = None
+        if self.include_sup:
+            g2r, qy = self.gram_y.sq_norms(rows)
+            ny_norm = np.sqrt(qy)
+            # graph row i is rows[i] on {x_i} x Y, so it has the l1 norm of rows[i]
+            ng_norm = np.sqrt(self.gram_xy._clamp_roundoff(m.diagonal(), rows))
+            phi = ny_norm + ng_norm
+            i = int(phi.argmax())
+            total += float(phi[i])
+            sup = i, ng_norm[i], g2r[i] / ny_norm[i] if ny_norm[i] > 0 else None
+            if ng_norm[i] > 0:
+                us.append(np.eye(1, len(rows), i))
+        if len(self._dists):
+            a, b = rows[self._pairs]
+            g2d, q = self.gram_y.sq_norms(a - b)
+            ratios = np.sqrt(q) / self._dists
+            if len(self._zero):
+                if (q[self._zero] > 1e-20).any():
+                    raise ValueError("duplicate source coordinates with differing rows")
+                ratios[self._zero] = 0.0
+            p = int(ratios.argmax())
+            total += float(ratios[p])
+            if ratios[p] > 0:
+                lip = self._pairs[:, p], g2d[p] / (math.sqrt(q[p]) * self._dists[p])
+        if self._basis is not None:
+            lam, tied = _top_eigspace(m, self._basis)
+            if lam > 0.0:
+                o = math.sqrt(lam)
+                total += o
+                us.append(tied.T)
+                opnorm = o, tied.shape[1]
         if not want_grad:
-            return value, None
-        return value, 2.0 * total * (gs + gl + go)
-
-    def _graph_grad(self, u: np.ndarray, rows: np.ndarray, norm: float) -> np.ndarray:
-        """The row-gradient of ||sum_i u_i (graph row i)||_gram_xy, whose value is norm > 0."""
-        return u[:, None] * self.gram_xy.apply(u[:, None] * rows) / norm
-
-    def _sup_term(self, rows, m, want_grad):
-        zero = np.zeros_like(rows)
-        if not self.include_sup:
-            return 0.0, zero
-        g2r, qy = self.gram_y.sq_norms(rows)
-        ny_norm = np.sqrt(qy)
-        # graph row i is rows[i] on {x_i} x Y, so it has the l1 norm of rows[i]
-        ng_norm = np.sqrt(self.gram_xy._clamp_roundoff(np.diag(m), rows))
-        phi = ny_norm + ng_norm
-        i = int(np.argmax(phi))
-        if not want_grad:
-            return float(phi[i]), zero
-        grad = zero
-        if ng_norm[i] > 0:
-            u = np.zeros(len(rows))
-            u[i] = 1.0
-            grad = self._graph_grad(u, rows, ng_norm[i])
-        if ny_norm[i] > 0:
-            grad[i] += g2r[i] / ny_norm[i]
-        return float(phi[i]), grad
-
-    def _lipschitz_term(self, rows, want_grad):
-        zero = np.zeros_like(rows)
-        if len(self._pairs) == 0:
-            return 0.0, zero
-        diffs = rows[self._pairs[:, 0]] - rows[self._pairs[:, 1]]
-        g2d, q = self.gram_y.sq_norms(diffs)
-        degenerate = self._dists == 0.0
-        if np.any(degenerate & (q > 1e-20)):
-            raise ValueError("duplicate source coordinates with differing rows")
-        ratios = np.where(degenerate, 0.0, np.sqrt(q) / np.where(degenerate, 1.0, self._dists))
-        p = int(np.argmax(ratios))
-        val = float(ratios[p])
-        if not want_grad or val == 0.0:
-            return val, zero
-        i, j = self._pairs[p]
-        grad = zero
-        step = g2d[p] / (math.sqrt(q[p]) * self._dists[p])
-        grad[i] += step
-        grad[j] -= step
-        return val, grad
-
-    def _opnorm_term(self, rows, m, want_grad):
-        zero = np.zeros_like(rows)
-        if self._basis is None:
-            return 0.0, zero
-        lam, us = _top_eigspace(m, self._basis)
-        if lam <= 0.0:
-            return 0.0, zero
-        o = math.sqrt(lam)
-        if not want_grad:
-            return o, zero
-        # the mean over a tied top eigenspace does not depend on the basis eigh picks in it
-        return o, sum(self._graph_grad(u, rows, o) for u in us.T) / us.shape[1]
+            return total * total, None
+        if us:
+            u = np.concatenate(us)[:, :, None]
+            graph_grads = u * self.gram_xy.apply(u * rows)  # each still over its norm
+        grad = np.zeros(rows.shape)
+        if sup is not None:
+            i, ng, row_step = sup
+            if ng > 0:
+                grad = graph_grads[0] / ng
+            if row_step is not None:
+                grad[i] += row_step
+        if lip is not None:
+            (i, j), step = lip
+            grad[i] += step
+            grad[j] -= step
+        if opnorm is not None:
+            # the mean over a tied top eigenspace does not depend on the basis eigh picks in it
+            o, k = opnorm
+            grad += (graph_grads[-k:] / o).sum(axis=0) / k
+        grad *= 2.0 * total
+        return total * total, grad
 
 
-def _lipschitz_pairs(x_space: FiniteSpace, include: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The source pairs the Lipschitz term scans, and their coordinate distances.
+def _lipschitz_pairs(x_space: FiniteSpace, include: bool):
+    """The source pairs the Lipschitz term scans: (pairs, dists, zero).
 
+    Pair k is (pairs[0, k], pairs[1, k]) at coordinate distance dists[k];
+    `zero` indexes the pairs at distance 0, whose dists entry reads 1.
     The term is the exact all-pairs maximum at every |X|: neighbours in
     coordinate order on 1-D sources, all pairs otherwise.
     """
     if not include or x_space.size < 2:
-        return np.zeros((0, 2), dtype=int), np.zeros(0)
+        return np.zeros((2, 0), dtype=int), np.zeros(0), np.zeros(0, dtype=int)
     if x_space.coords is None:
         raise ValueError("the Lipschitz term needs coordinates on the source")
     c = x_space.coords
@@ -353,10 +351,12 @@ def _lipschitz_pairs(x_space: FiniteSpace, include: bool) -> tuple[np.ndarray, n
         # the row distance is a seminorm: for i < j < k in coordinate order, ||r_i - r_k||
         # <= ||r_i - r_j|| + ||r_j - r_k|| <= L |x_i - x_k|, so neighbours attain the max
         order = np.argsort(c[:, 0], kind="stable")
-        pairs = np.column_stack((order[:-1], order[1:]))
+        pairs = np.stack((order[:-1], order[1:]))
     else:
-        pairs = np.column_stack(np.triu_indices(x_space.size, 1))
-    return pairs, np.linalg.norm(c[pairs[:, 0]] - c[pairs[:, 1]], axis=1)
+        pairs = np.array(np.triu_indices(x_space.size, 1))
+    dists = np.linalg.norm(c[pairs[0]] - c[pairs[1]], axis=1)
+    zero = np.flatnonzero(dists == 0.0)
+    return pairs, np.where(dists == 0.0, 1.0, dists), zero
 
 
 def w_functional(h: MarkovKernel, spec: WFunctionalSpec) -> float:
@@ -417,7 +417,7 @@ def regularized_estimate(
     def objective_rows(rows, want_grad=True):
         d = mu_x[:, None] * rows - target
         g1d = gXY.apply(d)
-        fid = float(d.reshape(-1) @ g1d.reshape(-1))
+        fid = float(np.vdot(d, g1d))
         wval, wgrad = spec._value_grad(rows, want_grad)
         value = fid + gamma * wval
         if not want_grad:

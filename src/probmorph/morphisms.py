@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 from ._tol import INVARIANT_ATOL
 from .kernels import GramMatrix
@@ -72,11 +73,16 @@ class MarkovKernel(SignedKernel):
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, rows):
         m = np.array(rows, dtype=float, order="C")
-        # NaN and -inf fail the bound on the minimum, +inf the bound on its row's sum
-        if m.shape == (source.size, target.size) and (lo := m.min()) >= -INVARIANT_ATOL:
+        # NaN and -inf fail the bound on the minimum, +inf the bound on its row's sum.
+        # The reductions are called on the ufuncs, skipping the ndarray method wrappers.
+        shape_ok = m.shape == (source.size, target.size)
+        if shape_ok and (lo := np.minimum.reduce(m, axis=None)) >= -INVARIANT_ATOL:
             if lo <= 0.0:
                 np.maximum(m, 0.0, out=m)  # also turns -0.0 into +0.0
-            if np.abs(m.sum(axis=1) - 1.0).max() <= INVARIANT_ATOL:
+            # a row with an entry above 2 fails the sum bound capped or not; capped,
+            # no row sum overflows, so the check emits no warning
+            sums = np.add.reduce(np.minimum(m, 2.0), axis=1)
+            if np.maximum.reduce(np.abs(sums - 1.0), axis=None) <= INVARIANT_ATOL:
                 m.flags.writeable = False
                 self.source = source
                 self.target = target
@@ -100,9 +106,10 @@ def _rows_error(source: FiniteSpace, target: FiniteSpace, m: np.ndarray, markov:
         return "kernel rows must be finite"
     if markov and m.min() < -INVARIANT_ATOL:
         return f"negative entry {float(m.min()):.3e} in a Markov kernel row"
-    sums = np.maximum(m, 0.0).sum(axis=1)
+    with np.errstate(over="ignore"):  # a row sum may overflow to inf
+        sums = np.maximum(m, 0.0).sum(axis=1)
     i = int(np.argmax(np.abs(sums - 1.0)))
-    return f"row-stochasticity: row at {source.labels[i]!r} sums to {sums[i]!r}, not 1"
+    return f"row-stochasticity: row at {source.labels[i]!r} sums to {float(sums[i])!r}, not 1"
 
 
 def deterministic(source: FiniteSpace, target: FiniteSpace, mapping) -> MarkovKernel:
@@ -268,10 +275,14 @@ def _top_eigspace(m: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
     eigenpair of m against g_x on sum-zero weights, and u' g_x u = 1.
     Eigenvalues within 1e-9 of the top, relatively, tie with it: at
     constant rows all of them do, and roundoff alone would pick one
-    eigenvector among them. w' m w is symmetrized against roundoff.
+    eigenvector among them. w' m w is symmetrized against roundoff and
+    handed to LAPACK dsyevd as numpy's eigh would hand it, without its
+    dispatch; a failed solve raises LinAlgError.
     """
     a = w.T @ m @ w
-    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
+    vals, vecs, info = dsyevd((a + a.T) / 2.0, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigen-solve failed (LAPACK dsyevd info {info})")
     top = float(vals[-1])
     return top, w @ vecs[:, vals >= top - 1e-9 * abs(top)]
 

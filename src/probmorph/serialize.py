@@ -60,15 +60,24 @@ def measure_to_json(mu: SignedMeasure) -> dict:
 
 
 def measure_from_json(doc: dict) -> SignedMeasure:
-    space = space_from_json(doc)
-    if "weights" not in doc:
-        raise DataFormatError("measure document lacks weights")
-    return SignedMeasure(space, doc["weights"])
+    return _measure_from_json(doc, SignedMeasure)
 
 
 def prob_measure_from_json(doc: dict) -> ProbMeasure:
-    mu = measure_from_json(doc)
-    return ProbMeasure(mu.space, mu.weights)
+    return _measure_from_json(doc, ProbMeasure)
+
+
+def _measure_from_json(doc, cls):
+    """A measure document as a cls; any rejection is a DataFormatError."""
+    if not isinstance(doc, dict):
+        raise DataFormatError("a measure document must be a JSON object")
+    space = space_from_json(doc)
+    if "weights" not in doc:
+        raise DataFormatError("measure document lacks weights")
+    try:
+        return cls(space, doc["weights"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"bad measure document: {exc}") from exc
 
 
 def kernel_to_json(T: SignedKernel) -> dict:

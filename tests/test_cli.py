@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,23 @@ def test_laws_malformed_fixture_rows(tmp_path, capsys, rows):
     code = run("laws", "--seed", 0, "--trials", 2, "--config", tmp_path / "laws.cfg")
     assert code in (2, 65)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_laws_overflowing_fixture_row_prints_no_warning(tmp_path, capsys):
+    doc = kernel_to_json(MarkovKernel(Y, Y, [[0.5, 0.5], [0.0, 1.0]]))
+    doc["rows"] = [[1e308, 1e308], [0.0, 1.0]]  # the first row's sum overflows
+    (tmp_path / "bad_kernel.json").write_text(json.dumps(doc))
+    (tmp_path / "laws.cfg").write_text(f"kernel_file = {tmp_path}/bad_kernel.json\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("laws", "--seed", 0, "--trials", 2, "--config", tmp_path / "laws.cfg")
+    captured = capsys.readouterr()
+    assert code == 2 and caught == []
+    # stderr holds the one invariant-failure line and no RuntimeWarning
+    assert captured.err.splitlines() == [
+        'invariant failure: ["kernel fixture: bad kernel document: '
+        "row-stochasticity: row at 'u' sums to inf, not 1\"]"
+    ]
 
 
 def test_unknown_subcommand():

@@ -372,11 +372,98 @@ def test_w_opnorm_gradient_at_constant_rows_ignores_the_basis():
     assert np.max(np.abs(grad_q - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
+W_TERMS = {
+    "sup": dict(include_sup=True, include_lipschitz=False, include_operator_norm=False),
+    "lipschitz": dict(include_sup=False, include_lipschitz=True, include_operator_norm=False),
+    "opnorm": dict(include_sup=False, include_lipschitz=False, include_operator_norm=True),
+    "all": dict(include_sup=True, include_lipschitz=True, include_operator_norm=True),
+}
+
+
+def test_w_gradient_at_constant_rows_is_a_subgradient():
+    # at a tie the returned gradient must still satisfy W(x + t d) >= W(x) + t <g, d>:
+    # the mean over the tied eigenvectors does, their sum does not
+    _, full = _criterion10_instance()
+    spec = WFunctionalSpec(full.gram_xy, full.gram_y, full.gram_x, **W_TERMS["opnorm"])
+    rows = np.full((6, 4), 0.25)
+    value, grad = spec._value_grad(rows)
+    rng = np.random.default_rng(4)
+    t = 1e-7
+    for _ in range(20):
+        d = rng.standard_normal(rows.shape)
+        d -= d.mean(axis=1, keepdims=True)
+        ahead, _ = spec._value_grad(rows + t * d, want_grad=False)
+        assert (ahead - value) / t >= float(np.vdot(grad, d)) - 1e-6 * np.abs(grad).sum()
+
+
 def test_w_monotone_in_terms():
     h = MarkovKernel(X3, Y2, [[1.0, 0.0], [0.5, 0.5], [0.2, 0.8]])
     full = w_functional(h, _delta_wspec())
     no_op = w_functional(h, _delta_wspec(include_operator_norm=False))
     assert full >= no_op - 1e-12
+
+
+def _gradient_instance(dim):
+    """A 5-point source in `dim` dimensions, 3 targets, and rows where each max is unique."""
+    rng = np.random.default_rng((11, dim))
+    xs = FiniteSpace([f"x{i}" for i in range(5)], coords=rng.uniform(0.0, 3.0, (5, dim)))
+    ys = FiniteSpace(["u", "v", "w"], coords=[[0.0], [0.8], [2.0]])
+    k = KernelSpec("gaussian", sigma=0.7)
+    rows = rng.dirichlet(np.ones(3), size=5)
+    # the premise of a finite-difference check: every max is attained by one candidate
+    g_xy, g_y, g_x = gram(k, ProductSpace(xs, ys)), gram(k, ys), gram(k, xs)
+    m = _graph_gram(g_xy, rows)
+    row_norms = np.sqrt(np.einsum("iy,yz,iz->i", rows, g_y.values, rows)) + np.sqrt(np.diag(m))
+    slopes = [
+        math.sqrt((rows[i] - rows[j]) @ g_y.values @ (rows[i] - rows[j]))
+        / float(np.linalg.norm(xs.coords[i] - xs.coords[j]))
+        for i in range(5)
+        for j in range(i + 1, 5)
+    ]
+    b = scipy.linalg.null_space(np.ones((1, 5)))
+    eigs = scipy.linalg.eigh(b.T @ m @ b, b.T @ g_x.values @ b, eigvals_only=True)
+    for values in (row_norms, np.array(slopes), eigs):
+        top, second = np.sort(values)[::-1][:2]
+        assert top - second > 1e-3 * top
+    return g_xy, g_y, g_x, rows
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("terms", list(W_TERMS))
+def test_w_gradient_matches_central_differences(terms, dim):
+    g_xy, g_y, g_x, rows = _gradient_instance(dim)
+    assert isinstance(g_xy, KroneckerGram)
+    kron = WFunctionalSpec(g_xy, g_y, g_x, **W_TERMS[terms])
+    dense = WFunctionalSpec(GramMatrix(g_xy.points, g_xy.values), g_y, g_x, **W_TERMS[terms])
+    value, grad = kron._value_grad(rows)
+    dense_value, dense_grad = dense._value_grad(rows)
+    # the two representations of one Gram agree to roundoff
+    assert dense_value == pytest.approx(value, rel=1e-12)
+    assert np.max(np.abs(dense_grad - grad)) <= 1e-12 * np.max(np.abs(grad))
+    assert kron._value_grad(rows, want_grad=False) == (value, None)
+    rng = np.random.default_rng((12, dim))
+    t = 1e-6
+    for _ in range(4):
+        d = rng.standard_normal(rows.shape)
+        d -= d.mean(axis=1, keepdims=True)  # each row stays on its simplex's affine hull
+        for spec in (kron, dense):
+            plus, _ = spec._value_grad(rows + t * d, want_grad=False)
+            minus, _ = spec._value_grad(rows - t * d, want_grad=False)
+            slope = float(np.vdot(grad, d))
+            assert (plus - minus) / (2 * t) == pytest.approx(slope, rel=1e-6, abs=1e-9)
+
+
+def test_fit_on_a_kronecker_spec_never_builds_the_dense_gram():
+    xs = FiniteSpace([f"x{i}" for i in range(5)], coords=np.linspace(0.0, 4.0, 5)[:, None])
+    ys = FiniteSpace(["u", "v", "w"], coords=[[0.0], [1.0], [2.0]])
+    spec = WFunctionalSpec.from_kernel(
+        KernelSpec("gaussian", sigma=1.0), xs, ys, include_operator_norm=True
+    )
+    assert isinstance(spec.gram_xy, KroneckerGram)
+    prod = ProductSpace(xs, ys)
+    S = Dataset(prod, [prod.labels[i] for i in np.random.default_rng(5).integers(0, 15, 40)])
+    regularized_estimate(S, 0.2, spec.gram_xy, spec, LearnerConfig(max_iters=20))
+    assert "values" not in spec.gram_xy.__dict__
 
 
 # ---------------------------------------------------------------------------

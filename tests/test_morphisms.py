@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from probmorph.kernels import GramMatrix, KernelSpec, gram
 from probmorph.morphisms import (
     MarkovKernel,
     SignedKernel,
+    _top_eigspace,
     compose,
     deterministic,
     disintegrate,
@@ -85,7 +87,7 @@ def reference_markov_rows(source, target, rows):
         if np.any(off > INVARIANT_ATOL):
             i = int(np.argmax(off))
             raise ValueError(
-                f"row-stochasticity: row at {source.labels[i]!r} sums to {sums[i]!r}, not 1"
+                f"row-stochasticity: row at {source.labels[i]!r} sums to {float(sums[i])!r}, not 1"
             )
     return reference_signed_rows(source, target, m)
 
@@ -138,6 +140,16 @@ def test_markov_kernel_boundaries(rows, error):
         with pytest.raises(error):
             MarkovKernel(X2, Y2, rows)
         assert_builds_like(MarkovKernel, reference_markov_rows, [X2, Y2], rows, "matrix")
+
+
+def test_markov_kernel_overflowing_row_is_rejected_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the message prints the sum as a Python float, not as np.float64(inf)
+        with pytest.raises(ValueError, match=r"^row-stochasticity: row at 'x1' sums to inf, not 1"):
+            MarkovKernel(X2, Y2, [[1e308, 1e308], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"row at 'x2' sums to 1\.1, not 1$"):
+            MarkovKernel(X2, Y2, [[0.5, 0.5], [0.6, 0.5]])
 
 
 def test_deterministic_examples():
@@ -351,6 +363,11 @@ def test_operator_norm_rejects_singular_gx():
     t = MarkovKernel(X2, Y2, [[0.5, 0.5], [0.2, 0.8]])
     with pytest.raises(ValueError):
         embedded_operator_norm(t, g_sing, gXY)
+
+
+def test_top_eigspace_raises_when_the_eigen_solve_fails():
+    with pytest.raises(np.linalg.LinAlgError):
+        _top_eigspace(np.full((3, 3), np.nan), np.eye(3))
 
 
 # ---------------------------------------------------------------------------

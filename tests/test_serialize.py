@@ -50,6 +50,32 @@ def test_measure_round_trip():
     assert isinstance(back, ProbMeasure)
 
 
+BAD_MEASURE_DOCS = {
+    "weights-object": {"labels": ["a"], "weights": {"a": 1}},  # the constructor raises TypeError
+    "count": {"labels": ["a"], "weights": [1.0, 0.0]},
+    "list": ["a", "b"],
+    "number": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "load, doc",
+    [
+        *((load, doc) for load in (measure_from_json, prob_measure_from_json)
+          for doc in BAD_MEASURE_DOCS.values()),
+        # math.fsum overflows; a signed measure takes these weights
+        (prob_measure_from_json, {"labels": ["a", "b"], "weights": [1e308, 1e308]}),
+    ],
+    ids=[
+        *(f"{name}-{doc}" for name in ("signed", "prob") for doc in BAD_MEASURE_DOCS),
+        "prob-overflow",
+    ],
+)
+def test_measure_documents_reject_with_data_format_error(load, doc):
+    with pytest.raises(DataFormatError):
+        load(doc)
+
+
 def test_product_labels_survive_json():
     mu = ProbMeasure(XY, [0.1, 0.2, 0.3, 0.4])
     doc = measure_to_json(mu)
