@@ -50,6 +50,7 @@ from .serialize import (
     kernel_to_json,
     labels_from_csv,
     parse_config,
+    prob_measure_from_json,
     space_from_config,
 )
 from .spaces import (
@@ -153,14 +154,20 @@ def _load_config(path: str | None) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {path!r} does not exist")
-    return parse_config(p.read_text())
+    try:
+        return parse_config(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
 
 
 def _read_data_file(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise DataFormatError(f"data file {path!r} does not exist")
-    return p.read_text()
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"data file {path!r} is not UTF-8 text: {exc}") from exc
 
 
 def _load_json(path: str):
@@ -215,11 +222,9 @@ def _check_y_coords(kernel: KernelSpec, y_space: FiniteSpace) -> None:
         raise ConfigError(f"the {kernel.variant} kernel needs y_coords")
 
 
-def _cfg_switch(cfg: dict[str, str], key: str) -> bool | None:
-    """cfg[key] read as on/true/1 or off/false/0 in any case; None when absent."""
-    text = cfg.get(key)
-    if text is None:
-        return None
+def _cfg_switch(cfg: dict[str, str], key: str) -> bool:
+    """cfg[key] read as on/true/1 or off/false/0 in any case; off when absent."""
+    text = cfg.get(key, "off")
     if text.lower() in ("on", "true", "1"):
         return True
     if text.lower() in ("off", "false", "0"):
@@ -248,8 +253,16 @@ def _kernel_spec(cfg: dict[str, str], override: str | None) -> KernelSpec:
 
 
 def _write_json(path: Path, doc) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write text to path, creating its directory; an unwritable path is a usage error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +415,7 @@ def cmd_estimate(args) -> int:
         )
     except SingularGramError as exc:
         raise ConfigError(
-            f"{exc}, so the operator-norm term is undefined; set operator_norm = off"
+            f"{exc}, so the operator-norm term is refused; set operator_norm = off"
         ) from exc
     except ValueError as exc:
         raise ConfigError(f"{spec_kernel.variant} kernel: {exc}") from exc
@@ -477,27 +490,16 @@ def cmd_bounds(args) -> int:
         f"{args.n},{report.theoretical_bound!r},{report.empirical_failure_rate!r},"
         f"{report.wilson_low!r},{report.wilson_high!r}\n"
     )
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "table.csv").write_text(table)
+    _write_text(out / "table.csv", table)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _truth_measure(cfg: dict[str, str], space: FiniteSpace) -> ProbMeasure:
-    if "truth_measure" in cfg:
-        doc = _load_json(cfg["truth_measure"])
-        if not isinstance(doc, dict):
-            raise DataFormatError("a truth measure document must be a JSON object")
-        if "weights" not in doc:
-            raise DataFormatError("truth measure document lacks weights")
-        weights = doc["weights"]
-    else:
-        weights = np.full(space.size, 1.0 / space.size)
-    try:
-        return ProbMeasure(space, weights)
-    except (OverflowError, TypeError, ValueError) as exc:
-        # TypeError: weights that are not numbers; OverflowError: math.fsum of huge weights
-        raise DataFormatError(f"bad truth measure: {exc}") from exc
+    """The config's truth_measure on space, or the uniform measure without one."""
+    if "truth_measure" not in cfg:
+        return ProbMeasure(space, np.full(space.size, 1.0 / space.size))
+    return prob_measure_from_json(_load_json(cfg["truth_measure"]), space)
 
 
 # ---------------------------------------------------------------------------

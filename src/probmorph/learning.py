@@ -36,7 +36,6 @@ from .morphisms import MarkovKernel, _conditional_rows, _sum_zero_pencil, _top_e
 from .spaces import Dataset, FiniteSpace, ProbMeasure, ProductSpace, SignedMeasure
 
 _MAX_NEWTON_NODES = 12
-_OPNORM_DEFAULT_LIMIT = 32  # operator-norm term default cutoff on |X|
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ class WFunctionalSpec:
         self._pairs, self._dists, self._zero = _lipschitz_pairs(x_space, self.include_lipschitz)
         self._basis = None
         if self.include_operator_norm and x_space.size > 1:
-            self._basis = _sum_zero_pencil(self.gram_x.values)
+            self._basis = _sum_zero_pencil(self.gram_x)
 
     @classmethod
     def from_kernel(
@@ -254,10 +253,9 @@ class WFunctionalSpec:
         y_space: FiniteSpace,
         include_sup: bool = True,
         include_lipschitz: bool = True,
-        include_operator_norm: bool | None = None,
+        include_operator_norm: bool = False,
     ) -> "WFunctionalSpec":
-        if include_operator_norm is None:
-            include_operator_norm = x_space.size <= _OPNORM_DEFAULT_LIMIT
+        """k's three Gram matrices; the terms default as the fields do, at every |X|."""
         return cls(
             gram_xy=gram(k, ProductSpace(x_space, y_space)),
             gram_y=gram(k, y_space),

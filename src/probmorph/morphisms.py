@@ -246,25 +246,37 @@ def sup_tv_norm(T: SignedKernel) -> float:
 
 
 class SingularGramError(ValueError):
-    """Raised when a source Gram matrix is singular on the sum-zero subspace."""
+    """Raised when a source Gram matrix is singular or ill-conditioned on sum-zero weights."""
 
 
-def _sum_zero_pencil(g_x: np.ndarray) -> np.ndarray:
+# the whitened eigen-solve loses about eps * kappa relatively: 2e-10 at this bound
+_MAX_CONDITION = 1e6
+
+
+def _sum_zero_pencil(g_x: GramMatrix) -> np.ndarray:
     """A sum-zero basis w whitened by g_x: 1' w = 0 and w' g_x w = I.
 
     One symmetric eigen-solve of g_x on an orthonormal sum-zero basis
-    gives both the whitening and the singularity test: a least
-    eigenvalue there of at most 1e-9 times the largest |entry| of g_x
-    is rejected. Whitened, the operator-norm pencil is a standard
-    symmetric eigenproblem.
+    gives both the whitening and its accuracy test. Whitening loses
+    about eps * kappa relatively (Golub & Van Loan, Matrix Computations,
+    section 8.7), with kappa the largest eigenvalue of g_x over its least
+    eigenvalue on sum-zero weights; a g_x with kappa above _MAX_CONDITION
+    is refused, and so is one whose least sum-zero eigenvalue is not
+    positive. kappa does not change when g_x is scaled. Whitened, the
+    operator-norm pencil is a standard symmetric eigenproblem.
     """
-    n = g_x.shape[0]
+    n = g_x.size
     q, _ = np.linalg.qr(np.column_stack([np.ones(n), np.eye(n)[:, : n - 1]]))
     b = q[:, 1:]  # orthonormal, orthogonal to the ones vector
-    c = b.T @ g_x @ b
+    c = b.T @ g_x.values @ b
     lam, v = np.linalg.eigh((c + c.T) / 2.0)
-    if float(lam[0]) <= 1e-9 * float(np.max(np.abs(g_x))):
-        raise SingularGramError("source Gram matrix is singular on the sum-zero subspace")
+    least = float(lam[0])
+    if least * _MAX_CONDITION <= g_x.max_eigenvalue:  # also rejects least <= 0
+        kappa = g_x.max_eigenvalue / least if least > 0.0 else math.inf
+        raise SingularGramError(
+            f"source Gram matrix has condition number kappa = {kappa:.3g} on sum-zero "
+            f"weights, above {_MAX_CONDITION:.0e}"
+        )
     return b @ (v / np.sqrt(lam))
 
 
@@ -295,7 +307,8 @@ def embedded_operator_norm(T: MarkovKernel, gX: GramMatrix, gXY: GramMatrix) -> 
     probability measures are exactly the sum-zero weight vectors and
     the quotient is scale invariant, so the value is the square root of
     the top generalized eigenvalue of the two induced quadratic forms
-    on that subspace. gX must be nondegenerate there.
+    on that subspace. gX must be well-conditioned there (see
+    _sum_zero_pencil), or SingularGramError is raised.
     """
     if gX.points != T.source:
         raise SpaceMismatchError("gX must live on the kernel's source")
@@ -303,5 +316,5 @@ def embedded_operator_norm(T: MarkovKernel, gX: GramMatrix, gXY: GramMatrix) -> 
         raise SpaceMismatchError("gXY must live on the source x target product")
     if T.source.size == 1:
         return 0.0
-    top, _ = _top_eigspace(gXY.pair_form(T.matrix), _sum_zero_pencil(gX.values))
+    top, _ = _top_eigspace(gXY.pair_form(T.matrix), _sum_zero_pencil(gX))
     return math.sqrt(max(top, 0.0))

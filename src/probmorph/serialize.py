@@ -63,15 +63,25 @@ def measure_from_json(doc: dict) -> SignedMeasure:
     return _measure_from_json(doc, SignedMeasure)
 
 
-def prob_measure_from_json(doc: dict) -> ProbMeasure:
-    return _measure_from_json(doc, ProbMeasure)
+def prob_measure_from_json(doc: dict, space: FiniteSpace | None = None) -> ProbMeasure:
+    """A probability measure document; with `space`, a measure on that space.
+
+    Given a space, a document without labels is read on it, and one with
+    labels must describe it, labels and coordinates alike.
+    """
+    return _measure_from_json(doc, ProbMeasure, space)
 
 
-def _measure_from_json(doc, cls):
+def _measure_from_json(doc, cls, space: FiniteSpace | None = None):
     """A measure document as a cls; any rejection is a DataFormatError."""
     if not isinstance(doc, dict):
         raise DataFormatError("a measure document must be a JSON object")
-    space = space_from_json(doc)
+    if space is None or "labels" in doc:
+        described = space_from_json(doc)
+        if space is None:
+            space = described
+        elif described != space:
+            raise DataFormatError("the measure document's space does not match the expected space")
     if "weights" not in doc:
         raise DataFormatError("measure document lacks weights")
     try:
@@ -110,10 +120,19 @@ def dataset_to_csv(S: Dataset) -> str:
     return out.getvalue()
 
 
+def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
+    """The nonempty CSV records of text with their 1-based record numbers."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a field above the csv module's size limit, for one
+        raise DataFormatError(f"line {reader.line_num}: {exc}") from exc
+    return [(i + 1, r) for i, r in enumerate(rows) if r]
+
+
 def dataset_from_csv(text: str, space: ProductSpace) -> Dataset:
     """Parse an "x,y" CSV into a Dataset, reporting bad lines by number."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [(i + 1, r) for i, r in enumerate(rows) if r]
+    rows = _csv_rows(text)
     if not rows or [c.strip() for c in rows[0][1]] != ["x", "y"]:
         raise DataFormatError("line 1: expected the header 'x,y'")
     pairs = []
@@ -135,8 +154,7 @@ def dataset_from_csv(text: str, space: ProductSpace) -> Dataset:
 
 def labels_from_csv(text: str, space: FiniteSpace) -> list:
     """Parse a one-column "y" CSV of sample labels over a space."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [(i + 1, r) for i, r in enumerate(rows) if r]
+    rows = _csv_rows(text)
     if not rows or [c.strip() for c in rows[0][1]] != ["y"]:
         raise DataFormatError("line 1: expected the header 'y'")
     labels = []

@@ -192,36 +192,53 @@ def test_estimate_reports_truth_error(workdir):
     assert 0.0 <= report["sup_mmd_error_to_truth"] < 2.0
 
 
-def test_estimate_singular_source_gram_exit_64(tmp_path, capsys):
-    # 32 close points: the gaussian Gram is numerically singular on sum-zero weights
-    labels = ", ".join(f"x{i}" for i in range(32))
-    coords = "; ".join(repr(float(c)) for c in np.linspace(0.0, 5.0, 32))
-    cfg = (
+def _gaussian_source(tmp_path, nx):
+    """A gaussian (sigma = 1) estimate config on nx points of [0, 5], and its data file."""
+    labels = ", ".join(f"x{i}" for i in range(nx))
+    coords = "; ".join(repr(float(c)) for c in np.linspace(0.0, 5.0, nx))
+    (tmp_path / "data.csv").write_text(
+        "x,y\n" + "".join(f"x{i},{'uv'[i % 2]}\n" for i in range(nx))
+    )
+    return (
         f"x_labels = {labels}\nx_coords = {coords}\n"
         "y_labels = u, v\ny_coords = 0; 1\nkernel = gaussian\nsigma = 1.0\nmax_iters = 20\n"
     )
-    (tmp_path / "est.cfg").write_text(cfg)
-    (tmp_path / "off.cfg").write_text(cfg + "operator_norm = off\n")
-    (tmp_path / "data.csv").write_text(
-        "x,y\n" + "".join(f"x{i},{'uv'[i % 2]}\n" for i in range(32))
+
+
+def _estimate(tmp_path, config):
+    return run(
+        "estimate", "--config", tmp_path / config, "--seed", 0,
+        "--out", tmp_path / "fit", tmp_path / "data.csv",
     )
 
-    def estimate(config):
-        return run(
-            "estimate", "--config", tmp_path / config, "--seed", 0,
-            "--out", tmp_path / "fit", tmp_path / "data.csv",
-        )
 
-    assert estimate("est.cfg") == 64
+def test_estimate_singular_source_gram_exit_64(tmp_path, capsys):
+    # 32 close points: the gaussian Gram is numerically singular on sum-zero weights
+    cfg = _gaussian_source(tmp_path, 32) + "operator_norm = on\n"
+    (tmp_path / "est.cfg").write_text(cfg)
+    (tmp_path / "off.cfg").write_text(cfg + "operator_norm = off\n")
+    assert _estimate(tmp_path, "est.cfg") == 64
     err = capsys.readouterr().err
     assert "operator_norm = off" in err and "Traceback" not in err
-    assert estimate("off.cfg") == 0
+    assert _estimate(tmp_path, "off.cfg") == 0
+
+
+def test_estimate_operator_norm_is_off_by_default_at_every_size(tmp_path, capsys):
+    # 24 points: kappa of the source Gram on sum-zero weights is about 2.6e15, so the
+    # term is refused when asked for; the default leaves it off, and the fit succeeds
+    cfg = _gaussian_source(tmp_path, 24)
+    (tmp_path / "est.cfg").write_text(cfg)
+    (tmp_path / "on.cfg").write_text(cfg + "operator_norm = on\n")
+    assert _estimate(tmp_path, "est.cfg") == 0, capsys.readouterr().err
+    assert _estimate(tmp_path, "on.cfg") == 64
+    err = capsys.readouterr().err
+    assert "kappa = " in err and "operator_norm = off" in err and "Traceback" not in err
 
 
 def test_estimate_tiny_kernel_scale_exit_0(workdir, capsys):
-    # the sum-zero singularity test is relative to the largest Gram entry, so a
+    # the sum-zero condition number does not change with the kernel's scale, so a
     # kernel scaled by 1e-12 keeps the operator-norm term defined
-    (workdir / "tiny.cfg").write_text(EST_CFG + "scale = 1e-12\n")
+    (workdir / "tiny.cfg").write_text(EST_CFG + "scale = 1e-12\noperator_norm = on\n")
     code = run(
         "estimate", "--config", workdir / "tiny.cfg", "--seed", 0,
         "--out", workdir / "tiny", workdir / "data.csv",
@@ -327,6 +344,30 @@ def test_bounds_mmd_truth_weight_count_exit_65(bounds_dir, capsys):
     assert code == 65
     err = capsys.readouterr().err
     assert "3 weights for 2 points" in err and "Traceback" not in err
+
+
+def test_bounds_truth_measure_labels_must_match_the_config(tmp_path, capsys):
+    # a document without labels is read on the config's space; one with labels
+    # must describe that space, so permuted labels are a data error, not a reordering
+    cfg = "bound = mmd_concentration\ny_labels = a, b\nkernel = delta\n"
+    docs = {
+        "labelled": {"labels": ["a", "b"], "coords": None, "weights": [0.9, 0.1]},
+        "bare": {"weights": [0.9, 0.1]},
+        "permuted": {"labels": ["b", "a"], "coords": None, "weights": [0.1, 0.9]},
+    }
+    codes = {}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        (tmp_path / f"{name}.cfg").write_text(cfg + f"truth_measure = {tmp_path}/{name}.json\n")
+        codes[name] = run(
+            "bounds", "--config", tmp_path / f"{name}.cfg", "--seed", 0,
+            "--trials", 50, "--n", 10, "--out", tmp_path / name,
+        )
+    assert codes == {"labelled": 0, "bare": 0, "permuted": 65}
+    err = capsys.readouterr().err
+    assert "does not match" in err and "Traceback" not in err
+    report = {name: (tmp_path / name / "report.json").read_text() for name in ("labelled", "bare")}
+    assert report["labelled"] == report["bare"]
 
 
 # a covering config whose one-member class is the bounds fixture's hypothesis
@@ -510,6 +551,79 @@ def test_json_fuzz_keeps_exit_contract(workdir, bounds_dir, capsys, command, key
         err = capsys.readouterr().err
         if code != expected or "Traceback" in err:
             broken.append((doc, code, err.strip()[-200:]))
+    assert broken == []
+
+
+NOT_UTF8 = b"x,y\n\xff\xfe,\xc3\x28\n"
+
+
+@pytest.mark.parametrize("target", ["config", "data", "truth_kernel"])
+def test_non_utf8_file_keeps_exit_contract(workdir, capsys, target):
+    # a config that cannot be decoded is a config error (64), a data file a data error (65)
+    cfg = EST_CFG + f"truth_kernel = {workdir}/truth.json\n"
+    t = MarkovKernel(X, Y, [[0.8, 0.2], [0.4, 0.6], [0.3, 0.7]])
+    (workdir / "truth.json").write_text(json.dumps(kernel_to_json(t)))
+    (workdir / "t.cfg").write_text(cfg)
+    path = {"config": "t.cfg", "data": "data.csv", "truth_kernel": "truth.json"}[target]
+    (workdir / path).write_bytes(NOT_UTF8)
+    code = run(
+        "estimate", "--config", workdir / "t.cfg", "--seed", 0,
+        "--out", workdir / "fit", workdir / "data.csv",
+    )
+    assert code == (64 if target == "config" else 65)
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "Traceback" not in err
+
+
+def test_unwritable_out_exit_64(workdir, embed_dir, capsys):
+    # an --out that names a file where a directory goes, or a directory where a file goes
+    (workdir / "taken").write_text("")
+    argvs = [
+        ["estimate", "--config", workdir / "est.cfg", "--seed", 0,
+         "--out", workdir / "taken", workdir / "data.csv"],
+        ["laws", "--seed", 0, "--trials", 2, "--out", workdir / "taken" / "laws.json"],
+        ["laws", "--seed", 0, "--trials", 2, "--out", workdir],
+        ["embed", "--config", embed_dir / "embed.cfg", embed_dir / "a.csv", embed_dir / "b.csv",
+         "--out", embed_dir],
+    ]
+    for argv in argvs:
+        assert run(*argv) == 64
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
+
+
+# hostile CSV files; {h} is the header and {r} a valid sample line of the command
+BAD_CSV = [
+    "", "\n\n", "{h}\n", "\ufeff{h}\n{r}\n", "{h}\n{r}\x00\n", "\x00", "{h}\x00\n{r}\n",
+    "{h}\n{r},{r}\n", "{h}\nq\n", "{h}\nq,u\n", "{h}\n,\n", "{h}\n\"{r}\n",
+    '{h}\n"' + "u" * 200_000 + '"\n', "y\n{r}\n", "x,y\n{r}\n", "{h}\r\n{r}\r\n",
+]
+
+
+@pytest.mark.filterwarnings("error")  # the library prints nothing, warnings included
+@pytest.mark.parametrize("command", ["estimate", "embed"])
+def test_csv_fuzz_keeps_exit_contract(workdir, embed_dir, capsys, command):
+    if command == "estimate":
+        header, row = "x,y", "a,u"
+        bad = workdir / "bad.csv"
+        argv = ["estimate", "--config", workdir / "est.cfg", "--seed", 0,
+                "--out", workdir / "fit", bad]
+    else:
+        header, row = "y", "u"
+        bad = embed_dir / "bad.csv"
+        argv = ["embed", "--config", embed_dir / "embed.cfg", embed_dir / "a.csv", bad]
+    texts = [t.replace("{h}", header).replace("{r}", row).encode() for t in BAD_CSV]
+    texts += [b"\xff" + header.encode(), (header + "\n").encode() + b"\xc3\x28\n"]
+    broken = []
+    for text in texts:
+        bad.write_bytes(text)
+        try:
+            code = run(*argv)
+        except Exception as exc:  # what the console entry point would print as a traceback
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code not in (0, 64, 65) or "Traceback" in err:
+            broken.append((text[:40], code, err.strip()[-200:]))
     assert broken == []
 
 

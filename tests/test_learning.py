@@ -23,6 +23,7 @@ from probmorph.learning import (
 from probmorph.losses import empirical_risk, sup_row_mmd
 from probmorph.morphisms import (
     MarkovKernel,
+    SingularGramError,
     disintegrate,
     embedded_operator_norm,
     graph_pushforward,
@@ -316,6 +317,37 @@ def test_w_lipschitz_without_coords_rejected_at_construction():
     WFunctionalSpec.from_kernel(KernelSpec("delta"), FiniteSpace(["a"]), Y2)
 
 
+def _grid(nx):
+    """nx evenly spaced source points on [0, 5]."""
+    return FiniteSpace([f"x{i}" for i in range(nx)], coords=np.linspace(0.0, 5.0, nx)[:, None])
+
+
+@pytest.mark.parametrize("nx", [3, 6, 33, 64])
+def test_from_kernel_leaves_the_operator_norm_off_at_every_size(nx):
+    spec = WFunctionalSpec.from_kernel(KernelSpec("gaussian", sigma=1.0), _grid(nx), Y2)
+    assert spec.include_operator_norm is False and spec._basis is None
+    assert spec.include_sup and spec.include_lipschitz
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_operator_norm_refuses_an_ill_conditioned_source_gram(scale):
+    # gaussian (sigma = 1) Grams on [0, 5]: kappa on sum-zero weights is 4.3e5 at
+    # 14 points and 2.3e7 at 16, at every scale; a repeated point makes it infinite
+    k = KernelSpec("gaussian", sigma=1.0, scale=scale)
+    twin = FiniteSpace(["a", "b"], coords=[[1.0], [1.0]])
+    for xs, refused in ((_grid(14), None), (_grid(16), r"kappa = 2\.26e\+07"), (twin, "kappa")):
+        g_x, g_xy = gram(k, xs), gram(k, ProductSpace(xs, Y2))
+        h = MarkovKernel(xs, Y2, np.full((xs.size, 2), 0.5))
+        if refused is None:
+            WFunctionalSpec.from_kernel(k, xs, Y2, include_operator_norm=True)
+            assert embedded_operator_norm(h, g_x, g_xy) >= 0.0
+            continue
+        with pytest.raises(SingularGramError, match=refused):
+            WFunctionalSpec.from_kernel(k, xs, Y2, include_operator_norm=True)
+        with pytest.raises(SingularGramError, match=refused):
+            embedded_operator_norm(h, g_x, g_xy)
+
+
 def _graph_gram(g_xy, rows):
     """m[i, j]: the inner product of graph rows i and j under the dense product Gram."""
     nx, ny = rows.shape
@@ -404,9 +436,13 @@ def test_w_monotone_in_terms():
 
 
 def _gradient_instance(dim):
-    """A 5-point source in `dim` dimensions, 3 targets, and rows where each max is unique."""
+    """A 5-point source in `dim` dimensions, 3 targets, and rows where each max is unique.
+
+    The source Gram is well conditioned on sum-zero weights (kappa 5.4e5 in 1-D),
+    so the operator-norm term accepts it.
+    """
     rng = np.random.default_rng((11, dim))
-    xs = FiniteSpace([f"x{i}" for i in range(5)], coords=rng.uniform(0.0, 3.0, (5, dim)))
+    xs = FiniteSpace([f"x{i}" for i in range(5)], coords=rng.uniform(0.0, 5.0, (5, dim)))
     ys = FiniteSpace(["u", "v", "w"], coords=[[0.0], [0.8], [2.0]])
     k = KernelSpec("gaussian", sigma=0.7)
     rows = rng.dirichlet(np.ones(3), size=5)
@@ -530,11 +566,13 @@ def test_regularized_deterministic_given_seed():
 
 
 def _criterion10_instance():
-    """Criterion 10's 6x4 grid and n = 200 draws, with the unscaled product Gram."""
+    """Criterion 10's 6x4 grid and n = 200 draws, the unscaled product Gram and all W terms."""
     xs = FiniteSpace([f"x{i}" for i in range(6)], coords=np.linspace(0.0, 5.0, 6)[:, None])
     ys = FiniteSpace([f"y{i}" for i in range(4)], coords=np.linspace(0.0, 3.0, 4)[:, None])
     prod = ProductSpace(xs, ys)
-    spec = WFunctionalSpec.from_kernel(KernelSpec("gaussian", sigma=1.0), xs, ys)
+    spec = WFunctionalSpec.from_kernel(
+        KernelSpec("gaussian", sigma=1.0), xs, ys, include_operator_norm=True
+    )
     drift = np.linspace(0.0, 3.0, 6)
     rows = np.exp(-0.5 * (np.linspace(0.0, 3.0, 4)[None, :] - drift[:, None]) ** 2)
     rows /= rows.sum(axis=1, keepdims=True)
