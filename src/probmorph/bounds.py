@@ -20,7 +20,7 @@ stays bounded for any number of trials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -55,16 +55,7 @@ class BoundReport:
             raise ValueError("empirical failure rate must lie in [0, 1]")
 
     def to_json(self) -> dict:
-        return {
-            "bound_name": self.bound_name,
-            "parameters": self.parameters,
-            "theoretical_bound": self.theoretical_bound,
-            "empirical_failure_rate": self.empirical_failure_rate,
-            "trials": self.trials,
-            "seed": self.seed,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-        }
+        return asdict(self)
 
 
 def hoeffding_bound(m: int, eps: float, c_k: float) -> float:

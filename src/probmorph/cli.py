@@ -32,6 +32,7 @@ from .learning import (
 )
 from .losses import sup_row_mmd
 from .morphisms import (
+    MarkovKernel,
     SingularGramError,
     disintegrate,
     compose,
@@ -148,31 +149,27 @@ def entry() -> None:
 # ---------------------------------------------------------------------------
 # shared config plumbing
 # ---------------------------------------------------------------------------
+def _read_text(path: str, kind: str, error: type[ValueError]) -> str:
+    """The text of a UTF-8 file, a leading byte-order mark dropped.
+
+    A missing or undecodable file raises `error`, naming it a `kind` file.
+    """
+    p = Path(path)
+    if not p.is_file():
+        raise error(f"{kind} file {path!r} does not exist")
+    try:
+        return p.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{kind} file {path!r} is not UTF-8 text: {exc}") from exc
+
+
 def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file {path!r} does not exist")
-    try:
-        return parse_config(p.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
-
-
-def _read_data_file(path: str) -> str:
-    p = Path(path)
-    if not p.is_file():
-        raise DataFormatError(f"data file {path!r} does not exist")
-    try:
-        return p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"data file {path!r} is not UTF-8 text: {exc}") from exc
+    return {} if path is None else parse_config(_read_text(path, "config", ConfigError))
 
 
 def _load_json(path: str):
     try:
-        return json.loads(_read_data_file(path))
+        return json.loads(_read_text(path, "data", DataFormatError))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
@@ -192,28 +189,21 @@ def _cfg_number(cfg: dict[str, str], key: str, default: str | None = None, kind=
         raise ConfigError(f"{key} = {text!r} is not {what}") from None
 
 
-def _cfg_delta(cfg: dict[str, str]) -> float:
-    """The confidence parameter delta, which must lie strictly in (0, 1)."""
-    delta = _cfg_number(cfg, "delta", "0.05")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"delta = {delta!r} must lie strictly between 0 and 1")
-    return delta
+# the bounded config numbers: key -> (default, test, what a value failing it must be)
+_BOUNDED = {
+    "delta": ("0.05", lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1"),
+    "eps": ("0.2", lambda v: 0.0 < v < math.inf, "must be finite and strictly positive"),
+    "c_m": ("0.0", lambda v: 0.0 <= v < math.inf, "must be finite and nonnegative"),
+}
 
 
-def _cfg_eps(cfg: dict[str, str]) -> float:
-    """The deviation threshold eps, which must be finite and strictly positive."""
-    eps = _cfg_number(cfg, "eps", "0.2")
-    if not 0.0 < eps < math.inf:
-        raise ConfigError(f"eps = {eps!r} must be finite and strictly positive")
-    return eps
-
-
-def _cfg_c_m(cfg: dict[str, str]) -> float:
-    """The covering bound's optimization gap c_m, which must be finite and nonnegative."""
-    c_m = _cfg_number(cfg, "c_m", "0.0")
-    if not 0.0 <= c_m < math.inf:
-        raise ConfigError(f"c_m = {c_m!r} must be finite and nonnegative")
-    return c_m
+def _cfg_bounded(cfg: dict[str, str], key: str) -> float:
+    """The config number `key` (delta, eps or c_m), checked against its bounds."""
+    default, ok, rule = _BOUNDED[key]
+    value = _cfg_number(cfg, key, default)
+    if not ok(value):
+        raise ConfigError(f"{key} = {value!r} {rule}")
+    return value
 
 
 def _check_y_coords(kernel: KernelSpec, y_space: FiniteSpace) -> None:
@@ -273,9 +263,7 @@ def _random_space(rng, tag: str, lo: int = 2, hi: int = 6) -> FiniteSpace:
     return FiniteSpace([f"{tag}{i}" for i in range(n)])
 
 
-def _random_stochastic(rng, source: FiniteSpace, target: FiniteSpace):
-    from .morphisms import MarkovKernel
-
+def _random_stochastic(rng, source: FiniteSpace, target: FiniteSpace) -> MarkovKernel:
     m = rng.random((source.size, target.size)) + 1e-3
     return MarkovKernel(source, target, m / m.sum(axis=1, keepdims=True))
 
@@ -285,69 +273,48 @@ def _random_prob(rng, space: FiniteSpace) -> ProbMeasure:
     return ProbMeasure(space, w / w.sum())
 
 
+def _gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+def _law_violations(rng) -> dict[str, float]:
+    """Each structural law's violation on one random instance drawn from rng."""
+    xs, ys, zs, ws = (_random_space(rng, tag) for tag in "xyzw")
+    t1, t2, t3 = (_random_stochastic(rng, a, b) for a, b in ((xs, ys), (ys, zs), (zs, ws)))
+    mu = _random_prob(rng, xs)
+    f = rng.standard_normal(ys.size)
+    joint = _random_prob(rng, ProductSpace(xs, ys))
+    mu_x, cond = disintegrate(joint)
+    return {
+        "compose_associative": _gap(
+            compose(t3, compose(t2, t1)).matrix, compose(compose(t3, t2), t1).matrix
+        ),
+        "identity_units": max(
+            _gap(compose(t1, identity_kernel(xs)).matrix, t1.matrix),
+            _gap(compose(identity_kernel(ys), t1).matrix, t1.matrix),
+        ),
+        "pushforward_functorial": _gap(
+            pushforward(compose(t2, t1), mu).weights, pushforward(t2, pushforward(t1, mu)).weights
+        ),
+        "graph_projection_recovers_kernel": _gap(
+            compose(projection_kernel(ProductSpace(xs, ys), "right"), graph(t1)).matrix, t1.matrix
+        ),
+        "graph_pushforward_left_marginal": _gap(
+            marginal(graph_pushforward(t1, mu), "left").weights, mu.weights
+        ),
+        "pullback_pushforward_adjoint": abs(
+            float(pushforward(t1, mu).weights @ f) - float(mu.weights @ pullback(t1, f))
+        ),
+        "disintegration_round_trip": _gap(graph_pushforward(cond, mu_x).weights, joint.weights),
+    }
+
+
 def _law_suite(seed: int, trials: int) -> dict[str, float]:
     """Max observed violation per structural law over seeded random instances."""
-    worst = {
-        "compose_associative": 0.0,
-        "identity_units": 0.0,
-        "pushforward_functorial": 0.0,
-        "graph_projection_recovers_kernel": 0.0,
-        "graph_pushforward_left_marginal": 0.0,
-        "pullback_pushforward_adjoint": 0.0,
-        "disintegration_round_trip": 0.0,
-    }
+    worst: dict[str, float] = {}
     for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        xs = _random_space(rng, "x")
-        ys = _random_space(rng, "y")
-        zs = _random_space(rng, "z")
-        ws = _random_space(rng, "w")
-        t1 = _random_stochastic(rng, xs, ys)
-        t2 = _random_stochastic(rng, ys, zs)
-        t3 = _random_stochastic(rng, zs, ws)
-        mu = _random_prob(rng, xs)
-
-        a = compose(t3, compose(t2, t1)).matrix
-        b = compose(compose(t3, t2), t1).matrix
-        worst["compose_associative"] = max(
-            worst["compose_associative"], float(np.max(np.abs(a - b)))
-        )
-        lu = compose(t1, identity_kernel(xs)).matrix
-        ru = compose(identity_kernel(ys), t1).matrix
-        worst["identity_units"] = max(
-            worst["identity_units"],
-            float(np.max(np.abs(lu - t1.matrix))),
-            float(np.max(np.abs(ru - t1.matrix))),
-        )
-        lhs = pushforward(compose(t2, t1), mu).weights
-        rhs = pushforward(t2, pushforward(t1, mu)).weights
-        worst["pushforward_functorial"] = max(
-            worst["pushforward_functorial"], float(np.max(np.abs(lhs - rhs)))
-        )
-        gt = graph(t1)
-        proj = projection_kernel(ProductSpace(xs, ys), "right")
-        worst["graph_projection_recovers_kernel"] = max(
-            worst["graph_projection_recovers_kernel"],
-            float(np.max(np.abs(compose(proj, gt).matrix - t1.matrix))),
-        )
-        joint_mu = graph_pushforward(t1, mu)
-        worst["graph_pushforward_left_marginal"] = max(
-            worst["graph_pushforward_left_marginal"],
-            float(np.max(np.abs(marginal(joint_mu, "left").weights - mu.weights))),
-        )
-        f = rng.standard_normal(ys.size)
-        lhs_adj = float(pushforward(t1, mu).weights @ f)
-        rhs_adj = float(mu.weights @ pullback(t1, f))
-        worst["pullback_pushforward_adjoint"] = max(
-            worst["pullback_pushforward_adjoint"], abs(lhs_adj - rhs_adj)
-        )
-        joint_raw = _random_prob(rng, ProductSpace(xs, ys))
-        mu_x, cond = disintegrate(joint_raw)
-        back = graph_pushforward(cond, mu_x)
-        worst["disintegration_round_trip"] = max(
-            worst["disintegration_round_trip"],
-            float(np.max(np.abs(back.weights - joint_raw.weights))),
-        )
+        for name, violation in _law_violations(np.random.default_rng((seed, t))).items():
+            worst[name] = max(worst.get(name, 0.0), violation)
     return worst
 
 
@@ -393,8 +360,10 @@ def cmd_estimate(args) -> int:
             "estimate needs x_coords: the Lipschitz term and the gaussian, "
             "laplacian and linear kernels use source coordinates"
         )
+    if x_space.coords is not None and len(np.unique(x_space.coords, axis=0)) < x_space.size:
+        raise ConfigError("x_coords repeats a point: the Lipschitz term needs distinct ones")
     _check_y_coords(spec_kernel, y_space)
-    data = dataset_from_csv(_read_data_file(args.data), prod)
+    data = dataset_from_csv(_read_text(args.data, "data", DataFormatError), prod)
     gamma = args.gamma
     if gamma is None:
         gamma = _cfg_number(cfg, "gamma")
@@ -458,7 +427,7 @@ def cmd_bounds(args) -> int:
     _check_y_coords(kernel, y_space)
     g_y = _config_gram(kernel, y_space)
     if name == "mmd_concentration":
-        delta = _cfg_delta(cfg)
+        delta = _cfg_bounded(cfg, "delta")
         truth = _truth_measure(cfg, y_space)
         report = bounds_mod.monte_carlo_verify(
             name, truth, g_y, args.n, args.trials, args.seed, delta=delta
@@ -466,7 +435,7 @@ def cmd_bounds(args) -> int:
     else:
         x_space = space_from_config(cfg, "x")
         truth = _truth_measure(cfg, ProductSpace(x_space, y_space))
-        eps = _cfg_eps(cfg)
+        eps = _cfg_bounded(cfg, "eps")
         if name == "hoeffding":
             if "hypothesis" not in cfg:
                 raise _UsageError("hoeffding needs a 'hypothesis' kernel file")
@@ -481,7 +450,7 @@ def cmd_bounds(args) -> int:
             cls = FiniteClass([kernel_from_json(_load_json(p)) for p in paths])
             report = bounds_mod.monte_carlo_verify(
                 name, truth, cls, args.n, args.trials, args.seed,
-                gY=g_y, eps=eps, c_m=_cfg_c_m(cfg),
+                gY=g_y, eps=eps, c_m=_cfg_bounded(cfg, "c_m"),
             )
     out = Path(args.out)
     _write_json(out / "report.json", report.to_json())
@@ -510,9 +479,9 @@ def cmd_embed(args) -> int:
     y_space = space_from_config(cfg, "y")
     kernel = _kernel_spec(cfg, args.kernel)
     _check_y_coords(kernel, y_space)
-    delta = _cfg_delta(cfg)
-    labels_a = labels_from_csv(_read_data_file(args.sample_a), y_space)
-    labels_b = labels_from_csv(_read_data_file(args.sample_b), y_space)
+    delta = _cfg_bounded(cfg, "delta")
+    labels_a = labels_from_csv(_read_text(args.sample_a, "data", DataFormatError), y_space)
+    labels_b = labels_from_csv(_read_text(args.sample_b, "data", DataFormatError), y_space)
     g = _config_gram(kernel, y_space)
     mu_a = empirical(labels_a, y_space)
     mu_b = empirical(labels_b, y_space)

@@ -162,12 +162,13 @@ def cerm(cls, S: Dataset, gY: GramMatrix, config: LearnerConfig | None = None) -
     """Empirical risk minimization with a certified optimality gap of 0.
 
     The risk is empirical_risk under the label Gram matrix gY. Finite
-    classes are enumerated exactly. Over a ParametricClass the
-    risk at input x is n_x times the squared embedded distance from the
-    row to the empirical conditional row at x, plus a constant, so the
-    empirical section minimizes it in closed form: conditional rows at
-    observed inputs, uniform rows elsewhere. The minimizer is unique at
-    observed inputs when the label kernel is characteristic.
+    classes are enumerated exactly. Over a ParametricClass, which must
+    live on the dataset's grids, the risk at input x is n_x times the
+    squared embedded distance from the row to the empirical conditional
+    row at x, plus a constant, so the empirical section minimizes it in
+    closed form: conditional rows at observed inputs, uniform rows
+    elsewhere. The minimizer is unique at observed inputs when the label
+    kernel is characteristic.
     `config` is accepted for call compatibility; no field of it is read.
     """
     if len(S) == 0:
@@ -177,7 +178,9 @@ def cerm(cls, S: Dataset, gY: GramMatrix, config: LearnerConfig | None = None) -
         best = int(np.argmin(values))
         return CermResult(h=cls.kernels[best], certified_gap=0.0, risk=values[best])
 
-    h = MarkovKernel(cls.source, cls.target, _conditional_rows(S.counts()))
+    if (cls.source, cls.target) != (S.space.left, S.space.right):
+        raise ValueError("the class's grids do not match the dataset's")
+    h = empirical_section(S)
     value = empirical_risk(h, S, gY).value
     return CermResult(h=h, certified_gap=0.0, risk=value, trace=[value])
 
@@ -272,6 +275,8 @@ class WFunctionalSpec:
         is u * G_XY(u * rows) / norm. Those of the sup row and of every tied top
         eigenvector come from one batched gram_xy.apply. One buffer sums the
         terms' gradients in the fixed order sup, Lipschitz, operator norm.
+        Tiny or huge source distances can overflow the Lipschitz ratio or step
+        to inf, so callers evaluate it under np.errstate.
         """
         # m[i, j]: the embedded inner product of graph rows i and j
         m = self.gram_xy.pair_form(rows) if self.include_sup or self._basis is not None else None
@@ -352,7 +357,9 @@ def _lipschitz_pairs(x_space: FiniteSpace, include: bool):
         pairs = np.stack((order[:-1], order[1:]))
     else:
         pairs = np.array(np.triu_indices(x_space.size, 1))
-    dists = np.linalg.norm(c[pairs[0]] - c[pairs[1]], axis=1)
+    # hypot keeps tiny distances nonzero and lets huge ones read inf; on 1-D it is |dx|
+    with np.errstate(over="ignore"):
+        dists = np.hypot.reduce(np.abs(c[pairs[0]] - c[pairs[1]]), axis=1)
     zero = np.flatnonzero(dists == 0.0)
     return pairs, np.where(dists == 0.0, 1.0, dists), zero
 
@@ -361,7 +368,8 @@ def w_functional(h: MarkovKernel, spec: WFunctionalSpec) -> float:
     """The regularizer (sup + lipschitz + opnorm)^2 of a hypothesis."""
     if h.source != spec.gram_x.points or h.target != spec.gram_y.points:
         raise ValueError("hypothesis grids do not match the W geometry")
-    value, _ = spec._value_grad(h.matrix, want_grad=False)
+    with np.errstate(all="ignore"):  # see _value_grad: a ratio may overflow to inf
+        value, _ = spec._value_grad(h.matrix, want_grad=False)
     return value
 
 
@@ -424,10 +432,11 @@ def regularized_estimate(
         return value, grad
 
     best_rows, best_val, trace = _mirror_descent(objective_rows, _conditional_rows(counts), config)
-    probe_best = min(
-        objective_rows(r, want_grad=False)[0]
-        for r in _probe_rows(left.size, right.size, config.seed)
-    )
+    with np.errstate(all="ignore"):  # see _value_grad: a probe's value may overflow to inf
+        probe_best = min(
+            objective_rows(r, want_grad=False)[0]
+            for r in _probe_rows(left.size, right.size, config.seed)
+        )
     return RegularizedFit(
         h=MarkovKernel(left, right, best_rows),
         objective=best_val,

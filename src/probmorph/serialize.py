@@ -120,58 +120,44 @@ def dataset_to_csv(S: Dataset) -> str:
     return out.getvalue()
 
 
-def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
-    """The nonempty CSV records of text with their 1-based record numbers."""
+def _csv_samples(text: str, header: tuple[str, ...], spaces: tuple) -> list[tuple]:
+    """The samples of a CSV with the given header, field k a label of spaces[k].
+
+    Bad lines are reported by their 1-based record numbers.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = list(reader)
+        rows = [(i + 1, r) for i, r in enumerate(reader) if r]
     except csv.Error as exc:  # a field above the csv module's size limit, for one
         raise DataFormatError(f"line {reader.line_num}: {exc}") from exc
-    return [(i + 1, r) for i, r in enumerate(rows) if r]
+    if not rows or tuple(c.strip() for c in rows[0][1]) != header:
+        raise DataFormatError(f"line 1: expected the header '{','.join(header)}'")
+    samples = []
+    bad = []
+    fields = f"{len(header)} field" + "s" * (len(header) > 1)
+    for lineno, r in rows[1:]:
+        if len(r) != len(header):
+            raise DataFormatError(f"line {lineno}: expected {fields}, got {len(r)}")
+        sample = tuple(c.strip() for c in r)
+        if all(lab in space for lab, space in zip(sample, spaces)):
+            samples.append(sample)
+        else:
+            bad.append(lineno)
+    if bad:
+        raise DataFormatError(f"unknown labels on lines {bad}")
+    if not samples:
+        raise DataFormatError("no samples after the header")
+    return samples
 
 
 def dataset_from_csv(text: str, space: ProductSpace) -> Dataset:
     """Parse an "x,y" CSV into a Dataset, reporting bad lines by number."""
-    rows = _csv_rows(text)
-    if not rows or [c.strip() for c in rows[0][1]] != ["x", "y"]:
-        raise DataFormatError("line 1: expected the header 'x,y'")
-    pairs = []
-    bad = []
-    for lineno, r in rows[1:]:
-        if len(r) != 2:
-            raise DataFormatError(f"line {lineno}: expected 2 fields, got {len(r)}")
-        x, y = r[0].strip(), r[1].strip()
-        if x not in space.left or y not in space.right:
-            bad.append(lineno)
-        else:
-            pairs.append((x, y))
-    if bad:
-        raise DataFormatError(f"unknown labels on lines {bad}")
-    if not pairs:
-        raise DataFormatError("no samples after the header")
-    return Dataset(space, pairs)
+    return Dataset(space, _csv_samples(text, ("x", "y"), (space.left, space.right)))
 
 
 def labels_from_csv(text: str, space: FiniteSpace) -> list:
     """Parse a one-column "y" CSV of sample labels over a space."""
-    rows = _csv_rows(text)
-    if not rows or [c.strip() for c in rows[0][1]] != ["y"]:
-        raise DataFormatError("line 1: expected the header 'y'")
-    labels = []
-    bad = []
-    for lineno, r in rows[1:]:
-        if len(r) != 1:
-            raise DataFormatError(f"line {lineno}: expected 1 field, got {len(r)}")
-        lab = r[0].strip()
-        if lab not in space:
-            bad.append(lineno)
-        else:
-            labels.append(lab)
-    if bad:
-        raise DataFormatError(f"unknown labels on lines {bad}")
-    if not labels:
-        raise DataFormatError("no samples after the header")
-    return labels
+    return [lab for (lab,) in _csv_samples(text, ("y",), (space,))]
 
 
 def parse_config(text: str) -> dict[str, str]:

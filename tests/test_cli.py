@@ -429,6 +429,20 @@ def test_bad_numeric_config_exit_64(workdir, bounds_dir, embed_dir, capsys, comm
 
 FUZZ_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", "1e400", "maybe", ""]
 FUZZ_KERNELS = ["gaussian", "laplacian", "linear", "delta"]
+# hostile label and coordinate lists for the configs' three-point x and two-point y spaces
+FUZZ_LISTS = {
+    "x_labels": ["a, a, b", "", "a, b", "a, b, c, d", "a, , c", "c, b, a", "1, 2, 3", "a b c"],
+    "y_labels": ["u, u", "", "u", "u, v, w", "u, ", "v, u", "a, b"],
+    "x_coords": [
+        "0; 0; 0", "0; 1; 0", "0; -0; 2", "1e-320; 0; 2e-320", "1e308; -1e308; 0",
+        "1.7e308; -1.7e308; 1e308", "", ";", "0; 1", "0; 1; 2; 3", "0; 1, 2; 3",
+        "0, 0; 1, 1; 2, 2", "a; b; c", "nan; 1; 2", "inf; 1; 2", "1e400; 1; 2",
+    ],
+    "y_coords": [
+        "0; 0", "1e-320; 2e-320", "1e308; -1e308", "", "0", "0; 1; 2", "0; 1, 2",
+        "0, 0; 1, 1", "u; v", "nan; 1", "inf; 1", "1e400; 1",
+    ],
+}
 
 
 @pytest.mark.filterwarnings("error")  # the library prints nothing, warnings included
@@ -437,10 +451,10 @@ FUZZ_KERNELS = ["gaussian", "laplacian", "linear", "delta"]
     [
         *(("estimate", key) for key in (
             "gamma", "sigma", "scale", "restarts", "max_iters", "step_size", "tol",
-            "operator_norm",
+            "operator_norm", *FUZZ_LISTS,
         )),
-        *(("embed", key) for key in ("sigma", "scale", "delta")),
-        *(("bounds", key) for key in ("sigma", "scale", "eps", "c_m", "delta")),
+        *(("embed", key) for key in ("sigma", "scale", "delta", "y_labels", "y_coords")),
+        *(("bounds", key) for key in ("sigma", "scale", "eps", "c_m", "delta", *FUZZ_LISTS)),
     ],
 )
 def test_config_fuzz_keeps_exit_contract(workdir, bounds_dir, embed_dir, capsys, command, key):
@@ -467,7 +481,7 @@ def test_config_fuzz_keeps_exit_contract(workdir, bounds_dir, embed_dir, capsys,
                 "--trials", 5, "--n", 10, "--out", out]
     broken = []
     for kernel in FUZZ_KERNELS:
-        for value in FUZZ_VALUES:
+        for value in FUZZ_LISTS.get(key, FUZZ_VALUES):
             cfg_path.write_text(base + f"kernel = {kernel}\n{key} = {value}\n")
             shutil.rmtree(out, ignore_errors=True)
             out.unlink(missing_ok=True)
@@ -573,6 +587,43 @@ def test_non_utf8_file_keeps_exit_contract(workdir, capsys, target):
     assert code == (64 if target == "config" else 65)
     err = capsys.readouterr().err
     assert "UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["config", "data", "truth_kernel", "embed_sample"])
+def test_byte_order_mark_is_ignored(workdir, embed_dir, capsys, target):
+    # spreadsheet exports often start their text with a UTF-8 byte-order mark
+    t = MarkovKernel(X, Y, [[0.8, 0.2], [0.4, 0.6], [0.3, 0.7]])
+    (workdir / "truth.json").write_text(json.dumps(kernel_to_json(t)))
+    (workdir / "t.cfg").write_text(EST_CFG + f"truth_kernel = {workdir}/truth.json\n")
+    out = workdir / "out"
+    if target == "embed_sample":
+        path = embed_dir / "a.csv"
+        argv = ["embed", "--config", embed_dir / "embed.cfg", path, embed_dir / "b.csv",
+                "--out", out / "embed.json"]
+    else:
+        path = workdir / {"config": "t.cfg", "data": "data.csv", "truth_kernel": "truth.json"}[target]
+        argv = ["estimate", "--config", workdir / "t.cfg", "--seed", 0,
+                "--out", out, workdir / "data.csv"]
+    outputs = []
+    for text in (path.read_bytes(), "\ufeff".encode() + path.read_bytes()):
+        path.write_bytes(text)
+        assert run(*argv) == 0
+        outputs.append((capsys.readouterr().out, {f.name: f.read_text() for f in out.iterdir()}))
+        shutil.rmtree(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("coords", ["0; 0; 0", "0; 1; 0", "0; -0; 2"])
+def test_estimate_repeated_x_coords_exit_64(workdir, capsys, coords):
+    # refused whatever the data: two source points at one coordinate have no Lipschitz ratio
+    (workdir / "rep.cfg").write_text(EST_CFG + f"x_coords = {coords}\n")
+    code = run(
+        "estimate", "--config", workdir / "rep.cfg", "--seed", 0,
+        "--out", workdir / "nope", workdir / "data.csv",
+    )
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "x_coords" in err and "Traceback" not in err
 
 
 def test_unwritable_out_exit_64(workdir, embed_dir, capsys):

@@ -66,6 +66,25 @@ def test_eval_values():
     assert kernel_eval(d, [1.0], [2.0]) == 0.0
 
 
+def test_eval_resolves_labels_of_the_space():
+    space = FiniteSpace(["a", "b"], coords=[[0.0], [2.0]])
+    g = KernelSpec("gaussian", sigma=0.5)
+    assert kernel_eval(g, "a", "b", space) == pytest.approx(math.exp(-2.0), abs=1e-15)
+    # a label meets a raw vector through the label's coordinates
+    assert kernel_eval(g, "a", (2.0,), space) == kernel_eval(g, "a", "b", space)
+    d = KernelSpec("delta", scale=3.0)
+    assert kernel_eval(d, "a", "a", space) == 3.0
+    assert kernel_eval(d, "a", "b", space) == 0.0
+    assert kernel_eval(d, "b", (2.0,), space) == 3.0
+    # delta compares labels on a bare space; a label never equals a raw vector there
+    bare = FiniteSpace(["a", "b"])
+    assert kernel_eval(d, "b", "b", bare) == 3.0
+    assert kernel_eval(d, "a", "b", bare) == 0.0
+    assert kernel_eval(d, "a", (0.0,), bare) == 0.0
+    with pytest.raises(ValueError, match="needs coordinates"):
+        kernel_eval(g, "a", "b", bare)
+
+
 def test_eval_requires_coords_for_geometric_variants():
     bare = FiniteSpace(["a", "b"])
     with pytest.raises(ValueError):

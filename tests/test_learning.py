@@ -126,6 +126,13 @@ def test_cerm_rejects_empty_dataset():
         cerm(ParametricClass(X3, Y2), make_dataset([]), G_Y)
 
 
+def test_cerm_parametric_class_must_share_the_dataset_grids():
+    S = make_dataset([("x1", "y1"), ("x2", "y2")])
+    relabelled = FiniteSpace(["z1", "z2"], coords=Y2.coords)
+    with pytest.raises(ValueError, match="grids"):
+        cerm(ParametricClass(X3, relabelled), S, G_Y)
+
+
 # ---------------------------------------------------------------------------
 # empirical section
 # ---------------------------------------------------------------------------
@@ -217,6 +224,33 @@ def test_w_terms_reject_what_sup_row_mmd_rejects():
     # the sup term reads norms of single rows, which are positive here
     sup = WFunctionalSpec(g_xy, g_y, gram(KernelSpec("delta"), x2), include_lipschitz=False)
     assert w_functional(f, sup) == pytest.approx(4.0)
+
+
+def test_lipschitz_distances_neither_vanish_nor_warn():
+    # distinct subnormal coordinates are not a repeated point: differing rows
+    # there have an infinite Lipschitz ratio, where they raised as duplicates
+    tiny = FiniteSpace(["a", "b", "c"], coords=[[1e-320], [0.0], [2e-320]])
+    spec = WFunctionalSpec.from_kernel(KernelSpec("delta"), tiny, Y2, include_sup=False)
+    h = MarkovKernel(tiny, Y2, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+    assert w_functional(h, spec) == math.inf
+    same = MarkovKernel(tiny, Y2, [[0.5, 0.5]] * 3)
+    assert w_functional(same, spec) == 0.0
+    # a difference that overflows is an infinite distance, read without a warning
+    for coords in ([[1e308], [-1e308]], [[1e308, 1e308], [-1e308, 0.0]]):
+        far = FiniteSpace(["a", "b"], coords=coords)
+        spec = WFunctionalSpec.from_kernel(KernelSpec("delta"), far, Y2, include_sup=False)
+        assert w_functional(MarkovKernel(far, Y2, [[1.0, 0.0], [0.0, 1.0]]), spec) == 0.0
+
+
+def test_lipschitz_distances_on_a_line_are_exact():
+    # on 1-D sources each neighbour distance is |dx| to the bit
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(40) * 10.0 ** rng.integers(-150, 150, 40)
+    line = FiniteSpace([f"p{i}" for i in range(40)], coords=c[:, None])
+    spec = WFunctionalSpec.from_kernel(KernelSpec("delta"), line, Y2)
+    a, b = spec._pairs
+    assert np.array_equal(spec._dists, np.abs(c[a] - c[b]))
+    assert np.array_equal(spec._dists, np.sqrt((c[a] - c[b]) ** 2))
 
 
 def test_w_duplicate_coords_error():

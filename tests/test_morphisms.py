@@ -288,6 +288,13 @@ def test_operator_norm_identity_graph():
     )
 
 
+def test_operator_norm_one_point_source_is_zero():
+    # a one-point source carries no two distinct probability measures to stretch
+    x1 = FiniteSpace(["x1"])
+    gX, gXY = _delta_pair(x1, Y2)
+    assert embedded_operator_norm(MarkovKernel(x1, Y2, [[0.3, 0.7]]), gX, gXY) == 0.0
+
+
 def test_operator_norm_constant_deterministic():
     gX, gXY = _delta_pair(X2, Y2)
     const = deterministic(X2, Y2, {"x1": "y1", "x2": "y1"})
