@@ -21,8 +21,9 @@ stores the two factors: |X|^2 + |Y|^2 numbers instead of (|X||Y|)^2,
 a PSD check on the factors' eigenvalues, and products in
 O(|X||Y|(|X| + |Y|)). The linear kernel on a product is
 G_X (x) 1 + 1 (x) G_Y, a sum rather than a product, and stays dense.
-Consumers of a product Gram go through apply, sq_norms and pair_form,
-which both representations implement, and never need the dense matrix.
+Consumers of a product Gram go through apply, sq_norms, graph_sq_norms
+and pair_form, which both representations implement, and never need the
+dense matrix.
 Every squared embedded norm d' G d is GramMatrix.sq_norms, under one
 rule for roundoff below zero.
 """
@@ -146,7 +147,7 @@ class GramMatrix:
         NotPSDError, even on a Gram accepted with an eigenvalue near
         -PSD_ATOL. The floor is computed only when some q is negative.
         """
-        if q.min() >= 0.0:
+        if np.minimum.reduce(q) >= 0.0:
             return q
         l1 = np.abs(d).sum(axis=1)
         floor = max(INVARIANT_ATOL, _ROUNDOFF * self.size * _EPS * self.max_entry) * l1 * l1
@@ -154,6 +155,19 @@ class GramMatrix:
         if q[k] < -floor[k]:
             raise NotPSDError(f"squared norm {q[k]:.3e} below -{floor[k]:.3e}: Gram is not PSD")
         return np.maximum(q, 0.0)
+
+    def graph_sq_norms(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(b, q) for rows r on X x Y: b[i] = B_i r[i] and q[i] = r[i]' B_i r[i], clamped.
+
+        Row i of r is read as the graph row on {x_i} x Y, and B_i is the
+        i-th |Y| x |Y| diagonal block of G. So q is the diagonal of
+        pair_form(r), under the roundoff rule of sq_norms, and
+        b[i] / sqrt(q[i]) is the gradient of graph row i's norm in r[i].
+        """
+        nx, ny = r.shape
+        blocks = np.einsum("iyiz->iyz", self.values.reshape(nx, ny, nx, ny))
+        b = np.matmul(blocks, r[:, :, None])[:, :, 0]
+        return b, self._clamp_roundoff(np.einsum("iy,iy->i", b, r), r)
 
     def pair_form(self, r) -> np.ndarray:
         """m[i, j] = sum_{y, z} r[i, y] G[(i, y), (j, z)] r[j, z] on X x Y.
@@ -218,6 +232,13 @@ class KroneckerGram(GramMatrix):
         dg = self.apply(d)
         return dg, self._clamp_roundoff(np.einsum("ki,ki->k", dg, d), d)
 
+    def graph_sq_norms(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # B_i = left[i, i] * right; r[i]' right r[i] is read off the diagonal of the
+        # product pair_form rounds through, so q equals pair_form(r).diagonal() bit for bit
+        rr = r @ self.right.values
+        q = self.left.diag * (rr @ r.T).diagonal()
+        return self.left.diag[:, None] * rr, self._clamp_roundoff(q, r)
+
     def pair_form(self, r) -> np.ndarray:
         return self.left.values * (r @ self.right.values @ r.T)
 
@@ -232,11 +253,17 @@ def kernel_eval(spec: KernelSpec, y, y_prime, space: FiniteSpace | None = None) 
     """Evaluate K(y, y') on two points.
 
     Points may be given as labels of `space` or as raw coordinate
-    vectors (the delta variant then compares the vectors themselves).
+    vectors (the delta variant then compares the vectors themselves). A
+    point that is not a label, or cannot be one because it is unhashable
+    (a list or an array), is read as a raw vector.
     """
 
     def resolve(p):
-        if space is not None and p in space:
+        try:
+            labelled = space is not None and p in space
+        except TypeError:  # unhashable, so no label
+            labelled = False
+        if labelled:
             idx = space.index(p)
             vec = None if space.coords is None else space.coords[idx]
             return p, vec

@@ -83,7 +83,8 @@ class LearnerConfig:
     """Optimizer knobs of regularized_estimate.
 
     The fit is deterministic: max_iters, step_size and tol steer the one
-    mirror-descent run. `seed` drives only the random probes behind
+    mirror-descent run, which stops early once its Frank-Wolfe gap is at
+    most tol, so tol must be >= 0. `seed` drives only the random probes behind
     eps_certificate. `restarts` is validated but not read; it is kept so
     existing configs stay valid.
     """
@@ -101,15 +102,16 @@ class LearnerConfig:
             raise ValueError("max_iters must be a nonnegative integer")
         if not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be finite and strictly positive")
+        if not self.tol >= 0:  # also refuses NaN, which no gap is ever <= to
+            raise ValueError("tol must be a nonnegative number")
 
 
 # ---------------------------------------------------------------------------
 # mirror descent over row simplices
 # ---------------------------------------------------------------------------
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig):
@@ -138,10 +140,11 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
             if value < best_val:
                 best_rows, best_val = rows, value
             trace.append(best_val)
-            gap = float(np.vdot(grad, rows) - grad.min(axis=1).sum())
+            gap = float(np.vdot(grad, rows) - np.add.reduce(np.minimum.reduce(grad, axis=1)))
             if t == config.max_iters or gap <= config.tol:
                 break
-            z = z - config.step_size / (math.sqrt(t + 1) * abs(grad).max()) * grad
+            scale = math.sqrt(t + 1) * np.maximum.reduce(abs(grad), axis=None)
+            z = z - config.step_size / scale * grad
             if not np.isfinite(z).all():
                 raise ArithmeticError(f"non-finite logits after {t + 1} steps")
     return best_rows, best_val, trace
@@ -220,8 +223,10 @@ class WFunctionalSpec:
 
     Construction precomputes the pieces every evaluation reads: the
     Lipschitz pairs, their coordinate distances (1 at a zero distance)
-    and the indices of the pairs at zero distance, and the sum-zero
-    basis whitened by gram_x for the operator norm. Change a field by
+    and the indices of the pairs at zero distance, the gather indices
+    that stack the sup term's rows and the pairs' first rows for one
+    gram_y product, and the sum-zero basis whitened by gram_x for the
+    operator norm. Change a field by
     building a new spec, not by assigning to it.
     """
 
@@ -234,6 +239,7 @@ class WFunctionalSpec:
     _pairs: np.ndarray = field(init=False, repr=False, compare=False)
     _dists: np.ndarray = field(init=False, repr=False, compare=False)
     _zero: np.ndarray = field(init=False, repr=False, compare=False)
+    _gather: np.ndarray = field(init=False, repr=False, compare=False)
     _basis: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -244,6 +250,8 @@ class WFunctionalSpec:
             raise ValueError("gram_xy must live on the product of gram_x and gram_y points")
         # a source without coordinates or a degenerate source Gram is rejected here
         self._pairs, self._dists, self._zero = _lipschitz_pairs(x_space, self.include_lipschitz)
+        sup_rows = np.arange(x_space.size if self.include_sup else 0)
+        self._gather = np.concatenate((sup_rows, self._pairs[0]))
         self._basis = None
         if self.include_operator_norm and x_space.size > 1:
             self._basis = _sum_zero_pencil(self.gram_x)
@@ -271,68 +279,69 @@ class WFunctionalSpec:
     def _value_grad(self, rows: np.ndarray, want_grad: bool = True):
         """Value and row-gradient of W(h) = (sup + lipschitz + opnorm)^2, in one pass.
 
-        The gradient of a graph norm ||sum_i u_i (graph row i)|| under gram_xy
-        is u * G_XY(u * rows) / norm. Those of the sup row and of every tied top
-        eigenvector come from one batched gram_xy.apply. One buffer sums the
-        terms' gradients in the fixed order sup, Lipschitz, operator norm.
-        Tiny or huge source distances can overflow the Lipschitz ratio or step
-        to inf, so callers evaluate it under np.errstate.
+        Every piece is a norm of a constant linear map of the rows. The rows
+        and the Lipschitz pair differences are stacked (by the gather indices
+        of the spec) into one gram_y.sq_norms call. Graph row i is rows[i] on
+        {x_i} x Y, so its norm and gradient come from the i-th diagonal block
+        of gram_xy (graph_sq_norms), and the sup gradient sits on row i only.
+        Only the operator norm needs m, the Gram matrix of the graph rows:
+        a graph norm ||sum_i u_i (graph row i)|| has the gradient
+        u * G_XY(u * rows) / norm, and those of the tied top eigenvectors come
+        from one batched gram_xy.apply. One buffer sums the terms' gradients
+        in the fixed order sup, Lipschitz, operator norm. Tiny or huge source
+        distances can overflow the Lipschitz ratio or step to inf, so callers
+        evaluate it under np.errstate.
         """
-        # m[i, j]: the embedded inner product of graph rows i and j
-        m = self.gram_xy.pair_form(rows) if self.include_sup or self._basis is not None else None
         total = 0.0
-        us = []  # graph-norm weights: the sup row's, then the tied top eigenvectors
         sup = lip = opnorm = None
-        if self.include_sup:
-            g2r, qy = self.gram_y.sq_norms(rows)
-            ny_norm = np.sqrt(qy)
-            # graph row i is rows[i] on {x_i} x Y, so it has the l1 norm of rows[i]
-            ng_norm = np.sqrt(self.gram_xy._clamp_roundoff(m.diagonal(), rows))
-            phi = ny_norm + ng_norm
-            i = int(phi.argmax())
-            total += float(phi[i])
-            sup = i, ng_norm[i], g2r[i] / ny_norm[i] if ny_norm[i] > 0 else None
-            if ng_norm[i] > 0:
-                us.append(np.eye(1, len(rows), i))
+        n_sup = len(rows) if self.include_sup else 0
         if len(self._dists):
-            a, b = rows[self._pairs]
-            g2d, q = self.gram_y.sq_norms(a - b)
-            ratios = np.sqrt(q) / self._dists
+            stack = rows.take(self._gather, axis=0)
+            stack[n_sup:] -= rows.take(self._pairs[1], axis=0)
+            g2, q = self.gram_y.sq_norms(stack)
+        elif n_sup:
+            g2, q = self.gram_y.sq_norms(rows)
+        if n_sup:
+            b, qg = self.gram_xy.graph_sq_norms(rows)
+            ny_norm, ng_norm = np.sqrt(q[:n_sup]), np.sqrt(qg)
+            phi = ny_norm + ng_norm
+            sup = int(phi.argmax())
+            total += float(phi[sup])
+        if len(self._dists):
+            g2d, qd = g2[n_sup:], q[n_sup:]
+            ratios = np.sqrt(qd) / self._dists
             if len(self._zero):
-                if (q[self._zero] > 1e-20).any():
+                if (qd[self._zero] > 1e-20).any():
                     raise ValueError("duplicate source coordinates with differing rows")
                 ratios[self._zero] = 0.0
             p = int(ratios.argmax())
             total += float(ratios[p])
             if ratios[p] > 0:
-                lip = self._pairs[:, p], g2d[p] / (math.sqrt(q[p]) * self._dists[p])
+                lip = p
         if self._basis is not None:
-            lam, tied = _top_eigspace(m, self._basis)
+            lam, tied = _top_eigspace(self.gram_xy.pair_form(rows), self._basis)
             if lam > 0.0:
                 o = math.sqrt(lam)
                 total += o
-                us.append(tied.T)
-                opnorm = o, tied.shape[1]
+                opnorm = o, tied.T[:, :, None]
         if not want_grad:
             return total * total, None
-        if us:
-            u = np.concatenate(us)[:, :, None]
-            graph_grads = u * self.gram_xy.apply(u * rows)  # each still over its norm
         grad = np.zeros(rows.shape)
         if sup is not None:
-            i, ng, row_step = sup
-            if ng > 0:
-                grad = graph_grads[0] / ng
-            if row_step is not None:
-                grad[i] += row_step
+            if ng_norm[sup] > 0:
+                grad[sup] = b[sup] / ng_norm[sup]
+            if ny_norm[sup] > 0:
+                grad[sup] += g2[sup] / ny_norm[sup]
         if lip is not None:
-            (i, j), step = lip
+            i, j = self._pairs[:, lip]
+            step = g2d[lip] / (math.sqrt(qd[lip]) * self._dists[lip])
             grad[i] += step
             grad[j] -= step
         if opnorm is not None:
             # the mean over a tied top eigenspace does not depend on the basis eigh picks in it
-            o, k = opnorm
-            grad += (graph_grads[-k:] / o).sum(axis=0) / k
+            o, u = opnorm
+            graph_grads = u * self.gram_xy.apply(u * rows)
+            grad += (graph_grads / o).sum(axis=0) / len(u)
         grad *= 2.0 * total
         return total * total, grad
 
@@ -417,18 +426,21 @@ def regularized_estimate(
         raise ValueError("W geometry does not match the dataset grids")
     counts = S.counts()
     n = len(S)
-    mu_x = counts.sum(axis=1) / n
+    mu_x = counts.sum(axis=1)[:, None] / n
+    two_mu_x = 2.0 * mu_x
     target = counts / n
 
     def objective_rows(rows, want_grad=True):
-        d = mu_x[:, None] * rows - target
+        d = mu_x * rows - target
         g1d = gXY.apply(d)
         fid = float(np.vdot(d, g1d))
-        wval, wgrad = spec._value_grad(rows, want_grad)
+        wval, grad = spec._value_grad(rows, want_grad)
         value = fid + gamma * wval
         if not want_grad:
             return value, None
-        grad = 2.0 * mu_x[:, None] * g1d + gamma * wgrad
+        grad *= gamma
+        g1d *= two_mu_x
+        grad += g1d
         return value, grad
 
     best_rows, best_val, trace = _mirror_descent(objective_rows, _conditional_rows(counts), config)

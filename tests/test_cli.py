@@ -388,6 +388,8 @@ COVERING = "bound = covering\nclass = {dir}/hyp.json\n"
         ("estimate", "step_size = inf"),
         ("estimate", "step_size = 0"),
         ("estimate", "step_size = -1"),
+        ("estimate", "tol = nan"),
+        ("estimate", "tol = -1"),
         ("estimate", "gamma = inf"),
         ("estimate", "sigma = inf"),
         ("embed", "kernel = gaussian\nsigma = inf"),
@@ -402,7 +404,7 @@ COVERING = "bound = covering\nclass = {dir}/hyp.json\n"
     ids=[
         "restarts-abc", "max_iters-1.5", "sigma-x", "eps-nope", "restarts-0",
         "embed-delta-2", "mmd-delta-2", "step_size-nan", "step_size-inf",
-        "step_size-0", "step_size-neg", "gamma-inf", "sigma-inf",
+        "step_size-0", "step_size-neg", "tol-nan", "tol-neg", "gamma-inf", "sigma-inf",
         "embed-sigma-inf", "embed-scale-inf", "eps-0", "eps-neg", "eps-nan",
         "c_m-nan", "c_m-inf", "c_m-neg",
     ],

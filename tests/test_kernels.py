@@ -85,6 +85,28 @@ def test_eval_resolves_labels_of_the_space():
         kernel_eval(g, "a", "b", bare)
 
 
+@pytest.mark.parametrize(
+    "vector", [[2.0], np.array([2.0]), (2.0,)], ids=["list", "ndarray", "tuple"]
+)
+def test_eval_reads_an_unhashable_point_as_a_raw_vector(vector):
+    space = FiniteSpace(["a", "b"], coords=[[0.0], [2.0]])
+    g = KernelSpec("gaussian", sigma=0.5)
+    by_label = kernel_eval(g, "a", "b", space)
+    assert kernel_eval(g, "a", vector, space) == by_label
+    assert kernel_eval(g, vector, "a", space) == by_label
+    assert kernel_eval(g, [0.0], vector, space) == by_label
+    assert kernel_eval(g, [0.0], vector) == by_label
+    d = KernelSpec("delta", scale=3.0)
+    assert kernel_eval(d, "b", vector, space) == 3.0
+    assert kernel_eval(d, "a", vector, space) == 0.0
+    assert kernel_eval(d, vector, vector) == 3.0
+    assert kernel_eval(d, "b", vector, FiniteSpace(["a", "b"])) == 0.0
+    # labels still resolve as labels, also labels that look like vectors
+    tuples = FiniteSpace([(0.0,), (2.0,)], coords=[[5.0], [7.0]])
+    assert kernel_eval(g, (0.0,), (2.0,), tuples) == pytest.approx(math.exp(-2.0), abs=1e-15)
+    assert kernel_eval(g, [0.0], [2.0], tuples) == by_label
+
+
 def test_eval_requires_coords_for_geometric_variants():
     bare = FiniteSpace(["a", "b"])
     with pytest.raises(ValueError):
@@ -373,3 +395,53 @@ def test_linear_product_gram_stays_dense():
     expected = np.kron(gx, np.ones((4, 4))) + np.kron(np.ones((3, 3)), gy)
     assert np.allclose(g.values, expected, rtol=0, atol=1e-12)
     assert g.diag.tobytes() == np.diag(g.values).tobytes() and not g.diag.flags.writeable
+
+
+def _graph_block_oracle(g, r):
+    """(b, q) from the dense diagonal blocks: b[i] = B_i r[i], q[i] = r[i]' B_i r[i]."""
+    nx, ny = r.shape
+    blocks = [g.values[i * ny : (i + 1) * ny, i * ny : (i + 1) * ny] for i in range(nx)]
+    b = np.stack([blocks[i] @ r[i] for i in range(nx)])
+    return b, np.einsum("iy,iy->i", b, r)
+
+
+@pytest.mark.parametrize("spec", PRODUCT_VARIANTS + [KernelSpec("linear", scale=0.5)], ids=repr)
+@pytest.mark.parametrize("shape", [(3, 4), (64, 16)], ids=["3x4", "64x16"])
+def test_graph_sq_norms_are_the_diagonal_of_the_pair_form(spec, shape):
+    nx, ny = shape
+    rng = np.random.default_rng(nx)
+    xs = FiniteSpace(list(range(nx)), coords=rng.uniform(0.0, 3.0, (nx, 2)))
+    ys = FiniteSpace(list(range(ny)), coords=np.linspace(0.0, 2.0, ny)[:, None])
+    g = gram(spec, ProductSpace(xs, ys))
+    r = rng.dirichlet(np.ones(ny), size=nx)
+    b, q = g.graph_sq_norms(r)
+    assert isinstance(g, KroneckerGram) == (spec.variant != "linear")
+    assert spec.variant == "linear" or "values" not in vars(g)  # a Kronecker Gram reads its factors
+    dense = GramMatrix(g.points, g.values)
+    b_oracle, q_oracle = _graph_block_oracle(dense, r)
+    i = nx // 2
+    u = np.eye(1, nx, i).T
+    for got_b, got_q in ((b, q), dense.graph_sq_norms(r)):
+        assert np.allclose(got_q, dense.pair_form(r).diagonal(), rtol=1e-12, atol=0)
+        assert np.allclose(got_q, q_oracle, rtol=1e-12, atol=0)
+        assert np.max(np.abs(got_b - b_oracle)) <= 1e-12 * np.max(np.abs(b_oracle))
+        # b[i] is the only nonzero row of G applied to graph row i
+        step = (u * dense.apply(u * r))[i]
+        assert np.max(np.abs(step - got_b[i])) <= 1e-12 * np.max(np.abs(step))
+
+
+def test_graph_sq_norms_follow_the_roundoff_rule_of_sq_norms():
+    # eigenvalue -5e-10 along (1, -1) on {a} x Y01, dense and factored: not roundoff
+    one = FiniteSpace(["a"])
+    right = GramMatrix(Y01, [[1.0, 1.0 + 5e-10], [1.0 + 5e-10, 1.0]])
+    factored = KroneckerGram(ProductSpace(one, Y01), GramMatrix(one, [[1.0]]), right)
+    for g in (factored, GramMatrix(factored.points, factored.values)):
+        for t in (1e-6, 1.0, 1e6):
+            with pytest.raises(NotPSDError):
+                g.graph_sq_norms(np.array([[t, -t]]))
+    # on a rank-one linear Gram, c'r = 0 leaves only roundoff, read as 0
+    xs = FiniteSpace(["a", "b"], coords=[[0.0], [0.0]])
+    ys = FiniteSpace([0, 1, 2], coords=[[0.1], [0.8], [1.5]])
+    lin = gram(KernelSpec("linear", scale=1e8), ProductSpace(xs, ys))
+    _, q = lin.graph_sq_norms(np.array([[0.5, -1.0, 0.5], [1.0, 0.0, 0.0]]))
+    assert 0.0 <= q[0] < 1e-5 and q[1] == pytest.approx(1e6)

@@ -469,16 +469,16 @@ def test_w_monotone_in_terms():
     assert full >= no_op - 1e-12
 
 
-def _gradient_instance(dim):
+def _gradient_instance(dim, k=KernelSpec("gaussian", sigma=0.7)):
     """A 5-point source in `dim` dimensions, 3 targets, and rows where each max is unique.
 
-    The source Gram is well conditioned on sum-zero weights (kappa 5.4e5 in 1-D),
-    so the operator-norm term accepts it.
+    The gaussian source Gram is well conditioned on sum-zero weights (kappa 5.4e5
+    in 1-D), so the operator-norm term accepts it; a linear one is singular
+    there, so the instance has no operator norm to check.
     """
     rng = np.random.default_rng((11, dim))
     xs = FiniteSpace([f"x{i}" for i in range(5)], coords=rng.uniform(0.0, 5.0, (5, dim)))
     ys = FiniteSpace(["u", "v", "w"], coords=[[0.0], [0.8], [2.0]])
-    k = KernelSpec("gaussian", sigma=0.7)
     rows = rng.dirichlet(np.ones(3), size=5)
     # the premise of a finite-difference check: every max is attained by one candidate
     g_xy, g_y, g_x = gram(k, ProductSpace(xs, ys)), gram(k, ys), gram(k, xs)
@@ -490,12 +490,27 @@ def _gradient_instance(dim):
         for i in range(5)
         for j in range(i + 1, 5)
     ]
-    b = scipy.linalg.null_space(np.ones((1, 5)))
-    eigs = scipy.linalg.eigh(b.T @ m @ b, b.T @ g_x.values @ b, eigvals_only=True)
-    for values in (row_norms, np.array(slopes), eigs):
+    maxima = [row_norms, np.array(slopes)]
+    if k.variant != "linear":
+        b = scipy.linalg.null_space(np.ones((1, 5)))
+        maxima.append(scipy.linalg.eigh(b.T @ m @ b, b.T @ g_x.values @ b, eigvals_only=True))
+    for values in maxima:
         top, second = np.sort(values)[::-1][:2]
         assert top - second > 1e-3 * top
     return g_xy, g_y, g_x, rows
+
+
+def _assert_gradient_matches_central_differences(specs, grad, rows, seed):
+    rng = np.random.default_rng(seed)
+    t = 1e-6
+    for _ in range(4):
+        d = rng.standard_normal(rows.shape)
+        d -= d.mean(axis=1, keepdims=True)  # each row stays on its simplex's affine hull
+        for spec in specs:
+            plus, _ = spec._value_grad(rows + t * d, want_grad=False)
+            minus, _ = spec._value_grad(rows - t * d, want_grad=False)
+            slope = float(np.vdot(grad, d))
+            assert (plus - minus) / (2 * t) == pytest.approx(slope, rel=1e-6, abs=1e-9)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -511,16 +526,62 @@ def test_w_gradient_matches_central_differences(terms, dim):
     assert dense_value == pytest.approx(value, rel=1e-12)
     assert np.max(np.abs(dense_grad - grad)) <= 1e-12 * np.max(np.abs(grad))
     assert kron._value_grad(rows, want_grad=False) == (value, None)
-    rng = np.random.default_rng((12, dim))
-    t = 1e-6
-    for _ in range(4):
-        d = rng.standard_normal(rows.shape)
-        d -= d.mean(axis=1, keepdims=True)  # each row stays on its simplex's affine hull
-        for spec in (kron, dense):
-            plus, _ = spec._value_grad(rows + t * d, want_grad=False)
-            minus, _ = spec._value_grad(rows - t * d, want_grad=False)
-            slope = float(np.vdot(grad, d))
-            assert (plus - minus) / (2 * t) == pytest.approx(slope, rel=1e-6, abs=1e-9)
+    _assert_gradient_matches_central_differences((kron, dense), grad, rows, (12, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("terms", ["sup", "lipschitz", "sup+lipschitz"])
+def test_w_gradient_on_a_dense_linear_product_gram(terms, dim):
+    # the linear product Gram stays dense, and its diagonal blocks
+    # G_X[i, i] 11' + G_Y are not multiples of one matrix
+    g_xy, g_y, g_x, rows = _gradient_instance(dim, KernelSpec("linear", scale=0.5))
+    assert type(g_xy) is GramMatrix
+    blocks = [g_xy.values[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] for i in range(2)]
+    assert np.linalg.matrix_rank(np.stack([blocks[0].ravel(), blocks[1].ravel()])) == 2
+    kw = dict(include_sup="sup" in terms, include_lipschitz="lipschitz" in terms)
+    spec = WFunctionalSpec(g_xy, g_y, g_x, **kw)
+    value, grad = spec._value_grad(rows)
+    assert spec._value_grad(rows, want_grad=False) == (value, None)
+    if terms == "sup":  # against the dense graph Gram of the rows
+        q_y = np.einsum("iy,yz,iz->i", rows, g_y.values, rows)
+        sup = np.max(np.sqrt(q_y) + np.sqrt(np.diag(_graph_gram(g_xy, rows))))
+        assert value == pytest.approx(sup**2, rel=1e-12)
+    _assert_gradient_matches_central_differences((spec,), grad, rows, (13, dim))
+
+
+def _count_calls(monkeypatch, gram_matrix, names):
+    """Wrap methods of one Gram instance so that each call is counted."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(gram_matrix, name)
+
+        def counted(*args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(gram_matrix, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["kronecker", "dense"])
+def test_w_builds_the_pair_form_only_for_the_operator_norm(monkeypatch, dense):
+    S, full = _criterion10_instance()
+    g_xy = GramMatrix(full.gram_xy.points, full.gram_xy.values) if dense else full.gram_xy
+    rows = np.random.default_rng(6).dirichlet(np.ones(4), size=6)
+    fidelity_gram = gram(KernelSpec("gaussian", sigma=1.0), S.space)
+    for opnorm in (False, True):
+        spec = WFunctionalSpec(g_xy, full.gram_y, full.gram_x, include_operator_norm=opnorm)
+        calls = _count_calls(monkeypatch, spec.gram_xy, ("pair_form", "apply"))
+        spec._value_grad(rows)
+        w_functional(MarkovKernel(spec.gram_x.points, spec.gram_y.points, rows), spec)
+        after_eval = dict(calls)
+        regularized_estimate(S, 0.1, fidelity_gram, spec, LearnerConfig(max_iters=5))
+        if opnorm:
+            assert after_eval == {"pair_form": 2, "apply": 1}
+            assert calls["pair_form"] > 2 and calls["apply"] > 1
+        else:
+            assert calls == {"pair_form": 0, "apply": 0}
+        monkeypatch.undo()
 
 
 def test_fit_on_a_kronecker_spec_never_builds_the_dense_gram():
@@ -543,6 +604,17 @@ def reg_setup():
     k = KernelSpec("gaussian", sigma=1.0)
     spec = WFunctionalSpec.from_kernel(k, X3, Y2)
     return gram(k, PROD), spec
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300], ids=["nan", "neg", "tiny-neg"])
+def test_learner_config_refuses_a_tol_no_gap_meets(tol):
+    with pytest.raises(ValueError, match="tol"):
+        LearnerConfig(tol=tol)
+
+
+def test_learner_config_accepts_every_nonnegative_tol():
+    for tol in (0.0, 1e-300, 1.0, math.inf):
+        assert LearnerConfig(tol=tol).tol == tol
 
 
 def test_regularized_estimate_validates_gamma():
