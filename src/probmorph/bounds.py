@@ -122,11 +122,11 @@ def covering_number_exact(cls: FiniteClass, s: float, gY: GramMatrix) -> int:
     if n > 12:
         raise ValueError("exact covers are only searched for class size <= 12")
     d = _pairwise_sup_row_mmd(cls, gY)
-    for k in range(1, n + 1):
+    for k in range(1, n):
         for centers in combinations(range(n), k):
             if np.all(np.min(d[list(centers)], axis=0) <= s):
                 return k
-    return n
+    return n  # the whole class covers itself
 
 
 def mmd_concentration_bound(n: int, delta: float, k_diag_mean: float) -> float:
@@ -249,10 +249,18 @@ def _finish(bound_name, params, theoretical, failures, trials, seed) -> BoundRep
     )
 
 
-def _verify_hoeffding(mu: ProbMeasure, h: MarkovKernel, n, trials, seed, *, gY, eps):
+def _c_k(gY: GramMatrix) -> float:
+    """C_K = sqrt(max |K(y, y)|), refused at 0: the tail exponents divide by it."""
     ck = math.sqrt(float(np.max(np.abs(gY.diag))))
+    if ck == 0.0:
+        raise ValueError("the kernel vanishes on the target grid (C_K = 0)")
+    return ck
+
+
+def _verify_hoeffding(mu: ProbMeasure, h: MarkovKernel, n, trials, seed, *, gY, eps):
     grid = _loss_grid(h, gY).reshape(-1)
     true_risk = expected_risk(h, mu, gY).value
+    ck = _c_k(gY)
     failures = 0
     for counts in _trial_counts(mu, n, trials, seed):
         failures += int(np.count_nonzero(np.abs(counts @ grid / n - true_risk) > eps))
@@ -264,9 +272,9 @@ def _verify_hoeffding(mu: ProbMeasure, h: MarkovKernel, n, trials, seed, *, gY, 
 def _verify_covering(mu: ProbMeasure, cls: FiniteClass, n, trials, seed, *, gY, eps, c_m=0.0):
     if not 0.0 <= c_m < math.inf:
         raise ValueError(f"c_m = {c_m!r} must be finite and nonnegative")
-    ck = math.sqrt(float(np.max(np.abs(gY.diag))))
     grids = np.stack([_loss_grid(h, gY).reshape(-1) for h in cls])
     true_risks = np.array([expected_risk(h, mu, gY).value for h in cls])
+    ck = _c_k(gY)
     # exact ERM on a finite class has gap 0 <= c_m, so its excess risk
     # must stay within 2 eps + c_m whenever the sup deviation does not fail
     excess = true_risks - float(np.min(true_risks))

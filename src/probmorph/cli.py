@@ -388,6 +388,11 @@ def cmd_estimate(args) -> int:
         ) from exc
     except ValueError as exc:
         raise ConfigError(f"{spec_kernel.variant} kernel: {exc}") from exc
+    truth = None
+    if "truth_kernel" in cfg:
+        truth = kernel_from_json(_load_json(cfg["truth_kernel"]))
+        if truth.source != x_space or truth.target != y_space:
+            raise DataFormatError("truth kernel grids do not match the config spaces")
     try:
         fit = regularized_estimate(data, gamma, wspec.gram_xy, wspec, config)
     except ArithmeticError as exc:
@@ -402,10 +407,7 @@ def cmd_estimate(args) -> int:
         "eps_certificate": fit.eps_certificate,
         "seed": args.seed,
     }
-    if "truth_kernel" in cfg:
-        truth = kernel_from_json(_load_json(cfg["truth_kernel"]))
-        if truth.source != x_space or truth.target != y_space:
-            raise DataFormatError("truth kernel grids do not match the config spaces")
+    if truth is not None:
         summary["sup_mmd_error_to_truth"] = sup_row_mmd(fit.h, truth, wspec.gram_y)
     _write_json(out / "report.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -427,31 +429,32 @@ def cmd_bounds(args) -> int:
     _check_y_coords(kernel, y_space)
     g_y = _config_gram(kernel, y_space)
     if name == "mmd_concentration":
-        delta = _cfg_bounded(cfg, "delta")
+        params = {"delta": _cfg_bounded(cfg, "delta")}
         truth = _truth_measure(cfg, y_space)
-        report = bounds_mod.monte_carlo_verify(
-            name, truth, g_y, args.n, args.trials, args.seed, delta=delta
-        )
+        subject = g_y
     else:
         x_space = space_from_config(cfg, "x")
         truth = _truth_measure(cfg, ProductSpace(x_space, y_space))
-        eps = _cfg_bounded(cfg, "eps")
+        params = {"gY": g_y, "eps": _cfg_bounded(cfg, "eps")}
         if name == "hoeffding":
             if "hypothesis" not in cfg:
                 raise _UsageError("hoeffding needs a 'hypothesis' kernel file")
-            h = kernel_from_json(_load_json(cfg["hypothesis"]))
-            report = bounds_mod.monte_carlo_verify(
-                name, truth, h, args.n, args.trials, args.seed, gY=g_y, eps=eps
-            )
+            subject = kernel_from_json(_load_json(cfg["hypothesis"]))
         else:
             paths = [p.strip() for p in cfg.get("class", "").split(";") if p.strip()]
             if not paths:
                 raise _UsageError("covering needs a 'class' list of kernel files")
-            cls = FiniteClass([kernel_from_json(_load_json(p)) for p in paths])
-            report = bounds_mod.monte_carlo_verify(
-                name, truth, cls, args.n, args.trials, args.seed,
-                gY=g_y, eps=eps, c_m=_cfg_bounded(cfg, "c_m"),
-            )
+            subject = FiniteClass([kernel_from_json(_load_json(p)) for p in paths])
+            params["c_m"] = _cfg_bounded(cfg, "c_m")
+    try:
+        report = bounds_mod.monte_carlo_verify(
+            name, truth, subject, args.n, args.trials, args.seed, **params
+        )
+    except SpaceMismatchError:
+        raise
+    except ValueError as exc:
+        # the inputs are checked above, so what is left is the kernel on the y grid
+        raise ConfigError(f"{kernel.variant} kernel: {exc}; change scale or y_coords") from exc
     out = Path(args.out)
     _write_json(out / "report.json", report.to_json())
     table = (

@@ -221,13 +221,13 @@ class WFunctionalSpec:
     input measures (used by the operator-norm term). At least one term
     must be enabled.
 
-    Construction precomputes the pieces every evaluation reads: the
-    Lipschitz pairs, their coordinate distances (1 at a zero distance)
-    and the indices of the pairs at zero distance, the gather indices
-    that stack the sup term's rows and the pairs' first rows for one
-    gram_y product, and the sum-zero basis whitened by gram_x for the
-    operator norm. Change a field by
-    building a new spec, not by assigning to it.
+    Construction checks the source geometry and precomputes the pieces
+    every evaluation reads: the sum-zero basis whitened by gram_x for the
+    operator norm, the Lipschitz pairs and their coordinate distances,
+    which are all positive (a repeated source coordinate is refused
+    here), and the gather indices that stack the sup term's rows and the
+    pairs' first rows for one gram_y product. Change a field by building
+    a new spec, not by assigning to it.
     """
 
     gram_xy: GramMatrix
@@ -238,23 +238,22 @@ class WFunctionalSpec:
     include_operator_norm: bool = False
     _pairs: np.ndarray = field(init=False, repr=False, compare=False)
     _dists: np.ndarray = field(init=False, repr=False, compare=False)
-    _zero: np.ndarray = field(init=False, repr=False, compare=False)
     _gather: np.ndarray = field(init=False, repr=False, compare=False)
     _basis: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.include_sup or self.include_lipschitz or self.include_operator_norm):
             raise ValueError("at least one W term must be enabled")
-        x_space = self.gram_x.points
-        if self.gram_xy.points != ProductSpace(x_space, self.gram_y.points):
+        x_space, y_space, xy = self.gram_x.points, self.gram_y.points, self.gram_xy.points
+        if not (isinstance(xy, ProductSpace) and xy.left == x_space and xy.right == y_space):
             raise ValueError("gram_xy must live on the product of gram_x and gram_y points")
-        # a source without coordinates or a degenerate source Gram is rejected here
-        self._pairs, self._dists, self._zero = _lipschitz_pairs(x_space, self.include_lipschitz)
-        sup_rows = np.arange(x_space.size if self.include_sup else 0)
-        self._gather = np.concatenate((sup_rows, self._pairs[0]))
+        # refused here: a degenerate source Gram, then missing or repeated coordinates
         self._basis = None
         if self.include_operator_norm and x_space.size > 1:
             self._basis = _sum_zero_pencil(self.gram_x)
+        self._pairs, self._dists = _lipschitz_pairs(x_space, self.include_lipschitz)
+        sup_rows = np.arange(x_space.size if self.include_sup else 0)
+        self._gather = np.concatenate((sup_rows, self._pairs[0]))
 
     @classmethod
     def from_kernel(
@@ -295,12 +294,10 @@ class WFunctionalSpec:
         total = 0.0
         sup = lip = opnorm = None
         n_sup = len(rows) if self.include_sup else 0
-        if len(self._dists):
+        if len(self._gather):
             stack = rows.take(self._gather, axis=0)
             stack[n_sup:] -= rows.take(self._pairs[1], axis=0)
             g2, q = self.gram_y.sq_norms(stack)
-        elif n_sup:
-            g2, q = self.gram_y.sq_norms(rows)
         if n_sup:
             b, qg = self.gram_xy.graph_sq_norms(rows)
             ny_norm, ng_norm = np.sqrt(q[:n_sup]), np.sqrt(qg)
@@ -310,10 +307,6 @@ class WFunctionalSpec:
         if len(self._dists):
             g2d, qd = g2[n_sup:], q[n_sup:]
             ratios = np.sqrt(qd) / self._dists
-            if len(self._zero):
-                if (qd[self._zero] > 1e-20).any():
-                    raise ValueError("duplicate source coordinates with differing rows")
-                ratios[self._zero] = 0.0
             p = int(ratios.argmax())
             total += float(ratios[p])
             if ratios[p] > 0:
@@ -347,15 +340,16 @@ class WFunctionalSpec:
 
 
 def _lipschitz_pairs(x_space: FiniteSpace, include: bool):
-    """The source pairs the Lipschitz term scans: (pairs, dists, zero).
+    """The source pairs the Lipschitz term scans: (pairs, dists).
 
-    Pair k is (pairs[0, k], pairs[1, k]) at coordinate distance dists[k];
-    `zero` indexes the pairs at distance 0, whose dists entry reads 1.
+    Pair k is (pairs[0, k], pairs[1, k]) at coordinate distance dists[k].
     The term is the exact all-pairs maximum at every |X|: neighbours in
-    coordinate order on 1-D sources, all pairs otherwise.
+    coordinate order on 1-D sources, all pairs otherwise. A distance of 0
+    among them, a repeated source coordinate, raises ValueError naming
+    both labels: no finite Lipschitz constant spans it.
     """
     if not include or x_space.size < 2:
-        return np.zeros((2, 0), dtype=int), np.zeros(0), np.zeros(0, dtype=int)
+        return np.zeros((2, 0), dtype=int), np.zeros(0)
     if x_space.coords is None:
         raise ValueError("the Lipschitz term needs coordinates on the source")
     c = x_space.coords
@@ -369,8 +363,13 @@ def _lipschitz_pairs(x_space: FiniteSpace, include: bool):
     # hypot keeps tiny distances nonzero and lets huge ones read inf; on 1-D it is |dx|
     with np.errstate(over="ignore"):
         dists = np.hypot.reduce(np.abs(c[pairs[0]] - c[pairs[1]]), axis=1)
-    zero = np.flatnonzero(dists == 0.0)
-    return pairs, np.where(dists == 0.0, 1.0, dists), zero
+    if not dists.all():
+        i, j = pairs[:, dists.argmin()]
+        raise ValueError(
+            f"source points {x_space.labels[i]!r} and {x_space.labels[j]!r} share a "
+            "coordinate: the Lipschitz term needs distinct ones"
+        )
+    return pairs, dists
 
 
 def w_functional(h: MarkovKernel, spec: WFunctionalSpec) -> float:

@@ -99,6 +99,10 @@ def test_covering_number_extremes():
     assert covering_number(cls, 10.0, G_Y3) == 1
     assert covering_number(cls, 1e-9, G_Y3) == 3
     assert covering_number_exact(cls, 1e-9, G_Y3) == 3
+    # a radius that joins two members leaves a cover of all but one
+    twin = FiniteClass([*cls, _constant_kernel([0.9, 0.1, 0.0])])
+    assert covering_number_exact(twin, 0.2, G_Y3) == 3
+    assert covering_number_exact(twin, 1e-9, G_Y3) == 4
 
 
 def test_covering_number_collinear_greedy_orders():

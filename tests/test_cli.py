@@ -192,6 +192,23 @@ def test_estimate_reports_truth_error(workdir):
     assert 0.0 <= report["sup_mmd_error_to_truth"] < 2.0
 
 
+@pytest.mark.parametrize("truth", ["missing", "other-grids"])
+def test_estimate_bad_truth_kernel_exit_65_before_the_fit(workdir, capsys, monkeypatch, truth):
+    fits = []
+    monkeypatch.setattr("probmorph.cli.regularized_estimate", lambda *a: fits.append(a))
+    if truth == "other-grids":
+        t = MarkovKernel(X, FiniteSpace(["u", "w"], coords=[[0.0], [1.0]]), [[0.5, 0.5]] * 3)
+        (workdir / "truth.json").write_text(json.dumps(kernel_to_json(t)))
+    (workdir / "t.cfg").write_text(EST_CFG + f"truth_kernel = {workdir}/truth.json\n")
+    out = workdir / "fit"
+    code = run(
+        "estimate", "--config", workdir / "t.cfg", "--seed", 0, "--out", out, workdir / "data.csv"
+    )
+    err = capsys.readouterr().err
+    assert code == 65 and "truth" in err and "Traceback" not in err
+    assert fits == [] and not out.exists()
+
+
 def _gaussian_source(tmp_path, nx):
     """A gaussian (sigma = 1) estimate config on nx points of [0, 5], and its data file."""
     labels = ", ".join(f"x{i}" for i in range(nx))
@@ -370,6 +387,64 @@ def test_bounds_truth_measure_labels_must_match_the_config(tmp_path, capsys):
     assert report["labelled"] == report["bare"]
 
 
+# the fixture's grids without a truth measure, and a hypothesis on y coordinates {0, 0},
+# where the linear kernel vanishes
+BOUNDS_GRIDS = "x_labels = a, b, c\nx_coords = 0; 1; 2\ny_labels = u, v\neps = 0.25\n"
+Y_AT_ZERO = FiniteSpace(["u", "v"], coords=[[0.0], [0.0]])
+
+
+@pytest.mark.parametrize(
+    "lines, code",
+    [
+        ("bound = mmd_concentration\nkernel = gaussian\ny_coords = 0; 1\nscale = 2", 64),
+        ("bound = mmd_concentration\nkernel = delta\nscale = 2", 64),
+        ("bound = mmd_concentration\nkernel = linear\ny_coords = 0; 3", 64),
+        ("bound = hoeffding\nkernel = linear\ny_coords = 0; 0\nhypothesis = {dir}/h0.json", 64),
+        ("bound = covering\nkernel = linear\ny_coords = 0; 0\nclass = {dir}/h0.json; {dir}/h0.json",
+         64),
+        # a hypothesis on other grids is still a data error, also where C_K = 0
+        ("bound = hoeffding\nkernel = linear\ny_coords = 0; 0\nhypothesis = {dir}/hyp.json", 65),
+    ],
+    ids=["mmd-gaussian-scale-2", "mmd-delta-scale-2", "mmd-linear-diag-9", "hoeffding-c_k-0",
+         "covering-c_k-0", "hoeffding-c_k-0-other-grids"],
+)
+def test_bounds_kernel_the_bound_cannot_use(bounds_dir, capsys, lines, code):
+    # a kernel diagonal above 1 (mmd_concentration) or C_K = 0 (hoeffding, covering)
+    h0 = MarkovKernel(X, Y_AT_ZERO, [[0.7, 0.3], [0.4, 0.6], [0.2, 0.8]])
+    (bounds_dir / "h0.json").write_text(json.dumps(kernel_to_json(h0)))
+    (bounds_dir / "k.cfg").write_text(BOUNDS_GRIDS + lines.format(dir=bounds_dir) + "\n")
+    out = bounds_dir / "rep"
+    assert run(
+        "bounds", "--config", bounds_dir / "k.cfg", "--seed", 0,
+        "--trials", 5, "--n", 10, "--out", out,
+    ) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and not out.exists()
+    if code == 64:
+        assert "scale or y_coords" in err
+
+
+@pytest.mark.parametrize(
+    "lines, code, message",
+    [
+        ("bound = hoeffding\nhypothesis = {dir}/broken.json", 65, "broken.json"),
+        ("", 64, "config must set 'bound'"),
+        ("bound = hoeffding", 64, "needs a 'hypothesis'"),
+    ],
+    ids=["json-does-not-parse", "bound-unset", "hoeffding-without-hypothesis"],
+)
+def test_bounds_config_without_its_inputs(bounds_dir, capsys, lines, code, message):
+    (bounds_dir / "broken.json").write_text('{"rows": [[0.5, 0.5]')
+    cfg = BOUNDS_GRIDS + "kernel = delta\n" + lines.format(dir=bounds_dir) + "\n"
+    (bounds_dir / "k.cfg").write_text(cfg)
+    assert run(
+        "bounds", "--config", bounds_dir / "k.cfg", "--seed", 0,
+        "--trials", 5, "--n", 10, "--out", bounds_dir / "rep",
+    ) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 # a covering config whose one-member class is the bounds fixture's hypothesis
 COVERING = "bound = covering\nclass = {dir}/hyp.json\n"
 
@@ -457,6 +532,9 @@ FUZZ_LISTS = {
         )),
         *(("embed", key) for key in ("sigma", "scale", "delta", "y_labels", "y_coords")),
         *(("bounds", key) for key in ("sigma", "scale", "eps", "c_m", "delta", *FUZZ_LISTS)),
+        # the kernel keys also under the bounds that read the kernel diagonal
+        *((bound, key) for bound in ("mmd_concentration", "covering")
+          for key in ("sigma", "scale", "y_coords")),
     ],
 )
 def test_config_fuzz_keeps_exit_contract(workdir, bounds_dir, embed_dir, capsys, command, key):
@@ -475,8 +553,12 @@ def test_config_fuzz_keeps_exit_contract(workdir, bounds_dir, embed_dir, capsys,
                 "--out", out]
     else:
         bound = {"delta": "mmd_concentration", "c_m": "covering"}.get(key, "hoeffding")
+        bound = bound if command == "bounds" else command
         hyp = bounds_dir / "hyp.json"
         base = (bounds_dir / "bounds.cfg").read_text() + f"bound = {bound}\nclass = {hyp}; {hyp}\n"
+        if bound == "mmd_concentration":  # a truth measure on y, read on the config's points
+            (bounds_dir / "truth_y.json").write_text(json.dumps({"weights": [0.6, 0.4]}))
+            base += f"truth_measure = {bounds_dir}/truth_y.json\n"
         cfg_path = bounds_dir / "fuzz.cfg"
         out = bounds_dir / "rep"
         argv = ["bounds", "--config", cfg_path, "--seed", 0,
@@ -545,16 +627,18 @@ def test_json_fuzz_keeps_exit_contract(workdir, bounds_dir, capsys, command, key
     else:
         good = json.loads((bounds_dir / "hyp.json").read_text())
         docs = [3, "rows", [], *({**good, "rows": rows} for rows in BAD_KERNEL_ROWS)]
+    out = workdir / "fit"  # laws writes no --out here
     if command == "estimate":
         cfg = EST_CFG + f"max_iters = 20\n{key} = {bad}\n"
-        argv = ["estimate", "--seed", 0, "--out", workdir / "fit", workdir / "data.csv"]
+        argv = ["estimate", "--seed", 0, "--out", out, workdir / "data.csv"]
     elif command == "laws":
         cfg = f"{key} = {bad}\n"
         argv = ["laws", "--seed", 0, "--trials", 2]
     else:
         value = f"{bounds_dir}/hyp.json; {bad}" if key == "class" else bad
         cfg = (bounds_dir / "bounds.cfg").read_text() + f"bound = {command}\n{key} = {value}\n"
-        argv = ["bounds", "--seed", 0, "--trials", 5, "--n", 10, "--out", bounds_dir / "rep"]
+        out = bounds_dir / "rep"
+        argv = ["bounds", "--seed", 0, "--trials", 5, "--n", 10, "--out", out]
     (bounds_dir / "fuzz.cfg").write_text(cfg)
     expected = 2 if command == "laws" else 65
     broken = []
@@ -567,6 +651,8 @@ def test_json_fuzz_keeps_exit_contract(workdir, bounds_dir, capsys, command, key
         err = capsys.readouterr().err
         if code != expected or "Traceback" in err:
             broken.append((doc, code, err.strip()[-200:]))
+        elif out.exists():  # a bad input is refused before anything is written
+            broken.append((doc, code, sorted(p.name for p in out.iterdir())))
     assert broken == []
 
 

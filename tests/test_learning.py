@@ -255,23 +255,36 @@ def test_lipschitz_distances_on_a_line_are_exact():
 
 def test_w_duplicate_coords_error():
     dup = FiniteSpace(["a", "b"], coords=[[1.0], [1.0]])
-    spec = WFunctionalSpec.from_kernel(
-        KernelSpec("delta"), dup, Y2, include_operator_norm=False
-    )
-    h = MarkovKernel(dup, Y2, [[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        w_functional(h, spec)
-    # equal rows at duplicate coords are fine (difference quotient is 0/0 -> 0)
-    same = MarkovKernel(dup, Y2, [[0.5, 0.5], [0.5, 0.5]])
-    assert math.isfinite(w_functional(same, spec))
+    with pytest.raises(ValueError, match="'a' and 'b' share a coordinate"):
+        WFunctionalSpec.from_kernel(KernelSpec("delta"), dup, Y2, include_operator_norm=False)
     # a and c share a coordinate but are not neighbours in label order
     split = FiniteSpace(["a", "b", "c"], coords=[[0.0], [1.0], [0.0]])
-    spec = WFunctionalSpec.from_kernel(
-        KernelSpec("delta"), split, Y2, include_operator_norm=False
-    )
-    h = MarkovKernel(split, Y2, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="duplicate source coordinates"):
-        w_functional(h, spec)
+    with pytest.raises(ValueError, match="'a' and 'c' share a coordinate"):
+        WFunctionalSpec.from_kernel(KernelSpec("delta"), split, Y2, include_operator_norm=False)
+
+
+TWIN_SOURCES = [
+    (["a", "b", "c"], [[0.0], [0.0], [1.0]], ("a", "b")),  # neighbours in label order
+    (["a", "b", "c"], [[2.0], [1.0], [2.0]], ("a", "c")),  # not neighbours in label order
+    (["p", "q"], [[-0.0], [0.0]], ("p", "q")),  # -0 and 0 are one point
+    (["a", "b", "c"], [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], ("a", "c")),  # all pairs in 2-D
+]
+
+
+@pytest.mark.parametrize("labels, coords, twins", TWIN_SOURCES)
+@pytest.mark.parametrize("kernel", [KernelSpec("gaussian", sigma=1.0), KernelSpec("delta")])
+def test_twin_source_coordinates_are_refused_when_the_spec_is_built(labels, coords, twins, kernel):
+    xs = FiniteSpace(labels, coords=coords)
+    pairs = [(x, "y1") for x in labels]  # identical data at the twins, then data at one point
+    fits = []
+    for S in (Dataset(ProductSpace(xs, Y2), pairs), Dataset(ProductSpace(xs, Y2), pairs[:1])):
+        with pytest.raises(ValueError, match=f"'{twins[0]}' and '{twins[1]}' share a coordinate"):
+            spec = WFunctionalSpec.from_kernel(kernel, xs, Y2)
+            fits.append(regularized_estimate(S, 0.1, spec.gram_xy, spec))
+    assert fits == []
+    # without the Lipschitz term the source geometry is not read
+    spec = WFunctionalSpec.from_kernel(kernel, xs, Y2, include_lipschitz=False)
+    assert w_functional(MarkovKernel(xs, Y2, np.full((xs.size, 2), 0.5)), spec) > 0.0
 
 
 def _lipschitz_only(kernel, xs, ys, rows):
@@ -282,14 +295,13 @@ def _lipschitz_only(kernel, xs, ys, rows):
 
 
 def _all_pairs_lipschitz_sq(rows, coords, g_y):
-    """The squared Lipschitz term by brute force over every pair of distinct points."""
+    """The squared Lipschitz term by brute force over every pair of points."""
     best = 0.0
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
+            d = rows[i] - rows[j]
             dist = float(np.linalg.norm(coords[i] - coords[j]))
-            if dist > 0.0:
-                d = rows[i] - rows[j]
-                best = max(best, math.sqrt(max(float(d @ g_y @ d), 0.0)) / dist)
+            best = max(best, math.sqrt(max(float(d @ g_y @ d), 0.0)) / dist)
     return best * best
 
 
@@ -307,12 +319,12 @@ def test_w_lipschitz_term_is_the_all_pairs_maximum(dim):
     for trial in range(120):
         rng = np.random.default_rng((dim, trial))
         n = int(rng.integers(2, 41))
-        # a coarse grid of distinct sites, so coordinates repeat
-        sites = rng.integers(0, n, size=(n, dim)) * rng.uniform(0.1, 2.0)
+        # n distinct sites of a coarse n^dim grid, so tied distances are common
+        cells = rng.choice(n**dim, size=n, replace=False)
+        sites = np.column_stack(np.unravel_index(cells, (n,) * dim)) * rng.uniform(0.1, 2.0)
         if dim == 1 and trial % 2 == 0:
             sites = np.sort(sites, axis=0)
-        _, site_of = np.unique(sites, axis=0, return_inverse=True)
-        rows = rng.dirichlet(np.ones(3), size=n)[site_of.reshape(-1)]  # equal at equal sites
+        rows = rng.dirichlet(np.ones(3), size=n)
         xs = FiniteSpace([f"x{i}" for i in range(n)], coords=sites)
         kernel = W_KERNELS[trial % 4]
         value, g_y = _lipschitz_only(kernel, xs, ys, rows)
@@ -340,6 +352,17 @@ def test_w_opnorm_term_is_embedded_operator_norm(nx):
     h = MarkovKernel(xs, Y2, np.random.default_rng(nx).dirichlet(np.ones(2), size=nx))
     expect = embedded_operator_norm(h, spec.gram_x, spec.gram_xy) ** 2
     assert w_functional(h, spec) == pytest.approx(expect, abs=1e-12)
+
+
+def test_w_spec_reads_the_product_grid_by_its_factors():
+    g_x, g_y = gram(KernelSpec("delta"), X3), gram(KernelSpec("delta"), Y2)
+    g_xy = gram(KernelSpec("delta"), PROD)
+    WFunctionalSpec(g_xy, g_y, g_x)
+    Y2_moved = FiniteSpace(Y2.labels, coords=[[0.0], [2.0]])
+    flat = FiniteSpace(PROD.labels, coords=PROD.coords)  # the product's points, no factors
+    for points in (ProductSpace(X3, Y2_moved), ProductSpace(Y2, X3), flat):
+        with pytest.raises(ValueError, match="product of gram_x and gram_y"):
+            WFunctionalSpec(GramMatrix(points, g_xy.values), g_y, g_x)
 
 
 def test_w_lipschitz_without_coords_rejected_at_construction():
