@@ -27,7 +27,7 @@ import numpy as np
 
 from .kernels import GramMatrix
 from .learning import FiniteClass
-from .losses import _loss_grid, _risk_gap, expected_risk, sup_row_mmd
+from .losses import _check_gram, _deviation_terms, _loss_grid, expected_risk, sup_row_mmd
 from .morphisms import MarkovKernel
 from .spaces import ProbMeasure
 
@@ -87,6 +87,7 @@ def covering_bound(n_cover: int, m: int, eps: float, c_k: float) -> float:
 
 
 def _pairwise_sup_row_mmd(cls: FiniteClass, gY: GramMatrix) -> np.ndarray:
+    _check_gram(cls.kernels[0], gY)  # a one-member class has no pair to check it
     n = len(cls)
     d = np.zeros((n, n))
     for i in range(n):
@@ -156,10 +157,11 @@ def lipschitz_deviation_check(
 
     The left side is |(R_mu(f) - Rhat_S(f)) - (R_mu(g) - Rhat_S(g))|;
     d_inf is the sup over inputs of the row MMD between f and g. A
-    1e-10 additive slack absorbs roundoff.
+    1e-10 additive slack absorbs roundoff. Both risk gaps and d_inf
+    come from one GramMatrix.sq_norms product.
     """
-    lhs = abs(_risk_gap(f, mu, S, gY) - _risk_gap(g, mu, S, gY))
-    return lhs <= 8.0 * c_k * sup_row_mmd(f, g, gY) + 1e-10
+    gap_f, gap_g, d_inf = _deviation_terms(f, g, mu, S, gY)
+    return abs(gap_f - gap_g) <= 8.0 * c_k * d_inf + 1e-10
 
 
 def wilson_interval(failures: int, trials: int) -> tuple[float, float]:

@@ -274,7 +274,7 @@ def _random_prob(rng, space: FiniteSpace) -> ProbMeasure:
 
 
 def _gap(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
+    return float(np.maximum.reduce(np.abs(a - b), axis=None))
 
 
 def _law_violations(rng) -> dict[str, float]:
@@ -285,25 +285,24 @@ def _law_violations(rng) -> dict[str, float]:
     f = rng.standard_normal(ys.size)
     joint = _random_prob(rng, ProductSpace(xs, ys))
     mu_x, cond = disintegrate(joint)
+    t21, t1_mu = compose(t2, t1), pushforward(t1, mu)
     return {
-        "compose_associative": _gap(
-            compose(t3, compose(t2, t1)).matrix, compose(compose(t3, t2), t1).matrix
-        ),
+        "compose_associative": _gap(compose(t3, t21).matrix, compose(compose(t3, t2), t1).matrix),
         "identity_units": max(
             _gap(compose(t1, identity_kernel(xs)).matrix, t1.matrix),
             _gap(compose(identity_kernel(ys), t1).matrix, t1.matrix),
         ),
         "pushforward_functorial": _gap(
-            pushforward(compose(t2, t1), mu).weights, pushforward(t2, pushforward(t1, mu)).weights
+            pushforward(t21, mu).weights, pushforward(t2, t1_mu).weights
         ),
         "graph_projection_recovers_kernel": _gap(
-            compose(projection_kernel(ProductSpace(xs, ys), "right"), graph(t1)).matrix, t1.matrix
+            compose(projection_kernel(joint.space, "right"), graph(t1)).matrix, t1.matrix
         ),
         "graph_pushforward_left_marginal": _gap(
             marginal(graph_pushforward(t1, mu), "left").weights, mu.weights
         ),
         "pullback_pushforward_adjoint": abs(
-            float(pushforward(t1, mu).weights @ f) - float(mu.weights @ pullback(t1, f))
+            float(t1_mu.weights @ f) - float(mu.weights @ pullback(t1, f))
         ),
         "disintegration_round_trip": _gap(graph_pushforward(cond, mu_x).weights, joint.weights),
     }
@@ -444,7 +443,11 @@ def cmd_bounds(args) -> int:
             paths = [p.strip() for p in cfg.get("class", "").split(";") if p.strip()]
             if not paths:
                 raise _UsageError("covering needs a 'class' list of kernel files")
-            subject = FiniteClass([kernel_from_json(_load_json(p)) for p in paths])
+            members = [kernel_from_json(_load_json(p)) for p in paths]
+            try:
+                subject = FiniteClass(members)
+            except ValueError as exc:  # the kernel files disagree on their grids
+                raise DataFormatError(f"class: {exc}") from exc
             params["c_m"] = _cfg_bounded(cfg, "c_m")
     try:
         report = bounds_mod.monte_carlo_verify(

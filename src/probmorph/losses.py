@@ -59,12 +59,25 @@ def _check_joint(h: MarkovKernel, mu: SignedMeasure) -> ProductSpace:
     return space
 
 
-def _loss_grid(h: MarkovKernel, g: GramMatrix) -> np.ndarray:
-    """Matrix of instantaneous losses, indexed by (x, y)."""
+def _loss_grids(rows: np.ndarray, g: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Instantaneous losses of a stack of rows on g's points, and the rows' squared norms.
+
+    grid[r, y] = ||M(rows[r])||^2 + K(y, y) - 2 <M(rows[r]), K_y>, with
+    q[r] = ||M(rows[r])||^2, from one GramMatrix.sq_norms product.
+    """
+    hg, quad = g.sq_norms(rows)
+    return quad[:, None] + g.diag[None, :] - 2.0 * hg, quad
+
+
+def _check_gram(h: SignedKernel, g: GramMatrix) -> None:
     if g.points != h.target:
         raise SpaceMismatchError("Gram matrix does not live on the hypothesis target")
-    hg, quad = g.sq_norms(h.matrix)
-    return quad[:, None] + g.diag[None, :] - 2.0 * hg
+
+
+def _loss_grid(h: MarkovKernel, g: GramMatrix) -> np.ndarray:
+    """Matrix of instantaneous losses, indexed by (x, y)."""
+    _check_gram(h, g)
+    return _loss_grids(h.matrix, g)[0]
 
 
 def instantaneous_loss(h: MarkovKernel, x, y, gY: GramMatrix) -> float:
@@ -79,35 +92,57 @@ def _check_sample(h: MarkovKernel, S: Dataset) -> None:
         raise SpaceMismatchError("dataset does not match the hypothesis spaces")
 
 
-def _grid_expected_risk(grid: np.ndarray, mu: ProbMeasure) -> float:
-    """The integral of a loss grid against a joint measure on its (x, y) cells."""
-    return float(np.sum(mu.weights.reshape(grid.shape) * grid))
+def _expected_risks(grids: np.ndarray, mu: ProbMeasure) -> np.ndarray:
+    """The integrals of a stack of loss grids against a joint measure on their (x, y) cells.
+
+    One reduction per grid, over its cells in row-major order: the
+    pairwise sum np.sum takes over the grid alone, so the stack does
+    not change the bits.
+    """
+    return np.add.reduce(mu.weights * grids.reshape(len(grids), -1), axis=1)
 
 
-def _grid_empirical_risk(grid: np.ndarray, S: Dataset) -> RiskReport:
-    """The mean of a loss grid over a dataset's cells, with the per-sample trail."""
-    losses = grid.reshape(-1)[S.cells].tolist()
-    return RiskReport(value=math.fsum(losses) / len(losses), per_sample=losses)
+def _empirical_losses(grids: np.ndarray, S: Dataset) -> list[list[float]]:
+    """Each loss grid of a stack read at a dataset's cells, in sample order."""
+    return grids.reshape(len(grids), -1)[:, S.cells].tolist()
 
 
 def expected_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> RiskReport:
     """Integral of the instantaneous loss against a joint measure."""
     _check_joint(h, mu)
-    return RiskReport(value=_grid_expected_risk(_loss_grid(h, gY), mu))
+    return RiskReport(value=float(_expected_risks(_loss_grid(h, gY)[None], mu)[0]))
 
 
 def empirical_risk(h: MarkovKernel, S: Dataset, gY: GramMatrix) -> RiskReport:
     """Mean instantaneous loss over a dataset, with the per-sample trail."""
     _check_sample(h, S)
-    return _grid_empirical_risk(_loss_grid(h, gY), S)
+    (losses,) = _empirical_losses(_loss_grid(h, gY)[None], S)
+    return RiskReport(value=math.fsum(losses) / len(losses), per_sample=losses)
 
 
-def _risk_gap(h: MarkovKernel, mu: ProbMeasure, S: Dataset, gY: GramMatrix) -> float:
-    """expected_risk(h, mu, gY) - empirical_risk(h, S, gY), from one loss grid."""
-    _check_joint(h, mu)
-    _check_sample(h, S)
-    grid = _loss_grid(h, gY)
-    return _grid_expected_risk(grid, mu) - _grid_empirical_risk(grid, S).value
+def _deviation_terms(
+    f: MarkovKernel, g: MarkovKernel, mu: ProbMeasure, S: Dataset, gY: GramMatrix
+) -> tuple[float, float, float]:
+    """(R_mu(f) - Rhat_S(f), R_mu(g) - Rhat_S(g), d_inf(f, g)) from one Gram product.
+
+    The rows of f, g and f - g go through one GramMatrix.sq_norms
+    product, which gives both loss grids and the squared row distances.
+    The expected parts come from one reduction and the empirical parts
+    through math.fsum, as the public risks compute them. So the terms are
+    the public risks' and sup_row_mmd's bit for bit where BLAS rounds a
+    row alike at every stack height, as on a diagonal (delta) Gram, and
+    within roundoff elsewhere.
+    """
+    for h in (f, g):  # mu on f's grids and on g's puts f and g on the same grids
+        _check_joint(h, mu)
+        _check_sample(h, S)
+    _check_gram(f, gY)
+    n = f.source.size
+    grids, sq = _loss_grids(np.concatenate([f.matrix, g.matrix, f.matrix - g.matrix]), gY)
+    grids = grids[: 2 * n].reshape(2, n, -1)
+    empirical = [math.fsum(losses) / len(S) for losses in _empirical_losses(grids, S)]
+    gap_f, gap_g = [e - m for e, m in zip(_expected_risks(grids, mu).tolist(), empirical)]
+    return gap_f, gap_g, math.sqrt(float(np.maximum.reduce(sq[2 * n :])))
 
 
 def excess_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> float:

@@ -129,11 +129,16 @@ def identity_kernel(space: FiniteSpace) -> MarkovKernel:
 
 
 def projection_kernel(space: ProductSpace, axis: str) -> MarkovKernel:
-    """The deterministic projection of a product space onto one factor."""
+    """The deterministic projection of a product space onto one factor.
+
+    Built in closed form: row (a, b) of the row-major product is the
+    Dirac at a (left) or at b (right), the matrix deterministic builds.
+    """
+    n, m = space.left.size, space.right.size
     if axis == "left":
-        return deterministic(space, space.left, lambda p: p[0])
+        return MarkovKernel(space, space.left, np.repeat(np.eye(n), m, 0))
     if axis == "right":
-        return deterministic(space, space.right, lambda p: p[1])
+        return MarkovKernel(space, space.right, np.tile(np.eye(m), (n, 1)))
     raise ValueError(f"axis must be 'left' or 'right', got {axis!r}")
 
 
@@ -186,8 +191,19 @@ def joint(T1: SignedKernel, T2: SignedKernel) -> SignedKernel:
 
 
 def graph(T: SignedKernel) -> SignedKernel:
-    """The joint of the identity with T: row x is delta_x (x) T-row x."""
-    return joint(identity_kernel(T.source), T)
+    """The joint of the identity with T: row x is delta_x (x) T-row x.
+
+    Built in closed form: T's rows, as 0 + T(y|x), on the diagonal
+    blocks of a zero (|X|, |X||Y|) matrix. That is the joint with the
+    identity bit for bit, since its products accumulate onto zero
+    (which also reads a -0.0 of a signed row as +0.0).
+    """
+    n, m = T.matrix.shape
+    blocks = np.zeros((n, n, m))
+    diag = np.arange(n)
+    blocks[diag, diag] = T.matrix + 0.0
+    target = ProductSpace(T.source, T.target)
+    return _wrap(T.source, target, blocks.reshape(n, n * m), T.markov)
 
 
 def graph_pushforward(T: SignedKernel, mu_x: SignedMeasure) -> SignedMeasure:

@@ -164,11 +164,17 @@ class ProbMeasure(SignedMeasure):
 
     def __init__(self, space: FiniteSpace, weights):
         w = np.array(weights, dtype=float, order="C").reshape(-1)
-        # NaN and +-inf fail these comparisons, so they decide finiteness too
-        if w.shape[0] == space.size and (lo := w.min()) >= -INVARIANT_ATOL and w.max() < math.inf:
+        # NaN and +-inf fail these comparisons, so they decide finiteness too.
+        # The reductions are called on the ufuncs, skipping the ndarray method wrappers,
+        # and fsum is exact, so summing the list gives the sum of the array.
+        if (
+            w.shape[0] == space.size
+            and (lo := np.minimum.reduce(w)) >= -INVARIANT_ATOL
+            and np.maximum.reduce(w) < math.inf
+        ):
             if lo <= 0.0:
                 np.maximum(w, 0.0, out=w)  # also turns -0.0 into +0.0
-            s = math.fsum(w)
+            s = math.fsum(w.tolist())
             if abs(s - 1.0) <= PROB_SUM_ATOL:
                 if s != 1.0:
                     w /= s

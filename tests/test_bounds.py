@@ -17,13 +17,23 @@ from probmorph.bounds import (
 )
 from probmorph.kernels import KernelSpec, gram, mmd
 from probmorph.learning import FiniteClass
-from probmorph.losses import _risk_gap, empirical_risk, expected_risk, sup_row_mmd
+from probmorph.losses import _deviation_terms, empirical_risk, expected_risk, sup_row_mmd
 from probmorph.morphisms import MarkovKernel, graph_pushforward
-from probmorph.spaces import Dataset, FiniteSpace, ProbMeasure, ProductSpace, SignedMeasure
+from probmorph.spaces import (
+    Dataset,
+    FiniteSpace,
+    ProbMeasure,
+    ProductSpace,
+    SignedMeasure,
+    SpaceMismatchError,
+)
 
 X3 = FiniteSpace(["x1", "x2", "x3"])
 Y3 = FiniteSpace(["y1", "y2", "y3"])
 G_Y3 = gram(KernelSpec("delta"), Y3)
+# the same labels on a line, for a gaussian label kernel
+Y3_LINE = FiniteSpace(["y1", "y2", "y3"], coords=[[0.0], [0.7], [2.0]])
+G_Y3_GAUSS = gram(KernelSpec("gaussian", sigma=1.0), Y3_LINE)
 
 
 def test_hoeffding_values():
@@ -121,6 +131,13 @@ def test_covering_number_collinear_greedy_orders():
     assert covering_number_exact(FiniteClass([a, b, c]), d, G_Y3) == 1
 
 
+def test_covering_number_refuses_a_gram_on_other_grids():
+    for size in (1, 3):
+        cls = FiniteClass([_constant_kernel([1.0, 0.0, 0.0])] * size)
+        with pytest.raises(SpaceMismatchError):
+            covering_number(cls, 0.5, G_Y3_GAUSS)
+
+
 def test_covering_number_nonincreasing_in_s():
     rng = np.random.default_rng(0)
     members = []
@@ -170,26 +187,53 @@ def test_lipschitz_deviation_random_draws():
         assert lipschitz_deviation_check(f, g, mu, S, 1.0, G_Y3)
 
 
-def test_lipschitz_deviation_lhs_matches_public_risks():
-    # criterion-09 draws: the check's left side, from one loss grid per
-    # hypothesis, equals the public risks' to the bit
+@pytest.mark.parametrize(
+    "gY, c_k",
+    [(G_Y3, 1.0), (G_Y3_GAUSS, 1.0), (G_Y3_GAUSS, 0.01)],
+    ids=["delta", "gaussian", "gaussian-tight"],
+)
+def test_lipschitz_deviation_lhs_matches_public_risks(gY, c_k):
+    # criterion-09 draws: the check's risk gaps and d_inf equal the public
+    # risks' and sup_row_mmd's to the bit, and the check decides as they do;
+    # at c_k = 0.01 the inequality fails on some draws, so both sides are seen
     rng = np.random.default_rng(9)
-    prod = ProductSpace(X3, Y3)
+    ys = gY.points
+    prod = ProductSpace(X3, ys)
+    decisions = []
     for _ in range(1000):
         rows_f = rng.random((3, 3)) + 1e-3
         rows_g = rng.random((3, 3)) + 1e-3
-        f = MarkovKernel(X3, Y3, rows_f / rows_f.sum(axis=1, keepdims=True))
-        g = MarkovKernel(X3, Y3, rows_g / rows_g.sum(axis=1, keepdims=True))
+        f = MarkovKernel(X3, ys, rows_f / rows_f.sum(axis=1, keepdims=True))
+        g = MarkovKernel(X3, ys, rows_g / rows_g.sum(axis=1, keepdims=True))
         w = rng.random(9) + 1e-3
         mu = ProbMeasure(prod, w / w.sum())
         S = Dataset(prod, [prod.labels[i] for i in rng.integers(0, 9, size=6)])
-        lhs = abs(
-            (expected_risk(f, mu, G_Y3).value - empirical_risk(f, S, G_Y3).value)
-            - (expected_risk(g, mu, G_Y3).value - empirical_risk(g, S, G_Y3).value)
-        )
-        assert abs(_risk_gap(f, mu, S, G_Y3) - _risk_gap(g, mu, S, G_Y3)) == lhs
-        rhs = 8.0 * sup_row_mmd(f, g, G_Y3) + 1e-10
-        assert lipschitz_deviation_check(f, g, mu, S, 1.0, G_Y3) == (lhs <= rhs)
+        gap_f, gap_g = [
+            expected_risk(h, mu, gY).value - empirical_risk(h, S, gY).value for h in (f, g)
+        ]
+        d_inf = sup_row_mmd(f, g, gY)
+        assert _deviation_terms(f, g, mu, S, gY) == (gap_f, gap_g, d_inf)
+        decisions.append(lipschitz_deviation_check(f, g, mu, S, c_k, gY))
+        assert decisions[-1] == (abs(gap_f - gap_g) <= 8.0 * c_k * d_inf + 1e-10)
+    assert all(decisions) == (c_k == 1.0)
+
+
+def test_lipschitz_deviation_refuses_other_grids():
+    t = MarkovKernel(X3, Y3, np.full((3, 3), 1 / 3))
+    mu = graph_pushforward(t, ProbMeasure(X3, [0.2, 0.3, 0.5]))
+    S = Dataset(ProductSpace(X3, Y3), [("x1", "y1"), ("x2", "y3")])
+    x_other = FiniteSpace(["x1", "x2", "x4"])
+    on_other_source = MarkovKernel(x_other, Y3, np.full((3, 3), 1 / 3))
+    on_other_target = MarkovKernel(X3, Y3_LINE, np.full((3, 3), 1 / 3))
+    S_other = Dataset(ProductSpace(x_other, Y3), [("x1", "y1")])
+    for g, sample, gY in [
+        (on_other_source, S, G_Y3),
+        (on_other_target, S, G_Y3),
+        (t, S_other, G_Y3),
+        (t, S, G_Y3_GAUSS),
+    ]:
+        with pytest.raises(SpaceMismatchError):
+            lipschitz_deviation_check(t, g, mu, sample, 1.0, gY)
 
 
 def test_lipschitz_deviation_hand_case():

@@ -656,6 +656,32 @@ def test_json_fuzz_keeps_exit_contract(workdir, bounds_dir, capsys, command, key
     assert broken == []
 
 
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        (X, FiniteSpace(["u", "w"], coords=[[0.0], [1.0]])),
+        (FiniteSpace(["a", "b", "d"], coords=[[0.0], [1.0], [2.0]]), Y),
+    ],
+    ids=["targets-uv-uw", "sources-abc-abd"],
+)
+def test_bounds_class_on_different_grids_exit_65(bounds_dir, capsys, source, target):
+    # two well-formed kernel files that no one class can hold
+    other = MarkovKernel(source, target, [[0.5, 0.5], [0.1, 0.9], [1.0, 0.0]])
+    (bounds_dir / "other.json").write_text(json.dumps(kernel_to_json(other)))
+    cfg = (bounds_dir / "bounds.cfg").read_text()
+    value = f"{bounds_dir}/hyp.json; {bounds_dir}/other.json"
+    (bounds_dir / "cls.cfg").write_text(cfg + f"bound = covering\nclass = {value}\n")
+    out = bounds_dir / "rep"
+    code = run(
+        "bounds", "--config", bounds_dir / "cls.cfg", "--seed", 0,
+        "--trials", 5, "--n", 10, "--out", out,
+    )
+    assert code == 65
+    err = capsys.readouterr().err
+    assert "share source and target" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 NOT_UTF8 = b"x,y\n\xff\xfe,\xc3\x28\n"
 
 

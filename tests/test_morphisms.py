@@ -222,6 +222,48 @@ def test_graph_examples():
     assert np.allclose(graph(t1).matrix, [[0.4, 0.6]])
 
 
+@st.composite
+def finite_spaces(draw, tag):
+    """A space of 1 to 5 points, with or without coordinates."""
+    n = draw(st.integers(1, 5))
+    coords = [[0.5 * i] for i in range(n)] if draw(st.booleans()) else None
+    return FiniteSpace([f"{tag}{i}" for i in range(n)], coords)
+
+
+@st.composite
+def any_kernels(draw):
+    """A Markov kernel, or a signed one whose rows may hold -0.0, between two spaces."""
+    source, target = draw(finite_spaces("x")), draw(finite_spaces("y"))
+    if draw(st.booleans()):
+        counts = st.lists(st.integers(0, 64), min_size=target.size, max_size=target.size)
+        rows = st.lists(counts.filter(any), min_size=source.size, max_size=source.size)
+        return MarkovKernel(source, target, [[c / sum(r) for c in r] for r in draw(rows)])
+    entries = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 0.0])
+    cells = source.size * target.size
+    flat = draw(st.lists(entries, min_size=cells, max_size=cells))
+    return SignedKernel(source, target, np.reshape(flat, (source.size, target.size)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_kernels())
+def test_graph_is_the_joint_with_the_identity_bit_for_bit(t):
+    closed, reference = graph(t), joint(identity_kernel(t.source), t)
+    assert type(closed) is type(reference)
+    assert closed.source == reference.source and closed.target == reference.target
+    assert closed.matrix.tobytes() == reference.matrix.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_spaces("x"), finite_spaces("y"))
+def test_projection_kernel_is_the_deterministic_projection_bit_for_bit(left, right):
+    space = ProductSpace(left, right)
+    for axis, factor, i in (("left", left, 0), ("right", right, 1)):
+        closed = projection_kernel(space, axis)
+        reference = deterministic(space, factor, lambda p: p[i])
+        assert closed.source == space and closed.target == factor
+        assert closed.matrix.tobytes() == reference.matrix.tobytes()
+
+
 def test_graph_projection_recovers_kernel():
     t = MarkovKernel(X2, Y2, [[0.3, 0.7], [0.2, 0.8]])
     proj = projection_kernel(ProductSpace(X2, Y2), "right")
