@@ -27,7 +27,8 @@ import numpy as np
 
 from .kernels import GramMatrix
 from .learning import FiniteClass
-from .losses import _check_gram, _deviation_terms, _loss_grid, expected_risk, sup_row_mmd
+from .losses import _check_gram, _check_joint, _deviation_terms, _expected_risks, _loss_grid
+from .losses import sup_row_mmd
 from .morphisms import MarkovKernel
 from .spaces import ProbMeasure
 
@@ -261,7 +262,8 @@ def _c_k(gY: GramMatrix) -> float:
 
 def _verify_hoeffding(mu: ProbMeasure, h: MarkovKernel, n, trials, seed, *, gY, eps):
     grid = _loss_grid(h, gY).reshape(-1)
-    true_risk = expected_risk(h, mu, gY).value
+    _check_joint(h, mu)
+    true_risk = float(_expected_risks(grid[None], mu)[0])  # expected_risk's bits
     ck = _c_k(gY)
     failures = 0
     for counts in _trial_counts(mu, n, trials, seed):
@@ -275,7 +277,8 @@ def _verify_covering(mu: ProbMeasure, cls: FiniteClass, n, trials, seed, *, gY, 
     if not 0.0 <= c_m < math.inf:
         raise ValueError(f"c_m = {c_m!r} must be finite and nonnegative")
     grids = np.stack([_loss_grid(h, gY).reshape(-1) for h in cls])
-    true_risks = np.array([expected_risk(h, mu, gY).value for h in cls])
+    _check_joint(cls.kernels[0], mu)  # the members share their grids
+    true_risks = _expected_risks(grids, mu)  # expected_risk's bits, member by member
     ck = _c_k(gY)
     # exact ERM on a finite class has gap 0 <= c_m, so its excess risk
     # must stay within 2 eps + c_m whenever the sup deviation does not fail

@@ -103,7 +103,6 @@ def _build_parser() -> _Parser:
     est.add_argument("--seed", type=int, required=True)
     est.add_argument("--out", required=True)
     est.add_argument("--gamma", type=float, default=None)
-    est.add_argument("--kernel", default=None)
     est.add_argument("data", help="CSV file with header x,y")
     est.set_defaults(func=cmd_estimate)
 
@@ -117,8 +116,6 @@ def _build_parser() -> _Parser:
 
     emb = sub.add_parser("embed", help="MMD between two empirical samples")
     emb.add_argument("--config", required=True)
-    emb.add_argument("--seed", type=int, default=0)
-    emb.add_argument("--kernel", default=None)
     emb.add_argument("--out", default=None)
     emb.add_argument("sample_a", help="CSV file with header y")
     emb.add_argument("sample_b", help="CSV file with header y")
@@ -230,8 +227,8 @@ def _config_gram(kernel: KernelSpec, space: FiniteSpace):
         raise ConfigError(f"{kernel.variant} kernel: {exc}") from exc
 
 
-def _kernel_spec(cfg: dict[str, str], override: str | None) -> KernelSpec:
-    variant = override or cfg.get("kernel", "delta")
+def _kernel_spec(cfg: dict[str, str]) -> KernelSpec:
+    variant = cfg.get("kernel", "delta")
     sigma = _cfg_number(cfg, "sigma")
     scale = _cfg_number(cfg, "scale", "1.0")
     if variant in ("gaussian", "laplacian") and sigma is None:
@@ -352,7 +349,7 @@ def cmd_estimate(args) -> int:
     x_space = space_from_config(cfg, "x")
     y_space = space_from_config(cfg, "y")
     prod = ProductSpace(x_space, y_space)
-    spec_kernel = _kernel_spec(cfg, args.kernel)
+    spec_kernel = _kernel_spec(cfg)
     # the Lipschitz term measures distances between source points
     if x_space.coords is None and (spec_kernel.needs_coords or x_space.size > 1):
         raise ConfigError(
@@ -370,7 +367,7 @@ def cmd_estimate(args) -> int:
         gamma = gamma_schedule(len(data))
     if not 0 < gamma < math.inf:
         raise _UsageError("gamma must be finite and strictly positive")
-    solver_keys = (("restarts", int), ("max_iters", int), ("step_size", float), ("tol", float))
+    solver_keys = (("max_iters", int), ("step_size", float), ("tol", float))
     knobs = {key: _cfg_number(cfg, key, kind=kind) for key, kind in solver_keys if key in cfg}
     try:
         config = LearnerConfig(seed=args.seed, **knobs)
@@ -423,7 +420,7 @@ def cmd_bounds(args) -> int:
         raise _UsageError("config must set 'bound'")
     if name not in ("hoeffding", "covering", "mmd_concentration"):
         raise _UsageError(f"unknown bound name {name!r}")
-    kernel = _kernel_spec(cfg, None)
+    kernel = _kernel_spec(cfg)
     y_space = space_from_config(cfg, "y")
     _check_y_coords(kernel, y_space)
     g_y = _config_gram(kernel, y_space)
@@ -483,7 +480,7 @@ def _truth_measure(cfg: dict[str, str], space: FiniteSpace) -> ProbMeasure:
 def cmd_embed(args) -> int:
     cfg = _load_config(args.config)
     y_space = space_from_config(cfg, "y")
-    kernel = _kernel_spec(cfg, args.kernel)
+    kernel = _kernel_spec(cfg)
     _check_y_coords(kernel, y_space)
     delta = _cfg_bounded(cfg, "delta")
     labels_a = labels_from_csv(_read_text(args.sample_a, "data", DataFormatError), y_space)

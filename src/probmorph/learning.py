@@ -85,8 +85,8 @@ class LearnerConfig:
     The fit is deterministic: max_iters, step_size and tol steer the one
     mirror-descent run, which stops early once its Frank-Wolfe gap is at
     most tol, so tol must be >= 0. `seed` drives only the random probes behind
-    eps_certificate. `restarts` is validated but not read; it is kept so
-    existing configs stay valid.
+    eps_certificate. `restarts` is validated but not read; perfbench's
+    workloads still pass it.
     """
 
     restarts: int = 8
@@ -158,7 +158,6 @@ class CermResult:
     h: MarkovKernel
     certified_gap: float
     risk: float
-    trace: list[float] = field(default_factory=list)
 
 
 def cerm(cls, S: Dataset, gY: GramMatrix, config: LearnerConfig | None = None) -> CermResult:
@@ -184,18 +183,15 @@ def cerm(cls, S: Dataset, gY: GramMatrix, config: LearnerConfig | None = None) -
     if (cls.source, cls.target) != (S.space.left, S.space.right):
         raise ValueError("the class's grids do not match the dataset's")
     h = empirical_section(S)
-    value = empirical_risk(h, S, gY).value
-    return CermResult(h=h, certified_gap=0.0, risk=value, trace=[value])
+    return CermResult(h=h, certified_gap=0.0, risk=empirical_risk(h, S, gY).value)
 
 
-def _probe_rows(nx: int, ny: int, seed: int) -> list[np.ndarray]:
-    """Random coarse candidates, evaluated without descent."""
-    rows = []
-    for r in range(16):
-        # 104729 is an arbitrary fixed tag; changing it changes every eps_certificate
-        rng = np.random.default_rng((seed, 104729, r))
-        rows.append(_softmax_rows(2.0 * rng.standard_normal((nx, ny))))
-    return rows
+def _probe_rows(nx: int, ny: int, seed: int) -> np.ndarray:
+    """16 random coarse candidates, shape (16, nx, ny), evaluated without descent."""
+    # one draw of all the logits; 104729 is an arbitrary fixed tag, and changing it
+    # changes every eps_certificate
+    z = 2.0 * np.random.default_rng((seed, 104729)).standard_normal((16 * nx, ny))
+    return _softmax_rows(z).reshape(16, nx, ny)
 
 
 def empirical_section(S: Dataset) -> MarkovKernel:
@@ -409,9 +405,9 @@ def regularized_estimate(
     or the uniform kernel. Its rows, objective and trace ignore
     config.seed; eps_certificate does not. It is the margin (clamped at
     0) by which 16 random probe kernels drawn from the seed failed to
-    beat the returned optimum: a sanity check, not a bound on
-    suboptimality. Callers expecting a
-    gamma^2-minimizer should check eps_certificate <= gamma^2.
+    beat the returned optimum (see _probe_rows): a sanity check, not a
+    bound on suboptimality. Callers expecting a gamma^2-minimizer should
+    check eps_certificate <= gamma^2.
     """
     if len(S) == 0:
         raise ValueError("regularized_estimate needs a nonempty dataset")

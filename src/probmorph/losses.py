@@ -44,9 +44,6 @@ class RiskReport:
     value: float
     per_sample: list[float] | None = field(default=None)
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "per_sample": self.per_sample}
-
 
 def _check_joint(h: MarkovKernel, mu: SignedMeasure) -> ProductSpace:
     space = mu.space

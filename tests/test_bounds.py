@@ -15,7 +15,7 @@ from probmorph.bounds import (
     monte_carlo_verify,
     wilson_interval,
 )
-from probmorph.kernels import KernelSpec, gram, mmd
+from probmorph.kernels import GramMatrix, KernelSpec, gram, mmd
 from probmorph.learning import FiniteClass
 from probmorph.losses import _deviation_terms, empirical_risk, expected_risk, sup_row_mmd
 from probmorph.morphisms import MarkovKernel, graph_pushforward
@@ -408,3 +408,82 @@ def test_vectorized_mmd_matches_per_trial_loop(monkeypatch):
     failures = sum(mmd(g, SignedMeasure(ys, row / n), mu) > bound for row in counts)
     assert 0 < failures < trials
     assert rep.empirical_failure_rate == failures / trials
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_bound_checks_build_each_loss_grid_once(monkeypatch, k):
+    # one GramMatrix.sq_norms product per member's loss grid, one per covering pair
+    t, mu = _fixed_instance()
+    rng = np.random.default_rng(k)
+    members = [t] + [
+        MarkovKernel(X3, Y3, rows / rows.sum(axis=1, keepdims=True))
+        for rows in rng.random((k - 1, 3, 3)) + 1e-3
+    ]
+    calls = []
+    sq_norms = GramMatrix.sq_norms
+
+    def counted(self, d):
+        calls.append(len(d))
+        return sq_norms(self, d)
+
+    monkeypatch.setattr(GramMatrix, "sq_norms", counted)
+    monte_carlo_verify("covering", mu, FiniteClass(members), 20, 50, 0, gY=G_Y3, eps=0.01)
+    assert len(calls) == k + k * (k - 1) // 2
+    calls.clear()
+    monte_carlo_verify("hoeffding", mu, t, 20, 50, 0, gY=G_Y3, eps=0.01)
+    assert len(calls) == 1
+
+
+# every refusal of the module that no test above reaches: (call, exception type, message fragment)
+def _report(**fields):
+    base = dict(bound_name="b", parameters={}, theoretical_bound=0.5,
+                empirical_failure_rate=0.0, trials=1, seed=0)
+    return bounds.BoundReport(**{**base, **fields})
+
+
+BOUNDS_REFUSALS = {
+    "hoeffding-eps-0": (lambda: hoeffding_bound(10, 0.0, 1.0), ValueError, "eps and c_k must be strictly positive"),
+    "hoeffding-c_k-0": (lambda: hoeffding_bound(10, 0.5, 0.0), ValueError, "eps and c_k must be strictly positive"),
+    "general-m-0": (lambda: hoeffding_general(0, 0.5, 1.0), ValueError, "m must be at least 1"),
+    "general-range-0": (lambda: hoeffding_general(10, 0.5, 0.0), ValueError, "eps and the value range must be strictly positive"),
+    "covering-bound-N-0": (lambda: covering_bound(0, 10, 0.5, 1.0), ValueError, "the covering number must be at least 1"),
+    "greedy-radius-0": (
+        lambda: covering_number(FiniteClass([_fixed_instance()[0]]), 0.0, G_Y3),
+        ValueError, "the covering radius must be strictly positive",
+    ),
+    "exact-radius-0": (
+        lambda: covering_number_exact(FiniteClass([_fixed_instance()[0]]), 0.0, G_Y3),
+        ValueError, "the covering radius must be strictly positive",
+    ),
+    "exact-13-members": (
+        lambda: covering_number_exact(FiniteClass([_fixed_instance()[0]] * 13), 0.1, G_Y3),
+        ValueError, "exact covers are only searched for class size <= 12",
+    ),
+    "mmd-bound-n-0": (lambda: mmd_concentration_bound(0, 0.05, 1.0), ValueError, "n must be at least 1"),
+    "mmd-bound-negative-diag": (
+        lambda: mmd_concentration_bound(10, 0.05, -1.0), ValueError, "the mean kernel diagonal cannot be negative",
+    ),
+    "wilson-trials-0": (lambda: wilson_interval(0, 0), ValueError, "trials must be at least 1"),
+    "verify-trials-0": (
+        lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], 10, 0, 0, gY=G_Y3, eps=0.5),
+        ValueError, "trials must be at least 1",
+    ),
+    "verify-n-0": (
+        lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], 0, 5, 0, gY=G_Y3, eps=0.5),
+        ValueError, "n must be at least 1",
+    ),
+    "mmd-truth-on-other-space": (
+        lambda: monte_carlo_verify("mmd_concentration", ProbMeasure(X3, [0.2, 0.3, 0.5]), G_Y3, 10, 5, 0, delta=0.05),
+        ValueError, "ground truth does not live on the Gram matrix's space",
+    ),
+    "report-trials-0": (lambda: _report(trials=0), ValueError, "trials must be at least 1"),
+    "report-rate-above-1": (lambda: _report(empirical_failure_rate=1.5), ValueError, "empirical failure rate must lie in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDS_REFUSALS.values(), ids=list(BOUNDS_REFUSALS))
+def test_bounds_refusals(case):
+    call, exc, fragment = case
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and fragment in str(info.value)

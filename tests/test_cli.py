@@ -452,11 +452,9 @@ COVERING = "bound = covering\nclass = {dir}/hyp.json\n"
 @pytest.mark.parametrize(
     "command, line",
     [
-        ("estimate", "restarts = abc"),
         ("estimate", "max_iters = 1.5"),
         ("estimate", "sigma = x"),
         ("bounds", "eps = nope"),
-        ("estimate", "restarts = 0"),
         ("embed", "delta = 2"),
         ("bounds", "bound = mmd_concentration\ndelta = 2"),
         ("estimate", "step_size = nan"),
@@ -477,7 +475,7 @@ COVERING = "bound = covering\nclass = {dir}/hyp.json\n"
         ("bounds", COVERING + "c_m = -1"),
     ],
     ids=[
-        "restarts-abc", "max_iters-1.5", "sigma-x", "eps-nope", "restarts-0",
+        "max_iters-1.5", "sigma-x", "eps-nope",
         "embed-delta-2", "mmd-delta-2", "step_size-nan", "step_size-inf",
         "step_size-0", "step_size-neg", "tol-nan", "tol-neg", "gamma-inf", "sigma-inf",
         "embed-sigma-inf", "embed-scale-inf", "eps-0", "eps-neg", "eps-nan",
@@ -810,6 +808,25 @@ def test_estimate_gamma_flag_inf_exit_64(workdir, capsys):
     )
     assert code == 64
     assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("estimate", ["--kernel", "gaussian"]), ("embed", ["--kernel", "gaussian"]),
+     ("embed", ["--seed", "0"])],
+    ids=["estimate-kernel", "embed-kernel", "embed-seed"],
+)
+def test_removed_flags_are_usage_errors(workdir, embed_dir, capsys, command, flag):
+    # the kernel comes from the config only, and embed draws nothing
+    if command == "estimate":
+        argv = ["estimate", "--config", workdir / "est.cfg", "--seed", 0,
+                "--out", workdir / "nope", workdir / "data.csv"]
+    else:
+        argv = ["embed", "--config", embed_dir / "embed.cfg", embed_dir / "a.csv", embed_dir / "b.csv"]
+    assert run(*argv, *flag) == 64
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert not (workdir / "nope").exists()
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,14 @@ from probmorph.kernels import (
     kernel_eval,
     mmd,
 )
-from probmorph.spaces import FiniteSpace, ProbMeasure, ProductSpace, SignedMeasure, dirac
+from probmorph.spaces import (
+    FiniteSpace,
+    ProbMeasure,
+    ProductSpace,
+    SignedMeasure,
+    SpaceMismatchError,
+    dirac,
+)
 
 Y01 = FiniteSpace([0, 1], coords=[[0.0], [1.0]])
 
@@ -445,3 +452,29 @@ def test_graph_sq_norms_follow_the_roundoff_rule_of_sq_norms():
     lin = gram(KernelSpec("linear", scale=1e8), ProductSpace(xs, ys))
     _, q = lin.graph_sq_norms(np.array([[0.5, -1.0, 0.5], [1.0, 0.0, 0.0]]))
     assert 0.0 <= q[0] < 1e-5 and q[1] == pytest.approx(1e6)
+
+
+# every refusal of the module that no test above reaches: (call, exception type, message fragment)
+KERNELS_REFUSALS = {
+    "gram-shape": (lambda: GramMatrix(Y01, np.eye(3)), ValueError, "Gram matrix shape (3, 3) for 2 points"),
+    "kronecker-factors-swapped": (
+        lambda: KroneckerGram(ProductSpace(X3, Y4), gram(KernelSpec("delta"), Y4), gram(KernelSpec("delta"), X3)),
+        SpaceMismatchError, "the factors do not live on the product's factors",
+    ),
+    "embed-inner-other-space": (
+        lambda: embed_inner(gram(KernelSpec("delta"), Y01), dirac(Y4, "s"), dirac(Y4, "s")),
+        SpaceMismatchError, "measures do not live on the Gram matrix's space",
+    ),
+    "mmd-other-space": (
+        lambda: mmd(gram(KernelSpec("delta"), Y01), dirac(Y01, 0), dirac(Y4, "s")),
+        SpaceMismatchError, "measures do not live on the Gram matrix's space",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", KERNELS_REFUSALS.values(), ids=list(KERNELS_REFUSALS))
+def test_kernels_refusals(case):
+    call, exc, fragment = case
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and fragment in str(info.value)

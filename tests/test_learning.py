@@ -13,6 +13,7 @@ from probmorph.learning import (
     NewtonInterpolant,
     ParametricClass,
     WFunctionalSpec,
+    _probe_rows,
     cerm,
     empirical_section,
     gamma_schedule,
@@ -757,6 +758,18 @@ def test_regularized_fit_ignores_seed():
         assert f0.trace == f1.trace
 
 
+@pytest.mark.parametrize("nx, ny, seed", [(1, 1, 0), (3, 2, 5), (6, 4, 1), (64, 16, 2)])
+def test_probe_rows_are_one_draw(nx, ny, seed):
+    # one generator draws all 16 probes' logits, and one softmax turns them into rows
+    probes = _probe_rows(nx, ny, seed)
+    z = 2.0 * np.random.default_rng((seed, 104729)).standard_normal((16 * nx, ny))
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    want = (e / e.sum(axis=1, keepdims=True)).reshape(16, nx, ny)
+    assert probes.shape == (16, nx, ny)
+    assert np.array_equal(probes, want)
+    assert np.allclose(probes.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # newton interpolant
 # ---------------------------------------------------------------------------
@@ -825,3 +838,48 @@ def test_newton_node_exactness_and_sums(seed, n_nodes, ny):
         assert np.max(np.abs(f(x).weights - nu.weights)) < 1e-8
     for q in rng.uniform(xs.min(), xs.max(), size=20):
         assert f(float(q)).total_mass() == pytest.approx(1.0, abs=1e-10)
+
+
+# every refusal of the module that no test above reaches: (call, exception type, message fragment)
+X3_RELABELLED = FiniteSpace(["z1", "z2", "z3"], coords=X3.coords)
+LEARNING_REFUSALS = {
+    "section-no-samples": (
+        lambda: empirical_section(make_dataset([])), ValueError, "cannot build an empirical section from no samples",
+    ),
+    "w-other-grids": (
+        lambda: w_functional(MarkovKernel(Y2, Y2, np.eye(2)), reg_setup()[1]),
+        ValueError, "hypothesis grids do not match the W geometry",
+    ),
+    "estimate-no-samples": (
+        lambda: regularized_estimate(make_dataset([]), 0.1, *reg_setup()),
+        ValueError, "regularized_estimate needs a nonempty dataset",
+    ),
+    "estimate-gxy-off-the-product": (
+        lambda: regularized_estimate(make_dataset([("x1", "y1")]), 0.1, G_Y, reg_setup()[1]),
+        ValueError, "gXY must live on the dataset's product space",
+    ),
+    "estimate-w-other-grids": (
+        lambda: regularized_estimate(
+            make_dataset([("x1", "y1")]), 0.1, reg_setup()[0],
+            WFunctionalSpec.from_kernel(KernelSpec("delta"), X3_RELABELLED, Y2),
+        ),
+        ValueError, "W geometry does not match the dataset grids",
+    ),
+    "config-restarts-0": (lambda: LearnerConfig(restarts=0), ValueError, "restarts must be a positive integer"),
+    "w-no-term": (
+        lambda: WFunctionalSpec.from_kernel(KernelSpec("delta"), X3, Y2, include_sup=False, include_lipschitz=False),
+        ValueError, "at least one W term must be enabled",
+    ),
+    "newton-two-spaces": (
+        lambda: NewtonInterpolant([(0.0, dirac(X3, "x1")), (1.0, dirac(Y2, "y1"))]),
+        ValueError, "all node measures must share one space",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LEARNING_REFUSALS.values(), ids=list(LEARNING_REFUSALS))
+def test_learning_refusals(case):
+    call, exc, fragment = case
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and fragment in str(info.value)

@@ -325,3 +325,24 @@ def test_bh_holds_randomly(n, seed):
         ProbMeasure(FiniteSpace(list(range(n))), f / f.sum()),
     )
     assert res.holds
+
+
+# every refusal of the module that no test above reaches: (call, exception type, message fragment)
+LOSSES_REFUSALS = {
+    "tv-power-0": (
+        lambda: tv_correct_loss(MarkovKernel(X2, Y2, np.eye(2)), product(dirac(X2, "x1"), dirac(Y2, "y1")), k=0),
+        ValueError, "k must be a positive integer",
+    ),
+    "kl-two-spaces": (
+        lambda: kl_and_bh_check(dirac(X2, "x1"), dirac(Y2, "y1")),
+        SpaceMismatchError, "measures live on different spaces",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LOSSES_REFUSALS.values(), ids=list(LOSSES_REFUSALS))
+def test_losses_refusals(case):
+    call, exc, fragment = case
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and fragment in str(info.value)

@@ -487,3 +487,52 @@ def test_graph_additivity(seed, nx, ny):
     lhs = graph(k1 + k2).matrix
     rhs = (graph(k1) + graph(k2)).matrix
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+# every refusal of the module that no test above reaches: (call, exception type, message fragment)
+def _t(source, target):
+    return MarkovKernel(source, target, np.eye(2))
+
+
+XY2 = ProductSpace(X2, Y2)
+DELTA = KernelSpec("delta")
+MORPHISMS_REFUSALS = {
+    "sum-other-grids": (
+        lambda: SignedKernel(X2, Y2, np.eye(2)) + SignedKernel(Y2, X2, np.eye(2)),
+        SpaceMismatchError, "kernel sum needs matching source and target",
+    ),
+    "projection-axis": (
+        lambda: projection_kernel(XY2, "middle"), ValueError, "axis must be 'left' or 'right', got 'middle'",
+    ),
+    "compose-mismatch": (
+        lambda: compose(_t(X2, Y2), _t(X2, Y2)), SpaceMismatchError, "inner target and outer source do not match",
+    ),
+    "joint-two-sources": (lambda: joint(_t(X2, Y2), _t(Y2, X2)), SpaceMismatchError, "joint needs a shared source"),
+    "graph-pushforward-off-source": (
+        lambda: graph_pushforward(_t(X2, Y2), dirac(Y2, "y1")),
+        SpaceMismatchError, "measure does not live on the kernel's source",
+    ),
+    "disintegrate-policy": (
+        lambda: disintegrate(product(dirac(X2, "x1"), dirac(Y2, "y1")), "drop"),
+        ValueError, "unknown zero_row_policy 'drop'",
+    ),
+    "disintegrate-not-a-product": (
+        lambda: disintegrate(dirac(X2, "x1")), SpaceMismatchError, "disintegrate needs a ProbMeasure on a ProductSpace",
+    ),
+    "opnorm-gx-off-source": (
+        lambda: embedded_operator_norm(_t(X2, Y2), gram(DELTA, Y2), gram(DELTA, XY2)),
+        SpaceMismatchError, "gX must live on the kernel's source",
+    ),
+    "opnorm-gxy-off-product": (
+        lambda: embedded_operator_norm(_t(X2, Y2), gram(DELTA, X2), gram(DELTA, Y2)),
+        SpaceMismatchError, "gXY must live on the source x target product",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MORPHISMS_REFUSALS.values(), ids=list(MORPHISMS_REFUSALS))
+def test_morphisms_refusals(case):
+    call, exc, fragment = case
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and fragment in str(info.value)

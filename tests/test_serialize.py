@@ -154,3 +154,22 @@ def test_space_from_config():
         space_from_config({}, "y")
     with pytest.raises(ConfigError):
         space_from_config({"y_labels": "u, v", "y_coords": "0"}, "y")
+
+
+# every refusal of the module that no test above reaches: (call, exception type, message fragment)
+SERIALIZE_REFUSALS = {
+    "space-without-labels": (lambda: space_from_json({}), DataFormatError, "bad space document: KeyError('labels')"),
+    "kernel-without-rows": (
+        lambda: kernel_from_json({"source": space_to_json(XY.left), "target": space_to_json(XY.right)}),
+        DataFormatError, "kernel document lacks 'rows'",
+    ),
+    "config-empty-key": (lambda: parse_config("a = 1\n= 3\n"), ConfigError, "line 2: empty key"),
+}
+
+
+@pytest.mark.parametrize("case", SERIALIZE_REFUSALS.values(), ids=list(SERIALIZE_REFUSALS))
+def test_serialize_refusals(case):
+    call, exc, fragment = case
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and fragment in str(info.value)

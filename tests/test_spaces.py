@@ -353,3 +353,29 @@ def test_signed_measure_arithmetic():
     assert (mu - nu).weights.tolist() == [0.5, -2.5]
     assert (2.0 * mu).weights.tolist() == [2.0, -4.0]
     assert mu.weight("b") == -2.0
+
+
+# every refusal of the module that no test above reaches: (call, exception type, message fragment)
+SPACES_REFUSALS = {
+    "sum-two-spaces": (
+        lambda: SignedMeasure(AB, [1.0, 0.0]) + SignedMeasure(CD, [1.0, 0.0]),
+        SpaceMismatchError, "measures live on different spaces",
+    ),
+    "space-without-points": (lambda: FiniteSpace([]), ValueError, "a FiniteSpace needs at least one point"),
+    "dataset-off-a-product": (lambda: Dataset(AB, []), TypeError, "Dataset requires a ProductSpace"),
+    "empirical-labels-without-space": (
+        lambda: empirical(["a"]), ValueError, "a space is required when data is a list of labels",
+    ),
+    "marginal-axis": (
+        lambda: marginal(product(dirac(AB, "a"), dirac(CD, "c")), "middle"),
+        ValueError, "axis must be 'left' or 'right', got 'middle'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SPACES_REFUSALS.values(), ids=list(SPACES_REFUSALS))
+def test_spaces_refusals(case):
+    call, exc, fragment = case
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and fragment in str(info.value)

@@ -26,3 +26,44 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree).items() if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _private_definitions(tree: ast.Module):
+    """The module-level functions, classes and constants whose names start with one '_'."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST, skip: ast.AST | None = None):
+    """Each name read under node, as a bare name or an attribute, outside the subtree skip."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, skip)
+
+
+def test_no_dead_private_helpers():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    dead = []
+    for path, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            used = any(
+                name in _references(other, skip=node if other is tree else None)
+                for other in trees.values()
+            )
+            if not used:
+                dead.append(f"{path.name}:{node.lineno} {name}")
+    assert not dead, f"private helpers nothing in the package reads: {', '.join(dead)}"
