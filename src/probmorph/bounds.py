@@ -169,6 +169,8 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not 0 <= failures <= trials:
+        raise ValueError(f"failures must lie in [0, trials], got {failures} of {trials}")
     z2 = _WILSON_Z * _WILSON_Z
     p = failures / trials
     denom = 1.0 + z2 / trials

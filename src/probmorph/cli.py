@@ -14,6 +14,7 @@ output JSON is written with sorted keys so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -87,7 +88,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process; parse_args keeps no state in it."""
     parser = _Parser(prog="probmorph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

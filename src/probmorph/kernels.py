@@ -137,7 +137,7 @@ class GramMatrix:
     def sq_norms(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(d G, q) for a stack d of flat weight vectors: q[k] = ||M(d[k])||^2, clamped."""
         dg = d @ self.values  # G is symmetric, so row k of d G is G d[k]
-        return dg, self._clamp_roundoff(np.einsum("ki,ki->k", dg, d), d)
+        return dg, self._clamp_roundoff(np.vecdot(dg, d), d)
 
     def _clamp_roundoff(self, q: np.ndarray, d: np.ndarray) -> np.ndarray:
         """q[k] = d[k]' G d[k] with roundoff below zero read as 0.
@@ -230,14 +230,12 @@ class KroneckerGram(GramMatrix):
 
     def sq_norms(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dg = self.apply(d)
-        return dg, self._clamp_roundoff(np.einsum("ki,ki->k", dg, d), d)
+        return dg, self._clamp_roundoff(np.vecdot(dg, d), d)
 
     def graph_sq_norms(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # B_i = left[i, i] * right; r[i]' right r[i] is read off the diagonal of the
-        # product pair_form rounds through, so q equals pair_form(r).diagonal() bit for bit
-        rr = r @ self.right.values
-        q = self.left.diag * (rr @ r.T).diagonal()
-        return self.left.diag[:, None] * rr, self._clamp_roundoff(q, r)
+        # B_i = left[i, i] * right, so one right.sq_norms product of the rows gives both
+        rr, q = self.right.sq_norms(r)
+        return self.left.diag[:, None] * rr, self._clamp_roundoff(self.left.diag * q, r)
 
     def pair_form(self, r) -> np.ndarray:
         return self.left.values * (r @ self.right.values @ r.T)
@@ -292,11 +290,13 @@ def gram(spec: KernelSpec, space: FiniteSpace) -> GramMatrix:
     """The Gram matrix G[i][j] = K(y_i, y_j) over a whole space.
 
     On a product space the gaussian, laplacian and delta kernels give a
-    KroneckerGram; the scale goes into the left factor.
+    KroneckerGram; the scale goes into the right factor, so the right
+    factor is gram(spec, space.right) and the left one is the Gram of
+    the same kernel at scale 1.
     """
     if isinstance(space, ProductSpace) and spec.variant != "linear":
         return KroneckerGram(
-            space, gram(spec, space.left), gram(replace(spec, scale=1.0), space.right)
+            space, gram(replace(spec, scale=1.0), space.left), gram(spec, space.right)
         )
     if spec.variant == "delta":
         # labels are distinct by the space invariant

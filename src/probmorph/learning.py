@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec, gram
+from .kernels import GramMatrix, KernelSpec, KroneckerGram, gram
 from .losses import empirical_risk
 from .morphisms import MarkovKernel, _conditional_rows, _sum_zero_pencil, _top_eigspace
 from .spaces import Dataset, FiniteSpace, ProbMeasure, ProductSpace, SignedMeasure
@@ -221,9 +221,19 @@ class WFunctionalSpec:
     every evaluation reads: the sum-zero basis whitened by gram_x for the
     operator norm, the Lipschitz pairs and their coordinate distances,
     which are all positive (a repeated source coordinate is refused
-    here), and the gather indices that stack the sup term's rows and the
-    pairs' first rows for one gram_y product. Change a field by building
-    a new spec, not by assigning to it.
+    here), the gather indices that stack the sup term's rows and the
+    pairs' first rows for one gram_y product, and one divisor per stacked
+    piece. Piece k of the stack is ||stack[k]||_{G_Y} / divisors[k]: the
+    divisor is 1 / a_i for sup row i and d_k for Lipschitz pair k (a
+    quotient, since 1 / d overflows at subnormal distances). When gram_xy
+    is a KroneckerGram whose right factor equals gram_y, the i-th
+    diagonal block of gram_xy is left[i, i] * G_Y, so graph row i has the
+    norm sqrt(left[i, i]) ||r_i||_{G_Y} and a_i = 1 + sqrt(left[i, i]);
+    a_i = 2 for the gaussian, laplacian and delta kernels. On any other
+    gram_xy (the linear kernel, or a hand-built Gram) the blocks differ,
+    a_i = 1, and each evaluation adds the graph norm from
+    gram_xy.graph_sq_norms. Change a field by building a new spec, not by
+    assigning to it.
     """
 
     gram_xy: GramMatrix
@@ -235,6 +245,8 @@ class WFunctionalSpec:
     _pairs: np.ndarray = field(init=False, repr=False, compare=False)
     _dists: np.ndarray = field(init=False, repr=False, compare=False)
     _gather: np.ndarray = field(init=False, repr=False, compare=False)
+    _divisors: np.ndarray = field(init=False, repr=False, compare=False)
+    _graph_blocks: bool = field(init=False, repr=False, compare=False)
     _basis: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -248,8 +260,17 @@ class WFunctionalSpec:
         if self.include_operator_norm and x_space.size > 1:
             self._basis = _sum_zero_pencil(self.gram_x)
         self._pairs, self._dists = _lipschitz_pairs(x_space, self.include_lipschitz)
-        sup_rows = np.arange(x_space.size if self.include_sup else 0)
-        self._gather = np.concatenate((sup_rows, self._pairs[0]))
+        n_sup = x_space.size if self.include_sup else 0
+        self._gather = np.concatenate((np.arange(n_sup), self._pairs[0]))
+        factored = isinstance(self.gram_xy, KroneckerGram) and (
+            self.gram_xy.right is self.gram_y
+            or np.array_equal(self.gram_xy.right.values, self.gram_y.values)
+        )
+        self._graph_blocks = n_sup > 0 and not factored
+        a = np.ones(n_sup)
+        if n_sup and factored:
+            a += np.sqrt(np.maximum(self.gram_xy.left.diag, 0.0))
+        self._divisors = np.concatenate((1.0 / a, self._dists))
 
     @classmethod
     def from_kernel(
@@ -261,11 +282,22 @@ class WFunctionalSpec:
         include_lipschitz: bool = True,
         include_operator_norm: bool = False,
     ) -> "WFunctionalSpec":
-        """k's three Gram matrices; the terms default as the fields do, at every |X|."""
+        """k's three Gram matrices; the terms default as the fields do, at every |X|.
+
+        A factored product Gram already holds gram(k, y_space) as its right
+        factor, and gram(k, x_space) as its left one when k's scale is 1
+        (see gram), so each factor is built and eigen-checked once.
+        """
+        gram_xy = gram(k, ProductSpace(x_space, y_space))
+        if isinstance(gram_xy, KroneckerGram):
+            gram_y = gram_xy.right
+            gram_x = gram_xy.left if k.scale == 1.0 else gram(k, x_space)
+        else:
+            gram_y, gram_x = gram(k, y_space), gram(k, x_space)
         return cls(
-            gram_xy=gram(k, ProductSpace(x_space, y_space)),
-            gram_y=gram(k, y_space),
-            gram_x=gram(k, x_space),
+            gram_xy=gram_xy,
+            gram_y=gram_y,
+            gram_x=gram_x,
             include_sup=include_sup,
             include_lipschitz=include_lipschitz,
             include_operator_norm=include_operator_norm,
@@ -276,11 +308,15 @@ class WFunctionalSpec:
 
         Every piece is a norm of a constant linear map of the rows. The rows
         and the Lipschitz pair differences are stacked (by the gather indices
-        of the spec) into one gram_y.sq_norms call. Graph row i is rows[i] on
-        {x_i} x Y, so its norm and gradient come from the i-th diagonal block
-        of gram_xy (graph_sq_norms), and the sup gradient sits on row i only.
-        Only the operator norm needs m, the Gram matrix of the graph rows:
-        a graph norm ||sum_i u_i (graph row i)|| has the gradient
+        of the spec) into one gram_y.sq_norms call, and each piece is the
+        norm of its stack row over the spec's divisor (see WFunctionalSpec):
+        a_i ||r_i||_{G_Y} for sup row i, ||r_i - r_j||_{G_Y} / d_ij for a
+        Lipschitz pair. Each max is an argmax on its slice, and the gradient
+        of the active piece is G_Y times its stack row over (norm * divisor).
+        A gram_xy whose diagonal blocks differ adds graph row i's norm to
+        sup piece i, with its gradient on row i from graph_sq_norms. Only the
+        operator norm needs m, the Gram matrix of the graph rows: a graph
+        norm ||sum_i u_i (graph row i)|| has the gradient
         u * G_XY(u * rows) / norm, and those of the tied top eigenvectors come
         from one batched gram_xy.apply. One buffer sums the terms' gradients
         in the fixed order sup, Lipschitz, operator norm. Tiny or huge source
@@ -294,18 +330,20 @@ class WFunctionalSpec:
             stack = rows.take(self._gather, axis=0)
             stack[n_sup:] -= rows.take(self._pairs[1], axis=0)
             g2, q = self.gram_y.sq_norms(stack)
+            norms = np.sqrt(q)
+            pieces = norms / self._divisors
         if n_sup:
-            b, qg = self.gram_xy.graph_sq_norms(rows)
-            ny_norm, ng_norm = np.sqrt(q[:n_sup]), np.sqrt(qg)
-            phi = ny_norm + ng_norm
+            phi = pieces[:n_sup]
+            if self._graph_blocks:
+                b, qg = self.gram_xy.graph_sq_norms(rows)
+                ng_norm = np.sqrt(qg)
+                phi = phi + ng_norm
             sup = int(phi.argmax())
             total += float(phi[sup])
         if len(self._dists):
-            g2d, qd = g2[n_sup:], q[n_sup:]
-            ratios = np.sqrt(qd) / self._dists
-            p = int(ratios.argmax())
-            total += float(ratios[p])
-            if ratios[p] > 0:
+            p = n_sup + int(pieces[n_sup:].argmax())
+            total += float(pieces[p])
+            if pieces[p] > 0:
                 lip = p
         if self._basis is not None:
             lam, tied = _top_eigspace(self.gram_xy.pair_form(rows), self._basis)
@@ -317,13 +355,13 @@ class WFunctionalSpec:
             return total * total, None
         grad = np.zeros(rows.shape)
         if sup is not None:
-            if ng_norm[sup] > 0:
-                grad[sup] = b[sup] / ng_norm[sup]
-            if ny_norm[sup] > 0:
-                grad[sup] += g2[sup] / ny_norm[sup]
+            if norms[sup] > 0:
+                grad[sup] = g2[sup] / (norms[sup] * self._divisors[sup])
+            if self._graph_blocks and ng_norm[sup] > 0:
+                grad[sup] += b[sup] / ng_norm[sup]
         if lip is not None:
-            i, j = self._pairs[:, lip]
-            step = g2d[lip] / (math.sqrt(qd[lip]) * self._dists[lip])
+            i, j = self._pairs[:, lip - n_sup]
+            step = g2[lip] / (norms[lip] * self._divisors[lip])
             grad[i] += step
             grad[j] -= step
         if opnorm is not None:
@@ -474,6 +512,9 @@ class NewtonInterpolant:
                 f"{_MAX_NEWTON_NODES}; split the node set"
             )
         xs = np.array([float(x) for x, _ in nodes])
+        if not np.isfinite(xs).all():
+            bad = xs[~np.isfinite(xs)][0].item()
+            raise ValueError(f"node abscissas must be finite, got {bad}")
         if len(set(xs.tolist())) != len(xs):
             raise ValueError("node abscissas must be distinct")
         space = nodes[0][1].space
@@ -483,12 +524,19 @@ class NewtonInterpolant:
         table = np.stack([m.weights for _, m in nodes]).astype(float)
         k = len(nodes)
         coeffs = [table[0].copy()]
-        for order in range(1, k):
-            table = (table[1:] - table[:-1]) / (xs[order:] - xs[:-order])[:, None]
-            coeffs.append(table[0].copy())
+        # a difference quotient over a tiny spacing can overflow; the table is checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for order in range(1, k):
+                table = (table[1:] - table[:-1]) / (xs[order:] - xs[:-order])[:, None]
+                coeffs.append(table[0].copy())
+        coeffs = np.stack(coeffs)
+        if not np.isfinite(coeffs).all():
+            raise ValueError(
+                "the divided-difference table overflows: node abscissas are too close together"
+            )
         self.space = space
         self.xs = xs
-        self.coeffs = np.stack(coeffs)
+        self.coeffs = coeffs
 
     def __call__(self, x: float, project: bool = False) -> SignedMeasure:
         acc = self.coeffs[-1].copy()

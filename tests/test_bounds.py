@@ -464,6 +464,12 @@ BOUNDS_REFUSALS = {
         lambda: mmd_concentration_bound(10, 0.05, -1.0), ValueError, "the mean kernel diagonal cannot be negative",
     ),
     "wilson-trials-0": (lambda: wilson_interval(0, 0), ValueError, "trials must be at least 1"),
+    "wilson-failures-above-trials": (
+        lambda: wilson_interval(3, 2), ValueError, "failures must lie in [0, trials], got 3 of 2",
+    ),
+    "wilson-failures-negative": (
+        lambda: wilson_interval(-1, 5), ValueError, "failures must lie in [0, trials], got -1 of 5",
+    ),
     "verify-trials-0": (
         lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], 10, 0, 0, gY=G_Y3, eps=0.5),
         ValueError, "trials must be at least 1",

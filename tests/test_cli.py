@@ -340,6 +340,38 @@ def test_bounds_deterministic(bounds_dir):
     assert outs[0] == outs[1]
 
 
+def test_successive_main_calls_match_separate_ones(bounds_dir, capsys):
+    # main builds its parser once per process; every call must still read only its own
+    # arguments. Each call is rerun with the parser rebuilt, as a separate process would.
+    from probmorph.cli import _build_parser
+
+    out_dir = bounds_dir / "o"
+
+    def call(argv, rebuild):
+        if rebuild:
+            _build_parser.cache_clear()
+        out_dir.mkdir()
+        code = run(*argv)
+        out, err = capsys.readouterr()
+        files = sorted((p.name, p.read_bytes()) for p in out_dir.iterdir())
+        shutil.rmtree(out_dir)
+        return code, out, err, files
+
+    calls = (
+        ("laws", "--seed", 3, "--trials", 5, "--out", out_dir / "laws.json"),
+        ("bounds", "--config", bounds_dir / "bounds.cfg", "--trials", 0),
+        ("bounds", "--config", bounds_dir / "bounds.cfg", "--seed", 2,
+         "--trials", 40, "--n", 30, "--out", out_dir),
+    )
+    _build_parser.cache_clear()
+    together = [call(argv, rebuild=False) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    separate = [call(argv, rebuild=True) for argv in calls]
+    assert [c[0] for c in together] == [0, 64, 0]
+    assert together[0][3] and together[2][3]  # both wrote their reports
+    assert together == separate
+
+
 def test_bounds_unknown_name_exit_64(bounds_dir):
     (bounds_dir / "bad.cfg").write_text("bound = chernoff\n")
     assert run(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from probmorph.kernels import (
     kernel_eval,
     mmd,
 )
+from probmorph.learning import WFunctionalSpec
 from probmorph.spaces import (
     FiniteSpace,
     ProbMeasure,
@@ -452,6 +454,34 @@ def test_graph_sq_norms_follow_the_roundoff_rule_of_sq_norms():
     lin = gram(KernelSpec("linear", scale=1e8), ProductSpace(xs, ys))
     _, q = lin.graph_sq_norms(np.array([[0.5, -1.0, 0.5], [1.0, 0.0, 0.0]]))
     assert 0.0 <= q[0] < 1e-5 and q[1] == pytest.approx(1e6)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 1.7])
+@pytest.mark.parametrize("base", PRODUCT_VARIANTS[:3], ids=repr)
+@pytest.mark.parametrize("shape", [(3, 4), (64, 16)], ids=["3x4", "64x16"])
+def test_factored_sup_pieces_match_the_graph_blocks(base, scale, shape):
+    # sup piece i is ||r_i||_{G_Y} + ||r_i||_{B_i}; on a from_kernel spec B_i = left[i, i] G_Y,
+    # and the spec reads both norms off the one gram_y product
+    nx, ny = shape
+    rng = np.random.default_rng(nx)
+    xs = FiniteSpace(list(range(nx)), coords=rng.uniform(0.0, 3.0, (nx, 2)))
+    ys = FiniteSpace(list(range(ny)), coords=np.linspace(0.0, 2.0, ny)[:, None])
+    spec = WFunctionalSpec.from_kernel(replace(base, scale=scale), xs, ys, include_lipschitz=False)
+    assert not spec._graph_blocks
+    rows = rng.dirichlet(np.ones(ny), size=nx)
+    b, qg = _graph_block_oracle(spec.gram_xy, rows)
+    ry = rows @ spec.gram_y.values
+    ny_norm, ng_norm = np.sqrt(np.einsum("iy,iy->i", ry, rows)), np.sqrt(qg)
+    phi = ny_norm + ng_norm
+    grads = ry / ny_norm[:, None] + b / ng_norm[:, None]
+    _, q = spec.gram_y.sq_norms(rows)
+    assert np.allclose(np.sqrt(q) / spec._divisors, phi, rtol=1e-12, atol=0)
+    value, grad = spec._value_grad(rows)
+    i = int(phi.argmax())
+    assert value == pytest.approx(phi[i] ** 2, rel=1e-12, abs=0)
+    expect = np.zeros_like(rows)
+    expect[i] = 2.0 * phi[i] * grads[i]
+    assert np.max(np.abs(grad - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 # every refusal of the module that no test above reaches: (call, exception type, message fragment)

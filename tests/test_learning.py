@@ -1,8 +1,12 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+
+import probmorph.kernels as kernels_mod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -241,6 +245,74 @@ def test_lipschitz_distances_neither_vanish_nor_warn():
         far = FiniteSpace(["a", "b"], coords=coords)
         spec = WFunctionalSpec.from_kernel(KernelSpec("delta"), far, Y2, include_sup=False)
         assert w_functional(MarkovKernel(far, Y2, [[1.0, 0.0], [0.0, 1.0]]), spec) == 0.0
+
+
+def _count_norm_products(monkeypatch) -> Counter:
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for cls in (GramMatrix, KroneckerGram):
+        for name in ("sq_norms", "graph_sq_norms"):
+            monkeypatch.setattr(cls, name, counted(name, vars(cls)[name]))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [KernelSpec("gaussian", sigma=1.0), KernelSpec("laplacian", sigma=0.5, scale=1.7), KernelSpec("delta", scale=2.0)],
+    ids=repr,
+)
+def test_w_on_a_from_kernel_spec_is_one_label_product(monkeypatch, kernel):
+    xs = FiniteSpace(["a", "b", "c", "d"], coords=[[0.0, 0.0], [1.0, 0.5], [0.3, 2.0], [1.5, 1.5]])
+    spec = WFunctionalSpec.from_kernel(kernel, xs, Y2)
+    rows = np.random.default_rng(5).dirichlet(np.ones(2), size=4)
+    h = MarkovKernel(xs, Y2, rows)
+    # the same W on a hand-built spec whose product Gram carries the scale on its left
+    # factor: unless the scale is 1 its right factor is not gram_y, so the sup term reads
+    # the graph blocks
+    left = gram(kernel, xs)
+    other = WFunctionalSpec(
+        KroneckerGram(spec.gram_xy.points, left, gram(replace(kernel, scale=1.0), Y2)),
+        spec.gram_y,
+        left,
+    )
+    assert not spec._graph_blocks and other._graph_blocks == (kernel.scale != 1.0)
+    calls = _count_norm_products(monkeypatch)
+    value = w_functional(h, spec)
+    spec._value_grad(rows)
+    assert calls == {"sq_norms": 2}  # one per evaluation, and no graph product
+    calls.clear()
+    assert w_functional(h, other) == pytest.approx(value, rel=1e-12, abs=0)
+    # then one label product, and one graph product that reads the right factor once
+    assert calls == ({"sq_norms": 2, "graph_sq_norms": 1} if other._graph_blocks else {"sq_norms": 1})
+
+
+@pytest.mark.parametrize("scale, checks", [(1.0, 2), (1.7, 3)])
+def test_from_kernel_eigen_checks_each_factor_once(monkeypatch, scale, checks):
+    k = KernelSpec("gaussian", sigma=1.0, scale=scale)
+    count = Counter()
+    real = kernels_mod.eigvalsh
+
+    def counted(a):
+        count["eigvalsh"] += 1
+        return real(a)
+
+    monkeypatch.setattr(kernels_mod, "eigvalsh", counted)
+    spec = WFunctionalSpec.from_kernel(k, X3, Y2)
+    assert count["eigvalsh"] == checks
+    assert spec.gram_y is spec.gram_xy.right
+    assert (spec.gram_x is spec.gram_xy.left) == (scale == 1.0)
+    # the scale sits on the right factor, so each Gram equals the one built on its own
+    monkeypatch.undo()
+    assert spec.gram_y.values.tobytes() == gram(k, Y2).values.tobytes()
+    assert spec.gram_x.values.tobytes() == gram(k, X3).values.tobytes()
+    assert spec.gram_xy.left.values.tobytes() == gram(replace(k, scale=1.0), X3).values.tobytes()
 
 
 def test_lipschitz_distances_on_a_line_are_exact():
@@ -802,6 +874,16 @@ def test_newton_validation():
         newton_interpolant([(float(i), nu) for i in range(13)])
     with pytest.raises(ValueError):
         newton_interpolant([])
+    # a node the table cannot divide by is refused when built, not at every evaluation
+    other = ProbMeasure(Y2, [1.0, 0.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"node abscissas must be finite, got {bad}"):
+            newton_interpolant([(0.0, nu), (bad, other)])
+    with pytest.raises(ValueError, match="divided-difference table overflows"):
+        newton_interpolant([(0.0, nu), (1e-320, other)])
+    # close but representable spacings still interpolate through the nodes
+    f = newton_interpolant([(0.0, nu), (1e-300, other)])
+    assert np.allclose(f(1e-300).weights, other.weights, rtol=0, atol=1e-15)
 
 
 def test_newton_projection_only_at_query():
