@@ -143,6 +143,8 @@ def mmd_concentration_bound(n: int, delta: float, k_diag_mean: float) -> float:
         raise ValueError("delta must lie strictly between 0 and 1")
     if k_diag_mean < 0:
         raise ValueError("the mean kernel diagonal cannot be negative")
+    if not math.isfinite(k_diag_mean):
+        raise ValueError(f"the mean kernel diagonal must be finite, got {k_diag_mean}")
     return 2.0 * math.sqrt(k_diag_mean / n) + math.sqrt(2.0 * math.log(1.0 / delta) / n)
 
 
@@ -229,15 +231,9 @@ def monte_carlo_verify(
         raise ValueError("trials must be at least 1")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if bound_name == "hoeffding":
-        report = _verify_hoeffding(ground_truth, subject, n, trials, seed, **params)
-    elif bound_name == "covering":
-        report = _verify_covering(ground_truth, subject, n, trials, seed, **params)
-    elif bound_name == "mmd_concentration":
-        report = _verify_mmd(ground_truth, subject, n, trials, seed, **params)
-    else:
+    if bound_name not in VERIFIERS:
         raise ValueError(f"unknown bound name {bound_name!r}")
-    return report
+    return VERIFIERS[bound_name](ground_truth, subject, n, trials, seed, **params)
 
 
 def _finish(bound_name, params, theoretical, failures, trials, seed) -> BoundReport:
@@ -262,15 +258,28 @@ def _c_k(gY: GramMatrix) -> float:
     return ck
 
 
-def _verify_hoeffding(mu: ProbMeasure, h: MarkovKernel, n, trials, seed, *, gY, eps):
-    grid = _loss_grid(h, gY).reshape(-1)
-    _check_joint(h, mu)
-    true_risk = float(_expected_risks(grid[None], mu)[0])  # expected_risk's bits
-    ck = _c_k(gY)
-    failures = 0
+def _sup_deviation_counts(mu: ProbMeasure, grids: np.ndarray, n, trials, seed, eps, c_m):
+    """(failures, implication violations) of the sup deviation over a stack of flat loss grids."""
+    true_risks = _expected_risks(grids, mu)  # expected_risk's bits, member by member
+    # exact ERM on a finite class has gap 0 <= c_m, so its excess risk
+    # must stay within 2 eps + c_m whenever the sup deviation does not fail
+    excess = true_risks - float(np.min(true_risks))
+    failures = violations = 0
     for counts in _trial_counts(mu, n, trials, seed):
-        failures += int(np.count_nonzero(np.abs(counts @ grid / n - true_risk) > eps))
+        emp_risks = counts @ grids.T / n
+        failed = np.max(np.abs(emp_risks - true_risks), axis=1) > eps
+        chosen = np.argmin(emp_risks, axis=1)
+        failures += int(np.count_nonzero(failed))
+        violations += int(np.count_nonzero(~failed & (excess[chosen] > 2.0 * eps + c_m + 1e-12)))
+    return failures, violations
+
+
+def _verify_hoeffding(mu: ProbMeasure, h: MarkovKernel, n, trials, seed, *, gY, eps):
+    grid = _loss_grid(h, gY).reshape(1, -1)
+    _check_joint(h, mu)
+    ck = _c_k(gY)
     theoretical = hoeffding_bound(n, eps, ck)
+    failures, _ = _sup_deviation_counts(mu, grid, n, trials, seed, eps, 0.0)
     params = {"m": n, "eps": eps, "c_k": ck}
     return _finish("hoeffding", params, theoretical, failures, trials, seed)
 
@@ -280,29 +289,17 @@ def _verify_covering(mu: ProbMeasure, cls: FiniteClass, n, trials, seed, *, gY, 
         raise ValueError(f"c_m = {c_m!r} must be finite and nonnegative")
     grids = np.stack([_loss_grid(h, gY).reshape(-1) for h in cls])
     _check_joint(cls.kernels[0], mu)  # the members share their grids
-    true_risks = _expected_risks(grids, mu)  # expected_risk's bits, member by member
     ck = _c_k(gY)
-    # exact ERM on a finite class has gap 0 <= c_m, so its excess risk
-    # must stay within 2 eps + c_m whenever the sup deviation does not fail
-    excess = true_risks - float(np.min(true_risks))
-    failures = implication_violations = 0
-    for counts in _trial_counts(mu, n, trials, seed):
-        emp_risks = counts @ grids.T / n
-        failed = np.max(np.abs(emp_risks - true_risks), axis=1) > eps
-        chosen = np.argmin(emp_risks, axis=1)
-        failures += int(np.count_nonzero(failed))
-        implication_violations += int(
-            np.count_nonzero(~failed & (excess[chosen] > 2.0 * eps + c_m + 1e-12))
-        )
     n_cover = covering_number(cls, eps / (8.0 * ck), gY)
     theoretical = covering_bound(n_cover, n, eps, ck)
+    failures, violations = _sup_deviation_counts(mu, grids, n, trials, seed, eps, c_m)
     params = {
         "m": n,
         "eps": eps,
         "c_k": ck,
         "N": n_cover,
         "c_m": c_m,
-        "implication_violations": implication_violations,
+        "implication_violations": violations,
     }
     return _finish("covering", params, theoretical, failures, trials, seed)
 
@@ -321,3 +318,9 @@ def _verify_mmd(mu: ProbMeasure, g: GramMatrix, n, trials, seed, *, delta):
         failures += int(np.count_nonzero(dist > dev_bound))
     params = {"n": n, "delta": delta, "k_diag_mean": k_diag_mean, "deviation_bound": dev_bound}
     return _finish("mmd_concentration", params, delta, failures, trials, seed)
+
+
+# bound name -> verifier: the one list of the bounds monte_carlo_verify checks
+VERIFIERS = dict(
+    hoeffding=_verify_hoeffding, covering=_verify_covering, mmd_concentration=_verify_mmd
+)

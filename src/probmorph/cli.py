@@ -421,7 +421,7 @@ def cmd_bounds(args) -> int:
     name = cfg.get("bound")
     if name is None:
         raise _UsageError("config must set 'bound'")
-    if name not in ("hoeffding", "covering", "mmd_concentration"):
+    if name not in bounds_mod.VERIFIERS:
         raise _UsageError(f"unknown bound name {name!r}")
     kernel = _kernel_spec(cfg)
     y_space = space_from_config(cfg, "y")

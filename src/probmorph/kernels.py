@@ -247,13 +247,27 @@ def _coord_rows(spec: KernelSpec, space: FiniteSpace) -> np.ndarray:
     return space.coords
 
 
+def _kernel_values(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K(a_i, b_j) for the rows of a and b under a gaussian, laplacian or linear kernel."""
+    # -sigma * d may overflow to -inf, whose exp is the exact 0; an entry
+    # that overflows to inf is rejected by GramMatrix
+    with np.errstate(over="ignore"):
+        if spec.variant == "gaussian":
+            return spec.scale * np.exp(-spec.sigma * cdist(a, b, "sqeuclidean"))
+        if spec.variant == "laplacian":
+            return spec.scale * np.exp(-spec.sigma * cdist(a, b, "cityblock"))
+        return spec.scale * (a @ b.T)
+
+
 def kernel_eval(spec: KernelSpec, y, y_prime, space: FiniteSpace | None = None) -> float:
     """Evaluate K(y, y') on two points.
 
     Points may be given as labels of `space` or as raw coordinate
     vectors (the delta variant then compares the vectors themselves). A
     point that is not a label, or cannot be one because it is unhashable
-    (a list or an array), is read as a raw vector.
+    (a list or an array), is read as a raw vector, which must be nonempty
+    and finite. The other variants need both points' coordinates, of one
+    dimension, and evaluate them as gram does.
     """
 
     def resolve(p):
@@ -265,7 +279,10 @@ def kernel_eval(spec: KernelSpec, y, y_prime, space: FiniteSpace | None = None) 
             idx = space.index(p)
             vec = None if space.coords is None else space.coords[idx]
             return p, vec
-        return None, np.asarray(p, dtype=float).reshape(-1)
+        vec = np.asarray(p, dtype=float).reshape(-1)
+        if vec.size == 0 or not np.all(np.isfinite(vec)):
+            raise ValueError(f"a raw point must be a nonempty finite vector, got {p!r}")
+        return None, vec
 
     label_a, vec_a = resolve(y)
     label_b, vec_b = resolve(y_prime)
@@ -279,11 +296,9 @@ def kernel_eval(spec: KernelSpec, y, y_prime, space: FiniteSpace | None = None) 
         return spec.scale * (1.0 if same else 0.0)
     if vec_a is None or vec_b is None:
         raise ValueError(f"{spec.variant} kernel needs coordinates")
-    if spec.variant == "gaussian":
-        return spec.scale * math.exp(-spec.sigma * float(np.sum((vec_a - vec_b) ** 2)))
-    if spec.variant == "laplacian":
-        return spec.scale * math.exp(-spec.sigma * float(np.sum(np.abs(vec_a - vec_b))))
-    return spec.scale * float(np.dot(vec_a, vec_b))
+    if vec_a.size != vec_b.size:
+        raise ValueError(f"the points have dimensions {vec_a.size} and {vec_b.size}")
+    return float(_kernel_values(spec, vec_a[None], vec_b[None])[0, 0])
 
 
 def gram(spec: KernelSpec, space: FiniteSpace) -> GramMatrix:
@@ -303,15 +318,7 @@ def gram(spec: KernelSpec, space: FiniteSpace) -> GramMatrix:
         g = spec.scale * np.eye(space.size)
     else:
         c = _coord_rows(spec, space)
-        # -sigma * d may overflow to -inf, whose exp is the exact 0; an entry
-        # that overflows to inf is rejected by GramMatrix
-        with np.errstate(over="ignore"):
-            if spec.variant == "gaussian":
-                g = spec.scale * np.exp(-spec.sigma * cdist(c, c, "sqeuclidean"))
-            elif spec.variant == "laplacian":
-                g = spec.scale * np.exp(-spec.sigma * cdist(c, c, "cityblock"))
-            else:
-                g = spec.scale * (c @ c.T)
+        g = _kernel_values(spec, c, c)
     return GramMatrix(space, g)
 
 

@@ -25,6 +25,7 @@ nodes exactly and whose components always sum to one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -73,8 +74,8 @@ class ParametricClass:
 
 def gamma_schedule(n: int) -> float:
     """Default regularization weight: n^(-1/2)."""
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
+    if not n >= 1:  # also refuses NaN
+        raise ValueError(f"sample size must be at least 1, got {n}")
     return float(n) ** -0.5
 
 
@@ -98,8 +99,8 @@ class LearnerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be a positive integer")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be a nonnegative integer")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
         if not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be finite and strictly positive")
         if not self.tol >= 0:  # also refuses NaN, which no gap is ever <= to
@@ -173,8 +174,6 @@ def cerm(cls, S: Dataset, gY: GramMatrix, config: LearnerConfig | None = None) -
     kernel is characteristic.
     `config` is accepted for call compatibility; no field of it is read.
     """
-    if len(S) == 0:
-        raise ValueError("cerm needs a nonempty dataset")
     if isinstance(cls, FiniteClass):
         values = [empirical_risk(h, S, gY).value for h in cls]
         best = int(np.argmin(values))
@@ -539,9 +538,15 @@ class NewtonInterpolant:
         self.coeffs = coeffs
 
     def __call__(self, x: float, project: bool = False) -> SignedMeasure:
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x}")
         acc = self.coeffs[-1].copy()
-        for order in range(len(self.xs) - 2, -1, -1):
-            acc = acc * (x - self.xs[order]) + self.coeffs[order]
+        # the products grow like x^(k-1) and can overflow far from the nodes
+        with np.errstate(over="ignore", invalid="ignore"):
+            for order in range(len(self.xs) - 2, -1, -1):
+                acc = acc * (x - self.xs[order]) + self.coeffs[order]
+        if not np.isfinite(acc).all():
+            raise ValueError(f"the interpolant overflows at x = {x}")
         if project:
             return ProbMeasure(self.space, _project_simplex(acc))
         return SignedMeasure(self.space, acc)

@@ -40,7 +40,8 @@ class FiniteSpace:
     Parameters
     ----------
     labels : sequence of hashable point identifiers, all distinct.
-    coords : optional sequence of real vectors, one per label, equal length.
+    coords : optional sequence of finite real vectors, one per label, of
+        one length d >= 1.
     """
 
     def __init__(self, labels: Sequence[Label], coords=None):
@@ -54,6 +55,8 @@ class FiniteSpace:
             self.coords = None
         else:
             c = np.atleast_2d(np.asarray(coords, dtype=float))
+            if c.ndim != 2 or c.shape[1] == 0:
+                raise ValueError(f"coordinates must have shape (n, d) with d >= 1, got {c.shape}")
             if c.shape[0] != len(labels):
                 raise ValueError(
                     f"{c.shape[0]} coordinate vectors for {len(labels)} labels"

@@ -266,6 +266,34 @@ def test_monte_carlo_unknown_name():
         monte_carlo_verify("chernoff", mu, t, 50, 10, 0, gY=G_Y3, eps=0.5)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("name", ["hoeffding", "covering"])
+def test_monte_carlo_refuses_eps_before_any_trial(monkeypatch, name, eps):
+    t, mu = _fixed_instance()
+    subject = t if name == "hoeffding" else FiniteClass([t, MarkovKernel(X3, Y3, np.full((3, 3), 1 / 3))])
+
+    def no_draws(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(bounds, "_trial_counts", no_draws)
+    with pytest.raises(ValueError, match="strictly positive"):
+        monte_carlo_verify(name, mu, subject, 50, 5000, 0, gY=G_Y3, eps=eps)
+
+
+@pytest.mark.parametrize("gY", [G_Y3, G_Y3_GAUSS], ids=["delta", "gaussian"])
+def test_hoeffding_is_the_uniform_check_over_a_class_of_one(gY):
+    t, _ = _fixed_instance()
+    t = MarkovKernel(X3, gY.points, t.matrix)
+    mu = graph_pushforward(t, ProbMeasure(X3, [0.3, 0.4, 0.3]))
+    for eps in (0.02, 0.05, 0.1):
+        one = monte_carlo_verify("hoeffding", mu, t, 40, 3000, 5, gY=gY, eps=eps)
+        cls = monte_carlo_verify("covering", mu, FiniteClass([t]), 40, 3000, 5, gY=gY, eps=eps)
+        assert 0 < one.empirical_failure_rate < 1
+        assert one.empirical_failure_rate == cls.empirical_failure_rate
+        assert cls.parameters["N"] == 1 and cls.parameters["implication_violations"] == 0
+        assert cls.theoretical_bound == min(1.0, 2.0 * one.theoretical_bound)
+
+
 def test_monte_carlo_hoeffding_huge_eps():
     t, mu = _fixed_instance()
     rep = monte_carlo_verify("hoeffding", mu, t, 50, 50, 0, gY=G_Y3, eps=100.0)
@@ -462,6 +490,12 @@ BOUNDS_REFUSALS = {
     "mmd-bound-n-0": (lambda: mmd_concentration_bound(0, 0.05, 1.0), ValueError, "n must be at least 1"),
     "mmd-bound-negative-diag": (
         lambda: mmd_concentration_bound(10, 0.05, -1.0), ValueError, "the mean kernel diagonal cannot be negative",
+    ),
+    "mmd-bound-nan-diag": (
+        lambda: mmd_concentration_bound(10, 0.05, math.nan), ValueError, "the mean kernel diagonal must be finite, got nan",
+    ),
+    "mmd-bound-inf-diag": (
+        lambda: mmd_concentration_bound(10, 0.05, math.inf), ValueError, "the mean kernel diagonal must be finite, got inf",
     ),
     "wilson-trials-0": (lambda: wilson_interval(0, 0), ValueError, "trials must be at least 1"),
     "wilson-failures-above-trials": (

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from probmorph.bounds import VERIFIERS
 from probmorph.cli import main
 from probmorph.morphisms import MarkovKernel
 from probmorph.serialize import kernel_from_json, kernel_to_json, measure_to_json
@@ -372,12 +373,35 @@ def test_successive_main_calls_match_separate_ones(bounds_dir, capsys):
     assert together == separate
 
 
-def test_bounds_unknown_name_exit_64(bounds_dir):
+# the config lines each bound adds to bounds.cfg; one entry per name in bounds.VERIFIERS
+BOUND_CONFIGS = {
+    "hoeffding": "",
+    "covering": "class = {dir}/hyp.json; {dir}/hyp.json\n",
+    "mmd_concentration": "truth_measure = {dir}/truth_y.json\n",
+}
+
+
+def test_every_bound_name_runs_through_the_cli(bounds_dir):
+    assert sorted(BOUND_CONFIGS) == sorted(VERIFIERS)
+    (bounds_dir / "truth_y.json").write_text(json.dumps(measure_to_json(ProbMeasure(Y, [0.4, 0.6]))))
+    for name, lines in BOUND_CONFIGS.items():
+        cfg = (bounds_dir / "bounds.cfg").read_text() + f"bound = {name}\n" + lines.format(dir=bounds_dir)
+        (bounds_dir / f"{name}.cfg").write_text(cfg)
+        out = bounds_dir / name
+        assert run(
+            "bounds", "--config", bounds_dir / f"{name}.cfg", "--seed", 1,
+            "--trials", 30, "--n", 20, "--out", out,
+        ) == 0
+        assert json.loads((out / "report.json").read_text())["bound_name"] == name
+
+
+def test_bounds_unknown_name_exit_64(bounds_dir, capsys):
     (bounds_dir / "bad.cfg").write_text("bound = chernoff\n")
     assert run(
         "bounds", "--config", bounds_dir / "bad.cfg", "--seed", 0,
         "--out", bounds_dir / "x",
     ) == 64
+    assert "unknown bound name 'chernoff'" in capsys.readouterr().err
 
 
 def test_bounds_mmd_truth_weight_count_exit_65(bounds_dir, capsys):

@@ -278,7 +278,7 @@ def test_reproducing_identity(space, spec):
         for yj in space.labels[i:]:
             lhs = embed_inner(g, dirac(space, yi), dirac(space, yj))
             rhs = kernel_eval(spec, space.coords[space.index(yi)], space.coords[space.index(yj)])
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+            assert lhs == rhs
 
 
 @settings(max_examples=40, deadline=None)
@@ -498,6 +498,30 @@ KERNELS_REFUSALS = {
     "mmd-other-space": (
         lambda: mmd(gram(KernelSpec("delta"), Y01), dirac(Y01, 0), dirac(Y4, "s")),
         SpaceMismatchError, "measures do not live on the Gram matrix's space",
+    ),
+    "eval-nan-point": (
+        lambda: kernel_eval(KernelSpec("gaussian", sigma=1.0), [math.nan], [0.0]),
+        ValueError, "a raw point must be a nonempty finite vector, got [nan]",
+    ),
+    "eval-inf-point-under-delta": (
+        lambda: kernel_eval(KernelSpec("delta"), [0.0], [math.inf]),
+        ValueError, "a raw point must be a nonempty finite vector, got [inf]",
+    ),
+    "eval-empty-points": (
+        lambda: kernel_eval(KernelSpec("gaussian", sigma=1.0), [], []),
+        ValueError, "a raw point must be a nonempty finite vector, got []",
+    ),
+    "eval-gaussian-dimensions": (
+        lambda: kernel_eval(KernelSpec("gaussian", sigma=1.0), [0.0], [1.0, 2.0]),
+        ValueError, "the points have dimensions 1 and 2",
+    ),
+    "eval-linear-dimensions": (
+        lambda: kernel_eval(KernelSpec("linear"), [0.0, 1.0, 2.0], [1.0, 2.0]),
+        ValueError, "the points have dimensions 3 and 2",
+    ),
+    "eval-label-dimensions": (
+        lambda: kernel_eval(KernelSpec("laplacian", sigma=1.0), 0, [0.0, 0.0], Y01),
+        ValueError, "the points have dimensions 1 and 2",
     ),
 }
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -884,6 +885,16 @@ def test_newton_validation():
     # close but representable spacings still interpolate through the nodes
     f = newton_interpolant([(0.0, nu), (1e-300, other)])
     assert np.allclose(f(1e-300).weights, other.weights, rtol=0, atol=1e-15)
+    # an evaluation point the polynomial cannot be evaluated at is refused by name,
+    # with or without projection, and without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for project in (False, True):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"x must be finite, got {bad}"):
+                    f(bad, project=project)
+            with pytest.raises(ValueError, match="the interpolant overflows at x = 1e[+]308"):
+                f(1e308, project=project)
 
 
 def test_newton_projection_only_at_query():
@@ -948,6 +959,10 @@ LEARNING_REFUSALS = {
         ValueError, "W geometry does not match the dataset grids",
     ),
     "config-restarts-0": (lambda: LearnerConfig(restarts=0), ValueError, "restarts must be a positive integer"),
+    "config-max-iters-fraction": (
+        lambda: LearnerConfig(max_iters=2.5), ValueError, "max_iters must be a nonnegative integer, got 2.5",
+    ),
+    "gamma-nan-n": (lambda: gamma_schedule(math.nan), ValueError, "sample size must be at least 1, got nan"),
     "w-no-term": (
         lambda: WFunctionalSpec.from_kernel(KernelSpec("delta"), X3, Y2, include_sup=False, include_lipschitz=False),
         ValueError, "at least one W term must be enabled",

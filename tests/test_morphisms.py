@@ -313,6 +313,19 @@ def test_sup_tv_norm():
     assert sup_tv_norm(mixed) == 2.0
 
 
+def test_signed_kernel_rows_and_scalar_multiples():
+    k = SignedKernel(X2, Y2, [[0.5, -1.5], [2.0, 0.25]])
+    row = k.row("x2")
+    assert type(row) is SignedMeasure and row.space == Y2
+    assert np.array_equal(row.weights, [2.0, 0.25])
+    for scaled in (k * -2.0, -2.0 * k):
+        assert type(scaled) is SignedKernel
+        assert (scaled.source, scaled.target) == (X2, Y2)
+        assert np.array_equal(scaled.matrix, [[-1.0, 3.0], [-4.0, -0.5]])
+    # a multiple of a Markov kernel is only a signed kernel
+    assert type(2.0 * MarkovKernel(X2, Y2, np.eye(2))) is SignedKernel
+
+
 # ---------------------------------------------------------------------------
 # embedded operator norm
 # ---------------------------------------------------------------------------

@@ -355,6 +355,30 @@ def test_signed_measure_arithmetic():
     assert mu.weight("b") == -2.0
 
 
+def test_space_length_and_hash():
+    a = FiniteSpace(["a", "b"], coords=[[0.0], [1.0]])
+    b = FiniteSpace(("a", "b"), coords=np.array([[0.0], [1.0]]))
+    assert len(a) == a.size == 2
+    # equal spaces hash alike, with coordinates or without
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert hash(AB) == hash(FiniteSpace(["a", "b"]))
+    assert len({a, b, AB, FiniteSpace(["a", "b"])}) == 2
+
+
+def test_dataset_inputs_and_labels_in_sample_order():
+    S = Dataset(ProductSpace(AB, CD), [("b", "c"), ("a", "d"), ("b", "d")])
+    assert S.xs() == ("b", "a", "b")
+    assert S.ys() == ("c", "d", "d")
+
+
+def test_negated_measure():
+    mu = SignedMeasure(AB, [0.25, -1.5])
+    neg = -mu
+    assert type(neg) is SignedMeasure and neg.space == AB
+    assert np.array_equal(neg.weights, [-0.25, 1.5])
+    assert np.array_equal((mu + neg).weights, [0.0, 0.0])
+
+
 # every refusal of the module that no test above reaches: (call, exception type, message fragment)
 SPACES_REFUSALS = {
     "sum-two-spaces": (
@@ -362,6 +386,14 @@ SPACES_REFUSALS = {
         SpaceMismatchError, "measures live on different spaces",
     ),
     "space-without-points": (lambda: FiniteSpace([]), ValueError, "a FiniteSpace needs at least one point"),
+    "coords-three-axes": (
+        lambda: FiniteSpace(["a", "b"], coords=np.zeros((2, 2, 1))),
+        ValueError, "coordinates must have shape (n, d) with d >= 1, got (2, 2, 1)",
+    ),
+    "coords-no-dimension": (
+        lambda: FiniteSpace(["a", "b"], coords=np.zeros((2, 0))),
+        ValueError, "coordinates must have shape (n, d) with d >= 1, got (2, 0)",
+    ),
     "dataset-off-a-product": (lambda: Dataset(AB, []), TypeError, "Dataset requires a ProductSpace"),
     "empirical-labels-without-space": (
         lambda: empirical(["a"]), ValueError, "a space is required when data is a list of labels",
