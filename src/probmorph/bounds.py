@@ -290,6 +290,7 @@ def _verify_covering(mu: ProbMeasure, cls: FiniteClass, n, trials, seed, *, gY, 
     grids = np.stack([_loss_grid(h, gY).reshape(-1) for h in cls])
     _check_joint(cls.kernels[0], mu)  # the members share their grids
     ck = _c_k(gY)
+    hoeffding_bound(n, eps, ck)  # refuses a bad eps before the cover is built
     n_cover = covering_number(cls, eps / (8.0 * ck), gY)
     theoretical = covering_bound(n_cover, n, eps, ck)
     failures, violations = _sup_deviation_counts(mu, grids, n, trials, seed, eps, c_m)

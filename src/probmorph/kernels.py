@@ -25,7 +25,7 @@ Consumers of a product Gram go through apply, sq_norms, graph_sq_norms
 and pair_form, which both representations implement, and never need the
 dense matrix.
 Every squared embedded norm d' G d is GramMatrix.sq_norms, under one
-rule for roundoff below zero.
+rule for roundoff below zero. The module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -34,8 +34,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigvalsh
-from scipy.spatial.distance import cdist
+from numpy.linalg import eigvalsh
 
 from ._tol import INVARIANT_ATOL, PSD_ATOL
 from .spaces import FiniteSpace, ProductSpace, SignedMeasure, SpaceMismatchError
@@ -252,11 +251,13 @@ def _kernel_values(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     # -sigma * d may overflow to -inf, whose exp is the exact 0; an entry
     # that overflows to inf is rejected by GramMatrix
     with np.errstate(over="ignore"):
-        if spec.variant == "gaussian":
-            return spec.scale * np.exp(-spec.sigma * cdist(a, b, "sqeuclidean"))
-        if spec.variant == "laplacian":
-            return spec.scale * np.exp(-spec.sigma * cdist(a, b, "cityblock"))
-        return spec.scale * (a @ b.T)
+        if spec.variant == "linear":
+            return spec.scale * (a @ b.T)
+        d = np.zeros((len(a), len(b)))
+        for a_k, b_k in zip(a.T, b.T):  # the distance, one coordinate at a time, in order
+            diff = np.subtract.outer(a_k, b_k)
+            d += np.square(diff, out=diff) if spec.variant == "gaussian" else np.abs(diff, out=diff)
+        return spec.scale * np.exp(-spec.sigma * d)
 
 
 def kernel_eval(spec: KernelSpec, y, y_prime, space: FiniteSpace | None = None) -> float:

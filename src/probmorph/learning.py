@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._tol import PROB_SUM_ATOL
 from .kernels import GramMatrix, KernelSpec, KroneckerGram, gram
 from .losses import empirical_risk
 from .morphisms import MarkovKernel, _conditional_rows, _sum_zero_pencil, _top_eigspace
@@ -495,10 +496,10 @@ def regularized_estimate(
 class NewtonInterpolant:
     """Componentwise divided-difference polynomial through measure nodes.
 
-    Evaluation returns a SignedMeasure whose weights sum to 1 (the
-    interpolant of constant data is that constant); between nodes the
-    weights may leave the simplex, and `project=True` maps the queried
-    value onto the simplex without touching node values.
+    Evaluation returns a SignedMeasure whose weights sum to 1 within
+    PROB_SUM_ATOL (the interpolant of constant data is that constant) or
+    raises ValueError; between nodes the weights may leave the simplex,
+    and `project=True` maps the queried value, not the nodes, onto it.
     """
 
     def __init__(self, nodes: Sequence[tuple[float, ProbMeasure]]):
@@ -541,12 +542,18 @@ class NewtonInterpolant:
         if not math.isfinite(x):
             raise ValueError(f"x must be finite, got {x}")
         acc = self.coeffs[-1].copy()
-        # the products grow like x^(k-1) and can overflow far from the nodes
+        # the products grow like x^(k-1): far from the nodes they overflow, or cancel the unit mass
         with np.errstate(over="ignore", invalid="ignore"):
             for order in range(len(self.xs) - 2, -1, -1):
                 acc = acc * (x - self.xs[order]) + self.coeffs[order]
-        if not np.isfinite(acc).all():
+        try:  # fsum is exact; it raises on inf - inf and on partial sums that overflow
+            mass = math.fsum(acc)
+        except (ValueError, OverflowError):
+            mass = math.nan
+        if not math.isfinite(mass):  # a finite fsum has finite terms
             raise ValueError(f"the interpolant overflows at x = {x}")
+        if not abs(mass - 1.0) <= PROB_SUM_ATOL:
+            raise ValueError(f"the interpolant's weights sum to {mass!r} at x = {x}, not 1")
         if project:
             return ProbMeasure(self.space, _project_simplex(acc))
         return SignedMeasure(self.space, acc)

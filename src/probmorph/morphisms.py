@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd
 
 from ._tol import INVARIANT_ATOL
 from .kernels import GramMatrix
@@ -303,14 +302,10 @@ def _top_eigspace(m: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
     eigenpair of m against g_x on sum-zero weights, and u' g_x u = 1.
     Eigenvalues within 1e-9 of the top, relatively, tie with it: at
     constant rows all of them do, and roundoff alone would pick one
-    eigenvector among them. w' m w is symmetrized against roundoff and
-    handed to LAPACK dsyevd as numpy's eigh would hand it, without its
-    dispatch; a failed solve raises LinAlgError.
+    eigenvector among them. A failed eigh raises LinAlgError.
     """
     a = w.T @ m @ w
-    vals, vecs, info = dsyevd((a + a.T) / 2.0, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"eigen-solve failed (LAPACK dsyevd info {info})")
+    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
     top = float(vals[-1])
     return top, w @ vecs[:, vals >= top - 1e-9 * abs(top)]
 

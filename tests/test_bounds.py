@@ -276,7 +276,8 @@ def test_monte_carlo_refuses_eps_before_any_trial(monkeypatch, name, eps):
         raise AssertionError("a trial was drawn")
 
     monkeypatch.setattr(bounds, "_trial_counts", no_draws)
-    with pytest.raises(ValueError, match="strictly positive"):
+    # the covering check refuses eps itself, not the radius eps / (8 C_K) it would cover at
+    with pytest.raises(ValueError, match="eps and c_k must be strictly positive"):
         monte_carlo_verify(name, mu, subject, 50, 5000, 0, gY=G_Y3, eps=eps)
 
 

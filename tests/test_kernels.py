@@ -366,6 +366,19 @@ def _dense_product_gram(spec: KernelSpec, prod: ProductSpace) -> GramMatrix:
     return GramMatrix(prod, g)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+@pytest.mark.parametrize("variant, metric", [("gaussian", "sqeuclidean"), ("laplacian", "cityblock")])
+def test_gram_equals_cdist_bit_for_bit(variant, metric, dim):
+    # the distances are summed a coordinate at a time, in order, as cdist sums them
+    rng = np.random.default_rng(dim)
+    spec = KernelSpec(variant, sigma=0.9, scale=1.5)
+    for n in (1, 7, 40):
+        c = rng.standard_normal((n, dim)) * rng.choice([1e-3, 1.0, 30.0], size=dim)
+        expected = spec.scale * np.exp(-spec.sigma * cdist(c, c, metric))
+        assert np.array_equal(gram(spec, FiniteSpace(list(range(n)), coords=c)).values, expected)
+        assert kernel_eval(spec, c[0], c[-1]) == expected[0, -1]
+
+
 @pytest.mark.parametrize("spec", PRODUCT_VARIANTS, ids=repr)
 def test_product_gram_factored_matches_dense(spec):
     prod = ProductSpace(X3, Y4)

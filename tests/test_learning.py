@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -895,6 +896,12 @@ def test_newton_validation():
                     f(bad, project=project)
             with pytest.raises(ValueError, match="the interpolant overflows at x = 1e[+]308"):
                 f(1e308, project=project)
+            # far from the nodes the weights cancel to [5e15, -5e15] and [5e199, -5e199]:
+            # their unit mass is lost, and the projection would have no pivot
+            far = newton_interpolant([(0.0, nu), (1.0, other)])
+            for x in (1e16, 1e200):
+                with pytest.raises(ValueError, match=re.escape(f"weights sum to 0.0 at x = {x}, not 1")):
+                    far(x, project=project)
 
 
 def test_newton_projection_only_at_query():

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +70,18 @@ def test_no_dead_private_helpers():
             if not used:
                 dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, f"private helpers nothing in the package reads: {', '.join(dead)}"
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle alone
+    code = "import sys, probmorph, probmorph.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]", f"importing probmorph loads {done.stdout.strip()}"
