@@ -73,7 +73,6 @@ from .bounds import (
     BoundReport,
     covering_bound,
     covering_number,
-    covering_number_exact,
     hoeffding_bound,
     hoeffding_general,
     lipschitz_deviation_check,

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .kernels import GramMatrix
 from .learning import FiniteClass
-from .losses import _check_gram, _check_joint, _deviation_terms, _expected_risks, _loss_grid
-from .losses import sup_row_mmd
+from .losses import _check_joint, _deviation_terms, _expected_risks, _loss_grid, _sup_row_mmd_matrix
 from .morphisms import MarkovKernel
 from .spaces import ProbMeasure
 
@@ -87,48 +85,25 @@ def covering_bound(n_cover: int, m: int, eps: float, c_k: float) -> float:
     return min(1.0, 2.0 * n_cover * hoeffding_bound(m, eps, c_k))
 
 
-def _pairwise_sup_row_mmd(cls: FiniteClass, gY: GramMatrix) -> np.ndarray:
-    _check_gram(cls.kernels[0], gY)  # a one-member class has no pair to check it
-    n = len(cls)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = sup_row_mmd(cls.kernels[i], cls.kernels[j], gY)
-    return d
-
-
 def covering_number(cls: FiniteClass, s: float, gY: GramMatrix) -> int:
-    """Size of a greedy radius-s cover of the class, centers in class order.
+    """Size of a greedy radius-s cover of the class, centers drawn from the class.
 
-    The metric is the sup over inputs of the row MMD. Greedy covers are
-    valid but possibly larger than the minimal covering number, so
-    bounds computed from them stay valid.
+    The metric d_inf is the sup over inputs of the row MMD. Each next
+    center is the member whose radius-s ball holds the most members not
+    yet covered, the lowest index winning ties (Chvatal's set-cover
+    greedy). Greedy covers are valid but possibly larger than the
+    minimal covering number, so bounds computed from them stay valid.
     """
     if not s > 0:
         raise ValueError("the covering radius must be strictly positive")
-    d = _pairwise_sup_row_mmd(cls, gY)
-    uncovered = list(range(len(cls)))
+    covers = _sup_row_mmd_matrix(cls.kernels, gY) <= s
+    uncovered = np.ones(len(cls), dtype=bool)
     centers = 0
-    while uncovered:
-        c = uncovered[0]
+    while uncovered.any():
+        c = int(np.argmax(np.count_nonzero(covers[:, uncovered], axis=1)))
         centers += 1
-        uncovered = [i for i in uncovered if d[c, i] > s]
+        uncovered &= ~covers[c]
     return centers
-
-
-def covering_number_exact(cls: FiniteClass, s: float, gY: GramMatrix) -> int:
-    """Minimal cover with centers drawn from the class; exhaustive, size <= 12."""
-    if not s > 0:
-        raise ValueError("the covering radius must be strictly positive")
-    n = len(cls)
-    if n > 12:
-        raise ValueError("exact covers are only searched for class size <= 12")
-    d = _pairwise_sup_row_mmd(cls, gY)
-    for k in range(1, n):
-        for centers in combinations(range(n), k):
-            if np.all(np.min(d[list(centers)], axis=0) <= s):
-                return k
-    return n  # the whole class covers itself
 
 
 def mmd_concentration_bound(n: int, delta: float, k_diag_mean: float) -> float:

@@ -83,8 +83,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_int(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    if not 1 <= value < 2**63:  # numpy's samplers take counts as 64-bit integers
+        raise argparse.ArgumentTypeError(f"expected an integer in [1, 2**63 - 1], got {text}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
     return value
 
 
@@ -96,14 +103,14 @@ def _build_parser() -> _Parser:
 
     laws = sub.add_parser("laws", help="verify structural laws on random instances")
     laws.add_argument("--config", default=None)
-    laws.add_argument("--seed", type=int, required=True)
+    laws.add_argument("--seed", type=_seed, required=True)
     laws.add_argument("--trials", type=_positive_int, default=200)
     laws.add_argument("--out", default=None)
     laws.set_defaults(func=cmd_laws)
 
     est = sub.add_parser("estimate", help="fit a conditional kernel to samples")
     est.add_argument("--config", required=True)
-    est.add_argument("--seed", type=int, required=True)
+    est.add_argument("--seed", type=_seed, required=True)
     est.add_argument("--out", required=True)
     est.add_argument("--gamma", type=float, default=None)
     est.add_argument("data", help="CSV file with header x,y")
@@ -111,7 +118,7 @@ def _build_parser() -> _Parser:
 
     bnd = sub.add_parser("bounds", help="Monte Carlo check of a bound")
     bnd.add_argument("--config", required=True)
-    bnd.add_argument("--seed", type=int, required=True)
+    bnd.add_argument("--seed", type=_seed, required=True)
     bnd.add_argument("--trials", type=_positive_int, default=2000)
     bnd.add_argument("--n", type=_positive_int, default=200)
     bnd.add_argument("--out", required=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,23 +150,37 @@ def excess_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> float:
     marginal has mass (for an injective embedding).
     """
     _check_joint(h, mu)
+    _check_gram(h, gY)
     mu_x, cond = disintegrate(mu)
-    return float(mu_x.weights @ _row_sq_mmd(h, cond, gY))
+    return float(mu_x.weights @ _row_sq_mmd(h.matrix, cond.matrix[None], gY)[0])
 
 
-def _row_sq_mmd(f: SignedKernel, h: SignedKernel, gY: GramMatrix) -> np.ndarray:
-    """The squared embedded distance between the rows of f and h, one per input.
+def _row_sq_mmd(f: np.ndarray, hs: np.ndarray, gY: GramMatrix) -> np.ndarray:
+    """sq[k, x] = ||M(f[x] - hs[k, x])||^2, all from one GramMatrix.sq_norms product."""
+    k, nx, ny = hs.shape
+    return gY.sq_norms((f - hs).reshape(k * nx, ny))[1].reshape(k, nx)
 
-    Roundoff below zero is read as 0 by GramMatrix.sq_norms.
+
+def _sup_row_mmd_matrix(kernels: Sequence[SignedKernel], gY: GramMatrix) -> np.ndarray:
+    """d[i, j] = d_inf(kernels[i], kernels[j]), from one GramMatrix.sq_norms product per member.
+
+    Member i's rows minus the rows of every later member form one stack,
+    so n members take n - 1 products; sup_row_mmd is the two-member case.
     """
-    if f.source != h.source or f.target != h.target or gY.points != f.target:
+    f = kernels[0]
+    if gY.points != f.target or any(h.source != f.source or h.target != f.target for h in kernels):
         raise SpaceMismatchError("the kernels and the Gram matrix do not share grids")
-    return gY.sq_norms(f.matrix - h.matrix)[1]
+    m = np.stack([h.matrix for h in kernels])
+    d = np.zeros((len(m), len(m)))
+    for i in range(len(m) - 1):
+        sq = _row_sq_mmd(m[i], m[i + 1 :], gY)
+        d[i, i + 1 :] = d[i + 1 :, i] = np.sqrt(np.maximum.reduce(sq, axis=1))
+    return d
 
 
 def sup_row_mmd(f: SignedKernel, h: SignedKernel, gY: GramMatrix) -> float:
     """d_inf(f, h): the largest embedded distance between two kernels' rows."""
-    return math.sqrt(float(_row_sq_mmd(f, h, gY).max()))
+    return float(_sup_row_mmd_matrix([f, h], gY)[0, 1])
 
 
 def tv_correct_loss(h: MarkovKernel, mu: ProbMeasure, k: int = 1) -> float:

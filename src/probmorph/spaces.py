@@ -94,7 +94,8 @@ class FiniteSpace:
         return self.coords is None or np.array_equal(self.coords, other.coords)
 
     def __hash__(self) -> int:
-        key = self.coords.tobytes() if self.coords is not None else None
+        # + 0.0 reads -0.0 as 0.0, which __eq__ counts equal
+        key = (self.coords + 0.0).tobytes() if self.coords is not None else None
         return hash((self.labels, key))
 
     def __repr__(self) -> str:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from probmorph import bounds
 from probmorph.bounds import (
     covering_bound,
     covering_number,
-    covering_number_exact,
     hoeffding_bound,
     hoeffding_general,
     lipschitz_deviation_check,
@@ -17,7 +17,7 @@ from probmorph.bounds import (
 )
 from probmorph.kernels import GramMatrix, KernelSpec, gram, mmd
 from probmorph.learning import FiniteClass
-from probmorph.losses import _deviation_terms, empirical_risk, expected_risk, sup_row_mmd
+from probmorph.losses import _deviation_terms, _sup_row_mmd_matrix, empirical_risk, expected_risk, sup_row_mmd
 from probmorph.morphisms import MarkovKernel, graph_pushforward
 from probmorph.spaces import (
     Dataset,
@@ -98,6 +98,23 @@ def _constant_kernel(p):
     return MarkovKernel(X3, Y3, np.tile(np.asarray(p, dtype=float), (3, 1)))
 
 
+def _min_cover(cls, s, gY):
+    """The minimal radius-s cover with centers in the class, by search over center sets."""
+    d = np.array([[sup_row_mmd(f, h, gY) for h in cls] for f in cls])
+    n = len(cls)
+    for k in range(1, n + 1):
+        if any(np.all(d[list(c)].min(axis=0) <= s) for c in itertools.combinations(range(n), k)):
+            return k
+
+
+def _random_class(rng, size, target):
+    rows = rng.random((size, 3, target.size)) + 1e-3
+    return FiniteClass([MarkovKernel(X3, target, r / r.sum(axis=1, keepdims=True)) for r in rows])
+
+
+LABEL_GRAMS = {"delta": G_Y3, "gaussian": G_Y3_GAUSS}
+
+
 def test_covering_number_extremes():
     cls = FiniteClass(
         [
@@ -108,27 +125,25 @@ def test_covering_number_extremes():
     )
     assert covering_number(cls, 10.0, G_Y3) == 1
     assert covering_number(cls, 1e-9, G_Y3) == 3
-    assert covering_number_exact(cls, 1e-9, G_Y3) == 3
+    assert _min_cover(cls, 1e-9, G_Y3) == 3
     # a radius that joins two members leaves a cover of all but one
     twin = FiniteClass([*cls, _constant_kernel([0.9, 0.1, 0.0])])
-    assert covering_number_exact(twin, 0.2, G_Y3) == 3
-    assert covering_number_exact(twin, 1e-9, G_Y3) == 4
+    assert _min_cover(twin, 0.2, G_Y3) == covering_number(twin, 0.2, G_Y3) == 3
+    assert _min_cover(twin, 1e-9, G_Y3) == covering_number(twin, 1e-9, G_Y3) == 4
 
 
 def test_covering_number_collinear_greedy_orders():
-    # three collinear points spaced d apart; greedy from the middle
-    # covers with one ball of radius d, greedy from an end needs two
+    # three collinear points spaced d apart; the middle one's ball of
+    # radius d holds all three, so the greedy takes it first in every order
     a = _constant_kernel([1.0, 0.0, 0.0])
     b = _constant_kernel([0.5, 0.5, 0.0])
     c = _constant_kernel([0.0, 1.0, 0.0])
     d = math.sqrt(0.5)  # delta-kernel row distance between neighbors
-    import itertools
-
     seen = set()
     for perm in itertools.permutations([a, b, c]):
         seen.add(covering_number(FiniteClass(list(perm)), d, G_Y3))
-    assert seen <= {1, 2}
-    assert covering_number_exact(FiniteClass([a, b, c]), d, G_Y3) == 1
+    assert seen == {1}
+    assert _min_cover(FiniteClass([a, b, c]), d, G_Y3) == 1
 
 
 def test_covering_number_refuses_a_gram_on_other_grids():
@@ -158,8 +173,30 @@ def test_covering_bound_uses_greedy_upper_bound():
         members.append(MarkovKernel(X3, Y3, rows / rows.sum(axis=1, keepdims=True)))
     cls = FiniteClass(members)
     greedy = covering_number(cls, 0.2, G_Y3)
-    exact = covering_number_exact(cls, 0.2, G_Y3)
+    exact = _min_cover(cls, 0.2, G_Y3)
     assert greedy >= exact
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("label_gram", LABEL_GRAMS)
+def test_covering_number_between_minimal_cover_and_class_size(label_gram, seed):
+    gY = LABEL_GRAMS[label_gram]
+    rng = np.random.default_rng(seed)
+    for size in (2, 5, 8, 10):
+        cls = _random_class(rng, size, gY.points)
+        d = _sup_row_mmd_matrix(cls.kernels, gY)
+        for s in np.quantile(d[np.triu_indices(size, 1)], [0.1, 0.3, 0.5, 0.9]):
+            assert _min_cover(cls, s, gY) <= covering_number(cls, s, gY) <= size
+
+
+@pytest.mark.parametrize("label_gram", LABEL_GRAMS)
+def test_distance_matrix_equals_per_pair_sup_row_mmd(label_gram):
+    # one stacked product per member gives each pair the bits of its own sup_row_mmd call
+    gY = LABEL_GRAMS[label_gram]
+    for size in (1, 2, 7, 30):
+        cls = _random_class(np.random.default_rng(size), size, gY.points)
+        per_pair = np.array([[sup_row_mmd(f, h, gY) for h in cls] for f in cls])
+        assert np.array_equal(_sup_row_mmd_matrix(cls.kernels, gY), per_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +478,8 @@ def test_vectorized_mmd_matches_per_trial_loop(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_bound_checks_build_each_loss_grid_once(monkeypatch, k):
-    # one GramMatrix.sq_norms product per member's loss grid, one per covering pair
+    # one GramMatrix.sq_norms product per member's loss grid, and one per member
+    # but the last for the covering distances
     t, mu = _fixed_instance()
     rng = np.random.default_rng(k)
     members = [t] + [
@@ -457,7 +495,7 @@ def test_bound_checks_build_each_loss_grid_once(monkeypatch, k):
 
     monkeypatch.setattr(GramMatrix, "sq_norms", counted)
     monte_carlo_verify("covering", mu, FiniteClass(members), 20, 50, 0, gY=G_Y3, eps=0.01)
-    assert len(calls) == k + k * (k - 1) // 2
+    assert len(calls) == k + (k - 1)
     calls.clear()
     monte_carlo_verify("hoeffding", mu, t, 20, 50, 0, gY=G_Y3, eps=0.01)
     assert len(calls) == 1
@@ -479,14 +517,6 @@ BOUNDS_REFUSALS = {
     "greedy-radius-0": (
         lambda: covering_number(FiniteClass([_fixed_instance()[0]]), 0.0, G_Y3),
         ValueError, "the covering radius must be strictly positive",
-    ),
-    "exact-radius-0": (
-        lambda: covering_number_exact(FiniteClass([_fixed_instance()[0]]), 0.0, G_Y3),
-        ValueError, "the covering radius must be strictly positive",
-    ),
-    "exact-13-members": (
-        lambda: covering_number_exact(FiniteClass([_fixed_instance()[0]] * 13), 0.1, G_Y3),
-        ValueError, "exact covers are only searched for class size <= 12",
     ),
     "mmd-bound-n-0": (lambda: mmd_concentration_bound(0, 0.05, 1.0), ValueError, "n must be at least 1"),
     "mmd-bound-negative-diag": (

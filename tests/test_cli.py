@@ -341,6 +341,20 @@ def test_bounds_deterministic(bounds_dir):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("n, code", [(2**63, 64), (2**63 - 1, 0)])
+def test_bounds_n_beyond_int64_is_a_usage_error(bounds_dir, capsys, n, code):
+    # the sampler takes n as a 64-bit integer: the largest one runs, one more is refused
+    out = bounds_dir / "rep"
+    assert run(
+        "bounds", "--config", bounds_dir / "bounds.cfg", "--seed", 0,
+        "--trials", 10, "--n", n, "--out", out,
+    ) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and out.exists() == (code == 0)
+    if code:
+        assert f"argument --n: expected an integer in [1, 2**63 - 1], got {n}" in err
+
+
 def test_successive_main_calls_match_separate_ones(bounds_dir, capsys):
     # main builds its parser once per process; every call must still read only its own
     # arguments. Each call is rerun with the parser rebuilt, as a separate process would.
@@ -883,6 +897,21 @@ def test_removed_flags_are_usage_errors(workdir, embed_dir, capsys, command, fla
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err and "Traceback" not in err
     assert not (workdir / "nope").exists()
+
+
+@pytest.mark.parametrize("command", ["laws", "estimate", "bounds"])
+def test_negative_seed_is_a_usage_error_before_any_file(workdir, bounds_dir, capsys, command):
+    # one --seed type for every subcommand that draws: refused by argparse, before a read or a fit
+    out = workdir / "nope"
+    argv = {
+        "laws": ["laws", "--out", out],
+        "estimate": ["estimate", "--config", workdir / "est.cfg", "--out", out, workdir / "data.csv"],
+        "bounds": ["bounds", "--config", bounds_dir / "bounds.cfg", "--trials", 5, "--out", out],
+    }[command]
+    assert run(*argv, "--seed", -1) == 64
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a non-negative integer, got -1" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

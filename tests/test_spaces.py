@@ -363,6 +363,10 @@ def test_space_length_and_hash():
     assert a == b and a is not b and hash(a) == hash(b)
     assert hash(AB) == hash(FiniteSpace(["a", "b"]))
     assert len({a, b, AB, FiniteSpace(["a", "b"])}) == 2
+    # -0.0 == 0.0, so a space that differs only in a zero's sign is equal and hashes alike
+    signed = FiniteSpace(["a", "b"], coords=[[-0.0], [1.0]])
+    assert a == signed and hash(a) == hash(signed) and len({a, signed}) == 1
+    assert math.copysign(1.0, signed.coords[0, 0]) == -1.0  # the stored coordinates keep their sign
 
 
 def test_dataset_inputs_and_labels_in_sample_order():
