@@ -81,18 +81,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _checked_int(text: str, ok, expected: str) -> int:
+    """int(text) where ok accepts it, else an ArgumentTypeError.
+
+    argparse reports that error under the flag; a ValueError it would
+    report under the type function's name.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        pass
+    else:
+        if ok(value):
+            return value
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if not 1 <= value < 2**63:  # numpy's samplers take counts as 64-bit integers
-        raise argparse.ArgumentTypeError(f"expected an integer in [1, 2**63 - 1], got {text}")
-    return value
+    # numpy's samplers take counts as 64-bit integers
+    return _checked_int(text, lambda v: 1 <= v < 2**63, "an integer in [1, 2**63 - 1]")
 
 
 def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
+    return _checked_int(text, lambda v: v >= 0, "a non-negative integer")
 
 
 @functools.cache

@@ -139,7 +139,7 @@ def _deviation_terms(
     grids = grids[: 2 * n].reshape(2, n, -1)
     empirical = [math.fsum(losses) / len(S) for losses in _empirical_losses(grids, S)]
     gap_f, gap_g = [e - m for e, m in zip(_expected_risks(grids, mu).tolist(), empirical)]
-    return gap_f, gap_g, math.sqrt(float(np.maximum.reduce(sq[2 * n :])))
+    return gap_f, gap_g, float(_d_inf(sq[2 * n :]))
 
 
 def excess_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> float:
@@ -153,6 +153,11 @@ def excess_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> float:
     _check_gram(h, gY)
     mu_x, cond = disintegrate(mu)
     return float(mu_x.weights @ _row_sq_mmd(h.matrix, cond.matrix[None], gY)[0])
+
+
+def _d_inf(sq: np.ndarray) -> np.ndarray:
+    """d_inf from squared row distances: the square root of the largest along the last axis."""
+    return np.sqrt(np.maximum.reduce(sq, axis=-1))
 
 
 def _row_sq_mmd(f: np.ndarray, hs: np.ndarray, gY: GramMatrix) -> np.ndarray:
@@ -174,7 +179,7 @@ def _sup_row_mmd_matrix(kernels: Sequence[SignedKernel], gY: GramMatrix) -> np.n
     d = np.zeros((len(m), len(m)))
     for i in range(len(m) - 1):
         sq = _row_sq_mmd(m[i], m[i + 1 :], gY)
-        d[i, i + 1 :] = d[i + 1 :, i] = np.sqrt(np.maximum.reduce(sq, axis=1))
+        d[i, i + 1 :] = d[i + 1 :, i] = _d_inf(sq)
     return d
 
 

@@ -9,13 +9,19 @@ Lipschitz constants). Measures over a space are dense weight vectors:
 
 Product spaces are ordered row-major over (left, right) and pair labels
 are tuples; a pair's coordinates are the concatenation of the factors'.
+A product holds only its factors and builds its label, index and
+coordinate tables on first read.
 
 Everything here is an immutable value and every operation is a pure
-function, so unrestricted concurrent use is safe.
+function, so unrestricted concurrent use is safe. A product's cached
+tables are pure values of its factors: two threads that read one first
+can at worst each build an equal copy.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,9 +54,11 @@ class FiniteSpace:
         labels = tuple(labels)
         if not labels:
             raise ValueError("a FiniteSpace needs at least one point")
-        if len(set(labels)) != len(labels):
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != len(labels):
             raise ValueError("labels must be distinct")
         self.labels = labels
+        self.size = len(labels)
         if coords is None:
             self.coords = None
         else:
@@ -64,11 +72,7 @@ class FiniteSpace:
             if not np.all(np.isfinite(c)):
                 raise ValueError("coordinates must be finite")
             self.coords = _freeze(c)
-        self._index = {lab: i for i, lab in enumerate(labels)}
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
+        self._index = index
 
     def index(self, label: Label) -> int:
         try:
@@ -80,7 +84,7 @@ class FiniteSpace:
         return label in self._index
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return self.size
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -104,18 +108,45 @@ class FiniteSpace:
 
 
 class ProductSpace(FiniteSpace):
-    """The product of two finite spaces, row-major over (left, right)."""
+    """The product of two finite spaces, row-major over (left, right).
+
+    It holds only its factors. The label tuples, the label index and the
+    concatenated coordinates are built on first read, with the values an
+    eager FiniteSpace of those labels and coordinates would hold. Equality
+    is decided by the factors when they are equal, and otherwise by labels
+    and coordinates, as for any FiniteSpace.
+    """
 
     def __init__(self, left: FiniteSpace, right: FiniteSpace):
-        labels = [(a, b) for a in left.labels for b in right.labels]
-        if left.coords is not None and right.coords is not None:
-            n, m = left.size, right.size
-            coords = np.hstack([np.repeat(left.coords, m, 0), np.tile(right.coords, (n, 1))])
-        else:
-            coords = None
-        super().__init__(labels, coords)
         self.left = left
         self.right = right
+        self.size = left.size * right.size
+
+    @cached_property
+    def labels(self) -> tuple:
+        return tuple(itertools.product(self.left.labels, self.right.labels))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def coords(self) -> np.ndarray | None:
+        left, right = self.left.coords, self.right.coords
+        if left is None or right is None:
+            return None
+        n, m = self.left.size, self.right.size
+        return _freeze(np.hstack([np.repeat(left, m, 0), np.tile(right, (n, 1))]))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        # equal factors make equal products; unequal ones may still make equal tables
+        if isinstance(other, ProductSpace) and self.left == other.left and self.right == other.right:
+            return True
+        return super().__eq__(other)
+
+    __hash__ = FiniteSpace.__hash__
 
     def __repr__(self) -> str:
         return f"ProductSpace({self.left.size} x {self.right.size})"

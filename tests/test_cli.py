@@ -915,6 +915,27 @@ def test_negative_seed_is_a_usage_error_before_any_file(workdir, bounds_dir, cap
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["laws", "--seed", "1e3"], "--seed"),
+        (["laws", "--seed", 0, "--trials", "x"], "--trials"),
+        (["bounds", "--seed", 0, "--n", "2.5"], "--n"),
+    ],
+    ids=["seed-1e3", "trials-x", "n-2.5"],
+)
+def test_malformed_integer_flag_is_a_usage_error_by_flag(bounds_dir, capsys, argv, flag):
+    # a value int() cannot read is refused under its flag, not under the parser function's name
+    if argv[0] == "bounds":
+        argv = [*argv, "--config", bounds_dir / "bounds.cfg"]
+    out = bounds_dir / "rep"
+    assert run(*argv, "--out", out) == 64
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected " in err and "Traceback" not in err
+    assert "_seed" not in err and "_positive_int" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, cfg",
     [
         ("embed", "y_labels = u, v\nkernel = linear\n"),

@@ -695,6 +695,26 @@ def test_fit_on_a_kronecker_spec_never_builds_the_dense_gram():
     assert "values" not in spec.gram_xy.__dict__
 
 
+def test_fit_path_builds_no_product_table():
+    # the product's labels, index and coordinates are built only when read, and a fit
+    # and its check read only the factors
+    xs = FiniteSpace([f"x{i}" for i in range(64)], coords=np.linspace(0.0, 5.0, 64)[:, None])
+    ys = FiniteSpace([f"y{i}" for i in range(16)], coords=np.linspace(0.0, 3.0, 16)[:, None])
+    P = ProductSpace(xs, ys)
+    rng = np.random.default_rng(3)
+    pairs = [(xs.labels[i], ys.labels[j]) for i, j in rng.integers(0, (64, 16), size=(300, 2))]
+    S = Dataset(P, pairs)
+    spec = WFunctionalSpec.from_kernel(KernelSpec("gaussian", sigma=1.0), xs, ys)
+    fit = regularized_estimate(S, 300**-0.5, spec.gram_xy, spec, LearnerConfig(max_iters=2))
+    mu_x = ProbMeasure(xs, np.full(64, 1.0 / 64))
+    pushed = graph_pushforward(fit.h, mu_x)
+    assert mmd(spec.gram_xy, pushed, empirical(S)) >= 0.0
+    for space in (P, spec.gram_xy.points, pushed.space):
+        assert isinstance(space, ProductSpace)
+        assert not {"labels", "_index", "coords"} & set(vars(space))
+    assert P.coords.shape == (1024, 2) and "coords" in vars(P)  # a read builds the table once
+
+
 # ---------------------------------------------------------------------------
 # regularized estimate
 # ---------------------------------------------------------------------------

@@ -45,8 +45,10 @@ def signed_measures(max_size=6):
 # construction and validation
 # ---------------------------------------------------------------------------
 def test_space_requires_distinct_labels():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="labels must be distinct"):
         FiniteSpace(["a", "a"])
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        FiniteSpace([1, "b", 1.0], coords=[[0.0], [1.0], [2.0]])  # 1 == 1.0 as a label
 
 
 def test_space_structural_equality():
@@ -70,6 +72,71 @@ def test_product_space_concatenates_coords():
         np.concatenate([x.coords[i], y.coords[j]]) for i in range(2) for j in range(3)
     ]
     assert np.array_equal(prod.coords, expect)
+
+
+def _eager_product(left, right):
+    """The product as one FiniteSpace of its pair labels and concatenated coordinates."""
+    labels = [(a, b) for a in left.labels for b in right.labels]
+    if left.coords is None or right.coords is None:
+        return FiniteSpace(labels)
+    coords = [np.concatenate([left.coords[i], right.coords[j]])
+              for i in range(left.size) for j in range(right.size)]
+    return FiniteSpace(labels, coords)
+
+
+def _random_factor(rng, name, with_coords):
+    n = int(rng.integers(1, 6))
+    labels = [f"{name}{i}" for i in range(n)]
+    if not with_coords:
+        return FiniteSpace(labels)
+    return FiniteSpace(labels, coords=rng.standard_normal((n, int(rng.integers(1, 3)))))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_product_tables_equal_the_eager_construction(seed):
+    rng = np.random.default_rng(seed)
+    x, y, z = (_random_factor(rng, name, rng.random() < 0.7) for name in "xyz")
+    for prod in (ProductSpace(x, y), ProductSpace(ProductSpace(x, y), z), ProductSpace(z, ProductSpace(y, x))):
+        ref = _eager_product(prod.left, prod.right)
+        assert prod.size == len(prod) == ref.size
+        assert prod.labels == ref.labels
+        assert all(prod.index(lab) == ref.index(lab) == i and lab in prod for i, lab in enumerate(ref.labels))
+        assert ("x0", "nowhere") not in prod and "x0" not in prod
+        if ref.coords is None:
+            assert prod.coords is None
+        else:
+            assert prod.coords.tobytes() == ref.coords.tobytes() and prod.coords.shape == ref.coords.shape
+            assert prod.coords.dtype == ref.coords.dtype and not prod.coords.flags.writeable
+        assert prod == ref and ref == prod and hash(prod) == hash(ref)
+
+
+def _equal_both_ways(a, b):
+    return a == b and b == a and not a != b and not b != a and hash(a) == hash(b)
+
+
+def test_product_equality_beyond_its_factors():
+    y = FiniteSpace(["c", "d"])
+    # factors that differ, tables that agree: both products have coords None
+    placed = ProductSpace(FiniteSpace(["a", "b"], coords=[[0.0], [1.0]]), y)
+    bare = ProductSpace(AB, y)
+    assert placed.left != bare.left and _equal_both_ways(placed, bare)
+    # a product and a plain space of the same labels
+    assert _equal_both_ways(bare, FiniteSpace([("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]))
+    # one concatenated coordinate table, split between the factors in two ways
+    wide_left = ProductSpace(
+        FiniteSpace(["a"], coords=[[1.0, 2.0]]), FiniteSpace(["c", "d"], coords=[[3.0], [4.0]])
+    )
+    wide_right = ProductSpace(
+        FiniteSpace(["a"], coords=[[1.0]]), FiniteSpace(["c", "d"], coords=[[2.0, 3.0], [2.0, 4.0]])
+    )
+    assert wide_left.left != wide_right.left and _equal_both_ways(wide_left, wide_right)
+    assert len({placed, bare, wide_left, wide_right}) == 2
+    # the same labels with one coordinate moved are unequal
+    moved = ProductSpace(
+        FiniteSpace(["a"], coords=[[1.0, 2.0]]), FiniteSpace(["c", "d"], coords=[[3.0], [5.0]])
+    )
+    assert wide_left != moved and moved != wide_left and not wide_left == moved
+    assert ProductSpace(AB, CD) != ProductSpace(CD, AB)
 
 
 def test_prob_measure_rejects_bad_sum():
