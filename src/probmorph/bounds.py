@@ -109,6 +109,9 @@ def covering_number(cls: FiniteClass, s: float, gY: GramMatrix) -> int:
 def mmd_concentration_bound(n: int, delta: float, k_diag_mean: float) -> float:
     """Deviation bound 2 sqrt(k_diag_mean / n) + sqrt(2 ln(1/delta) / n).
 
+    ln(1/delta) is taken as -ln(delta), which stays finite at a subnormal
+    delta, where 1/delta overflows.
+
     Valid for kernels scaled so the unit ball of the embedding space
     is sup-bounded by 1 (sup K(y, y) <= 1); the caller rescales.
     """
@@ -120,7 +123,7 @@ def mmd_concentration_bound(n: int, delta: float, k_diag_mean: float) -> float:
         raise ValueError("the mean kernel diagonal cannot be negative")
     if not math.isfinite(k_diag_mean):
         raise ValueError(f"the mean kernel diagonal must be finite, got {k_diag_mean}")
-    return 2.0 * math.sqrt(k_diag_mean / n) + math.sqrt(2.0 * math.log(1.0 / delta) / n)
+    return 2.0 * math.sqrt(k_diag_mean / n) + math.sqrt(-2.0 * math.log(delta) / n)
 
 
 def lipschitz_deviation_check(

@@ -34,7 +34,6 @@ from .learning import (
 from .losses import sup_row_mmd
 from .morphisms import (
     MarkovKernel,
-    SingularGramError,
     disintegrate,
     compose,
     graph,
@@ -230,16 +229,6 @@ def _check_y_coords(kernel: KernelSpec, y_space: FiniteSpace) -> None:
         raise ConfigError(f"the {kernel.variant} kernel needs y_coords")
 
 
-def _cfg_switch(cfg: dict[str, str], key: str) -> bool:
-    """cfg[key] read as on/true/1 or off/false/0 in any case; off when absent."""
-    text = cfg.get(key, "off")
-    if text.lower() in ("on", "true", "1"):
-        return True
-    if text.lower() in ("off", "false", "0"):
-        return False
-    raise ConfigError(f"{key} = {text!r} is not one of on, off, true, false, 1, 0")
-
-
 def _config_gram(kernel: KernelSpec, space: FiniteSpace):
     """gram(kernel, space), with a Gram the config makes invalid reported as a ConfigError."""
     try:
@@ -367,6 +356,11 @@ def cmd_laws(args) -> int:
 # ---------------------------------------------------------------------------
 def cmd_estimate(args) -> int:
     cfg = _load_config(args.config)
+    if "operator_norm" in cfg:  # it asks for another objective, so it is not ignored
+        raise ConfigError(
+            f"operator_norm = {cfg['operator_norm']!r}: the operator-norm term was removed "
+            "from the fit, which minimizes the sup and Lipschitz terms only; delete the key"
+        )
     x_space = space_from_config(cfg, "x")
     y_space = space_from_config(cfg, "y")
     prod = ProductSpace(x_space, y_space)
@@ -394,15 +388,8 @@ def cmd_estimate(args) -> int:
         config = LearnerConfig(seed=args.seed, **knobs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    include_opnorm = _cfg_switch(cfg, "operator_norm")
     try:
-        wspec = WFunctionalSpec.from_kernel(
-            spec_kernel, x_space, y_space, include_operator_norm=include_opnorm
-        )
-    except SingularGramError as exc:
-        raise ConfigError(
-            f"{exc}, so the operator-norm term is refused; set operator_norm = off"
-        ) from exc
+        wspec = WFunctionalSpec.from_kernel(spec_kernel, x_space, y_space)
     except ValueError as exc:
         raise ConfigError(f"{spec_kernel.variant} kernel: {exc}") from exc
     truth = None

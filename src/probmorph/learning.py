@@ -13,10 +13,11 @@ Estimators:
     pair counts (Dataset.counts).
   * regularized_estimate: minimizes  fidelity^2 + gamma * W  where the
     fidelity is the embedded distance between the hypothesis' graph
-    pushforward and the empirical joint measure, and W is a squared
-    sum of a sup term, a Lipschitz term, and an embedded operator
-    norm. The objective is convex over the product of row simplices;
-    one deterministic run of entropic mirror descent minimizes it.
+    pushforward and the empirical joint measure, and W is the squared
+    sum of a sup term and a Lipschitz term. The objective is convex
+    over the product of row simplices; one deterministic run of
+    entropic mirror descent minimizes it. W's third term, an embedded
+    operator norm, is evaluated by w_functional but never fitted.
 
 The Newton interpolant turns finitely many (abscissa, measure) nodes
 into a polynomial curve of signed measures that passes through the
@@ -34,7 +35,7 @@ import numpy as np
 from ._tol import PROB_SUM_ATOL
 from .kernels import GramMatrix, KernelSpec, KroneckerGram, gram
 from .losses import empirical_risk
-from .morphisms import MarkovKernel, _conditional_rows, _sum_zero_pencil, _top_eigspace
+from .morphisms import MarkovKernel, _conditional_rows, _sum_zero_pencil, _top_eigenvalue
 from .spaces import Dataset, FiniteSpace, ProbMeasure, ProductSpace, SignedMeasure
 
 _MAX_NEWTON_NODES = 12
@@ -82,7 +83,7 @@ def gamma_schedule(n: int) -> float:
 
 @dataclass
 class LearnerConfig:
-    """Optimizer knobs of regularized_estimate.
+    """Optimizer knobs of regularized_estimate, which fits W's sup and Lipschitz terms.
 
     The fit is deterministic: max_iters, step_size and tol steer the one
     mirror-descent run, which stops early once its Frank-Wolfe gap is at
@@ -215,7 +216,9 @@ class WFunctionalSpec:
 
     gram_xy embeds joint measures, gram_y embeds rows, gram_x embeds
     input measures (used by the operator-norm term). At least one term
-    must be enabled.
+    must be enabled. The operator-norm term is evaluated, never fitted:
+    w_functional reads its value, and regularized_estimate refuses a
+    spec that includes it.
 
     Construction checks the source geometry and precomputes the pieces
     every evaluation reads: the sum-zero basis whitened by gram_x for the
@@ -314,17 +317,18 @@ class WFunctionalSpec:
         Lipschitz pair. Each max is an argmax on its slice, and the gradient
         of the active piece is G_Y times its stack row over (norm * divisor).
         A gram_xy whose diagonal blocks differ adds graph row i's norm to
-        sup piece i, with its gradient on row i from graph_sq_norms. Only the
-        operator norm needs m, the Gram matrix of the graph rows: a graph
-        norm ||sum_i u_i (graph row i)|| has the gradient
-        u * G_XY(u * rows) / norm, and those of the tied top eigenvectors come
-        from one batched gram_xy.apply. One buffer sums the terms' gradients
-        in the fixed order sup, Lipschitz, operator norm. Tiny or huge source
+        sup piece i, with its gradient on row i from graph_sq_norms. The
+        operator norm, the square root of the top eigenvalue of the graph
+        rows' Gram matrix m whitened by the spec's sum-zero basis, is a value
+        only: a gradient request on a spec with that term raises ValueError.
+        One buffer sums the sup and Lipschitz gradients. Tiny or huge source
         distances can overflow the Lipschitz ratio or step to inf, so callers
         evaluate it under np.errstate.
         """
+        if want_grad and self.include_operator_norm:
+            raise ValueError("the operator-norm term has no gradient: it is evaluated, never fitted")
         total = 0.0
-        sup = lip = opnorm = None
+        sup = lip = None
         n_sup = len(rows) if self.include_sup else 0
         if len(self._gather):
             stack = rows.take(self._gather, axis=0)
@@ -346,11 +350,9 @@ class WFunctionalSpec:
             if pieces[p] > 0:
                 lip = p
         if self._basis is not None:
-            lam, tied = _top_eigspace(self.gram_xy.pair_form(rows), self._basis)
+            lam = _top_eigenvalue(self.gram_xy.pair_form(rows), self._basis)
             if lam > 0.0:
-                o = math.sqrt(lam)
-                total += o
-                opnorm = o, tied.T[:, :, None]
+                total += math.sqrt(lam)
         if not want_grad:
             return total * total, None
         grad = np.zeros(rows.shape)
@@ -364,11 +366,6 @@ class WFunctionalSpec:
             step = g2[lip] / (norms[lip] * self._divisors[lip])
             grad[i] += step
             grad[j] -= step
-        if opnorm is not None:
-            # the mean over a tied top eigenspace does not depend on the basis eigh picks in it
-            o, u = opnorm
-            graph_grads = u * self.gram_xy.apply(u * rows)
-            grad += (graph_grads / o).sum(axis=0) / len(u)
         grad *= 2.0 * total
         return total * total, grad
 
@@ -437,7 +434,9 @@ def regularized_estimate(
 
     The fidelity compares the hypothesis' graph pushforward of the
     empirical input marginal against the empirical joint, in the
-    geometry of gXY. The objective is convex over the product of row
+    geometry of gXY. W is the sup and Lipschitz terms of `spec`; a spec
+    with the operator-norm term raises ValueError before any
+    evaluation. The objective is convex over the product of row
     simplices, and one entropic mirror-descent run (see LearnerConfig)
     minimizes it. The result is never worse than the empirical section
     or the uniform kernel. Its rows, objective and trace ignore
@@ -457,6 +456,11 @@ def regularized_estimate(
         raise ValueError("gXY must live on the dataset's product space")
     if spec.gram_x.points != left or spec.gram_y.points != right:
         raise ValueError("W geometry does not match the dataset grids")
+    if spec.include_operator_norm:
+        raise ValueError(
+            "regularized_estimate fits the sup and Lipschitz terms only; "
+            "build the spec without the operator-norm term"
+        )
     counts = S.counts()
     n = len(S)
     mu_x = counts.sum(axis=1)[:, None] / n

@@ -295,19 +295,17 @@ def _sum_zero_pencil(g_x: GramMatrix) -> np.ndarray:
     return b @ (v / np.sqrt(lam))
 
 
-def _top_eigspace(m: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """The top eigenvalue of w' m w and the eigenvectors u = w v that tie with it.
+def _top_eigenvalue(m: np.ndarray, w: np.ndarray) -> float:
+    """The top eigenvalue of w' m w.
 
     With w from _sum_zero_pencil(g_x) this is the top generalized
-    eigenpair of m against g_x on sum-zero weights, and u' g_x u = 1.
-    Eigenvalues within 1e-9 of the top, relatively, tie with it: at
-    constant rows all of them do, and roundoff alone would pick one
-    eigenvector among them. A failed eigh raises LinAlgError.
+    eigenvalue of m against g_x on sum-zero weights. A failed eigh
+    raises LinAlgError.
     """
     a = w.T @ m @ w
-    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
-    top = float(vals[-1])
-    return top, w @ vecs[:, vals >= top - 1e-9 * abs(top)]
+    # eigh, not eigvalsh: LAPACK's path without eigenvectors may round the top differently
+    vals, _ = np.linalg.eigh((a + a.T) / 2.0)
+    return float(vals[-1])
 
 
 def embedded_operator_norm(T: MarkovKernel, gX: GramMatrix, gXY: GramMatrix) -> float:
@@ -327,5 +325,5 @@ def embedded_operator_norm(T: MarkovKernel, gX: GramMatrix, gXY: GramMatrix) -> 
         raise SpaceMismatchError("gXY must live on the source x target product")
     if T.source.size == 1:
         return 0.0
-    top, _ = _top_eigspace(gXY.pair_form(T.matrix), _sum_zero_pencil(gX))
+    top = _top_eigenvalue(gXY.pair_form(T.matrix), _sum_zero_pencil(gX))
     return math.sqrt(max(top, 0.0))

@@ -83,6 +83,14 @@ def test_mmd_concentration_values():
         mmd_concentration_bound(100, 1.5, 1.0)
 
 
+def test_mmd_concentration_bound_is_finite_at_a_subnormal_delta():
+    # 1 / delta overflows at the least subnormal; ln(delta) does not
+    delta = 5e-324
+    v = mmd_concentration_bound(200, delta, 1.0)
+    assert math.isfinite(v)
+    assert v == 2.0 * math.sqrt(1.0 / 200) + math.sqrt(-2.0 * math.log(delta) / 200)
+
+
 def test_wilson_interval():
     low, high = wilson_interval(0, 100)
     assert low == pytest.approx(0.0, abs=1e-12) and 0.0 < high < 0.05

@@ -230,33 +230,28 @@ def _estimate(tmp_path, config):
     )
 
 
-def test_estimate_singular_source_gram_exit_64(tmp_path, capsys):
-    # 32 close points: the gaussian Gram is numerically singular on sum-zero weights
-    cfg = _gaussian_source(tmp_path, 32) + "operator_norm = on\n"
-    (tmp_path / "est.cfg").write_text(cfg)
-    (tmp_path / "off.cfg").write_text(cfg + "operator_norm = off\n")
+@pytest.mark.parametrize("value", ["on", "off", "1", "0", "maybe"])
+@pytest.mark.parametrize("nx", [3, 32])
+def test_estimate_refuses_the_removed_operator_norm_key(tmp_path, capsys, nx, value):
+    # the key asks for another objective, so no value of it is ignored; at 32 close
+    # points the gaussian source Gram is also numerically singular on sum-zero weights
+    (tmp_path / "est.cfg").write_text(_gaussian_source(tmp_path, nx) + f"operator_norm = {value}\n")
     assert _estimate(tmp_path, "est.cfg") == 64
     err = capsys.readouterr().err
-    assert "operator_norm = off" in err and "Traceback" not in err
-    assert _estimate(tmp_path, "off.cfg") == 0
+    assert "operator-norm term was removed" in err and "Traceback" not in err
+    assert not (tmp_path / "fit").exists()
 
 
-def test_estimate_operator_norm_is_off_by_default_at_every_size(tmp_path, capsys):
-    # 24 points: kappa of the source Gram on sum-zero weights is about 2.6e15, so the
-    # term is refused when asked for; the default leaves it off, and the fit succeeds
-    cfg = _gaussian_source(tmp_path, 24)
-    (tmp_path / "est.cfg").write_text(cfg)
-    (tmp_path / "on.cfg").write_text(cfg + "operator_norm = on\n")
+def test_estimate_fits_an_ill_conditioned_gaussian_source(tmp_path, capsys):
+    # 24 points: kappa of the source Gram on sum-zero weights is about 2.6e15, and the
+    # fit, which reads no inverse of it, succeeds
+    (tmp_path / "est.cfg").write_text(_gaussian_source(tmp_path, 24))
     assert _estimate(tmp_path, "est.cfg") == 0, capsys.readouterr().err
-    assert _estimate(tmp_path, "on.cfg") == 64
-    err = capsys.readouterr().err
-    assert "kappa = " in err and "operator_norm = off" in err and "Traceback" not in err
 
 
 def test_estimate_tiny_kernel_scale_exit_0(workdir, capsys):
-    # the sum-zero condition number does not change with the kernel's scale, so a
-    # kernel scaled by 1e-12 keeps the operator-norm term defined
-    (workdir / "tiny.cfg").write_text(EST_CFG + "scale = 1e-12\noperator_norm = on\n")
+    # a kernel scaled by 1e-12 still gives a finite fit
+    (workdir / "tiny.cfg").write_text(EST_CFG + "scale = 1e-12\n")
     code = run(
         "estimate", "--config", workdir / "tiny.cfg", "--seed", 0,
         "--out", workdir / "tiny", workdir / "data.csv",
@@ -572,7 +567,9 @@ def test_bad_numeric_config_exit_64(workdir, bounds_dir, embed_dir, capsys, comm
     assert "Traceback" not in capsys.readouterr().err
 
 
-FUZZ_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", "1e400", "maybe", ""]
+FUZZ_VALUES = [
+    "0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", "1e-320", "5e-324", "1e400", "maybe", "",
+]
 FUZZ_KERNELS = ["gaussian", "laplacian", "linear", "delta"]
 # hostile label and coordinate lists for the configs' three-point x and two-point y spaces
 FUZZ_LISTS = {
@@ -643,8 +640,7 @@ def test_config_fuzz_keeps_exit_contract(workdir, bounds_dir, embed_dir, capsys,
                 code = repr(exc)
             err = capsys.readouterr().err
             if key == "operator_norm":
-                # "0" is the one fuzz value that spells a switch (off)
-                expected = {0, 2, 64, 65} if value == "0" else {64}
+                expected = {64}
             elif key == "c_m":
                 expected = {0, 2, 64, 65} if _finite_nonnegative(value) else {64}
             else:

@@ -522,33 +522,19 @@ def test_operator_norm_matches_generalized_eigh_oracle(kernel, nx):
         assert math.sqrt(w_functional(h, spec)) == expect
 
 
-def test_w_opnorm_gradient_at_constant_rows_ignores_the_basis():
-    # at constant rows every eigenvalue of the whitened pencil ties, so a single
-    # eigenvector would be picked by roundoff; the gradient must not depend on the
-    # orthonormal basis of the tied eigenspace that the eigen-solver returns
-    S, spec = _criterion10_instance()
-    rows = np.full((6, 4), 0.25)
-    value, grad = spec._value_grad(rows)
-    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))
-    spec._basis = spec._basis @ q  # still sum-zero and whitened by gram_x
-    value_q, grad_q = spec._value_grad(rows)
-    assert value_q == pytest.approx(value, rel=1e-12)
-    assert np.max(np.abs(grad_q - grad)) <= 1e-12 * np.max(np.abs(grad))
-
-
 W_TERMS = {
     "sup": dict(include_sup=True, include_lipschitz=False, include_operator_norm=False),
     "lipschitz": dict(include_sup=False, include_lipschitz=True, include_operator_norm=False),
+    "sup+lipschitz": dict(include_sup=True, include_lipschitz=True, include_operator_norm=False),
     "opnorm": dict(include_sup=False, include_lipschitz=False, include_operator_norm=True),
     "all": dict(include_sup=True, include_lipschitz=True, include_operator_norm=True),
 }
 
 
 def test_w_gradient_at_constant_rows_is_a_subgradient():
-    # at a tie the returned gradient must still satisfy W(x + t d) >= W(x) + t <g, d>:
-    # the mean over the tied eigenvectors does, their sum does not
-    _, full = _criterion10_instance()
-    spec = WFunctionalSpec(full.gram_xy, full.gram_y, full.gram_x, **W_TERMS["opnorm"])
+    # at a tie the returned gradient must still satisfy W(x + t d) >= W(x) + t <g, d>;
+    # at constant rows every sup piece ties, and every Lipschitz piece is 0
+    _, spec = _criterion10_instance()
     rows = np.full((6, 4), 0.25)
     value, grad = spec._value_grad(rows)
     rng = np.random.default_rng(4)
@@ -558,6 +544,17 @@ def test_w_gradient_at_constant_rows_is_a_subgradient():
         d -= d.mean(axis=1, keepdims=True)
         ahead, _ = spec._value_grad(rows + t * d, want_grad=False)
         assert (ahead - value) / t >= float(np.vdot(grad, d)) - 1e-6 * np.abs(grad).sum()
+
+
+def test_w_opnorm_spec_gives_a_value_and_refuses_a_gradient():
+    _, full = _criterion10_instance()
+    spec = WFunctionalSpec(full.gram_xy, full.gram_y, full.gram_x, include_operator_norm=True)
+    rows = np.random.default_rng(8).dirichlet(np.ones(4), size=6)
+    with pytest.raises(ValueError, match="operator-norm term has no gradient"):
+        spec._value_grad(rows)
+    value, grad = spec._value_grad(rows, want_grad=False)
+    assert grad is None
+    assert value == w_functional(MarkovKernel(full.gram_x.points, full.gram_y.points, rows), spec)
 
 
 def test_w_monotone_in_terms():
@@ -618,6 +615,13 @@ def test_w_gradient_matches_central_differences(terms, dim):
     assert isinstance(g_xy, KroneckerGram)
     kron = WFunctionalSpec(g_xy, g_y, g_x, **W_TERMS[terms])
     dense = WFunctionalSpec(GramMatrix(g_xy.points, g_xy.values), g_y, g_x, **W_TERMS[terms])
+    if kron.include_operator_norm:  # a value only: the term is never fitted
+        value, _ = kron._value_grad(rows, want_grad=False)
+        assert dense._value_grad(rows, want_grad=False)[0] == pytest.approx(value, rel=1e-12)
+        for spec in (kron, dense):
+            with pytest.raises(ValueError, match="operator-norm term has no gradient"):
+                spec._value_grad(rows)
+        return
     value, grad = kron._value_grad(rows)
     dense_value, dense_grad = dense._value_grad(rows)
     # the two representations of one Gram agree to roundoff
@@ -670,14 +674,15 @@ def test_w_builds_the_pair_form_only_for_the_operator_norm(monkeypatch, dense):
     for opnorm in (False, True):
         spec = WFunctionalSpec(g_xy, full.gram_y, full.gram_x, include_operator_norm=opnorm)
         calls = _count_calls(monkeypatch, spec.gram_xy, ("pair_form", "apply"))
-        spec._value_grad(rows)
         w_functional(MarkovKernel(spec.gram_x.points, spec.gram_y.points, rows), spec)
-        after_eval = dict(calls)
-        regularized_estimate(S, 0.1, fidelity_gram, spec, LearnerConfig(max_iters=5))
         if opnorm:
-            assert after_eval == {"pair_form": 2, "apply": 1}
-            assert calls["pair_form"] > 2 and calls["apply"] > 1
+            assert calls == {"pair_form": 1, "apply": 0}
+            with pytest.raises(ValueError, match="operator-norm term"):
+                regularized_estimate(S, 0.1, fidelity_gram, spec, LearnerConfig(max_iters=5))
+            assert calls == {"pair_form": 1, "apply": 0}
         else:
+            spec._value_grad(rows)
+            regularized_estimate(S, 0.1, fidelity_gram, spec, LearnerConfig(max_iters=5))
             assert calls == {"pair_form": 0, "apply": 0}
         monkeypatch.undo()
 
@@ -685,14 +690,17 @@ def test_w_builds_the_pair_form_only_for_the_operator_norm(monkeypatch, dense):
 def test_fit_on_a_kronecker_spec_never_builds_the_dense_gram():
     xs = FiniteSpace([f"x{i}" for i in range(5)], coords=np.linspace(0.0, 4.0, 5)[:, None])
     ys = FiniteSpace(["u", "v", "w"], coords=[[0.0], [1.0], [2.0]])
-    spec = WFunctionalSpec.from_kernel(
-        KernelSpec("gaussian", sigma=1.0), xs, ys, include_operator_norm=True
-    )
+    k = KernelSpec("gaussian", sigma=1.0)
+    spec = WFunctionalSpec.from_kernel(k, xs, ys)
     assert isinstance(spec.gram_xy, KroneckerGram)
     prod = ProductSpace(xs, ys)
     S = Dataset(prod, [prod.labels[i] for i in np.random.default_rng(5).integers(0, 15, 40)])
-    regularized_estimate(S, 0.2, spec.gram_xy, spec, LearnerConfig(max_iters=20))
+    fit = regularized_estimate(S, 0.2, spec.gram_xy, spec, LearnerConfig(max_iters=20))
     assert "values" not in spec.gram_xy.__dict__
+    # nor does the operator-norm term's value
+    opnorm = WFunctionalSpec.from_kernel(k, xs, ys, include_operator_norm=True)
+    assert w_functional(fit.h, opnorm) > 0.0
+    assert "values" not in opnorm.gram_xy.__dict__
 
 
 def test_fit_path_builds_no_product_table():
@@ -740,6 +748,21 @@ def test_regularized_estimate_validates_gamma():
     S = make_dataset([("x1", "y1")])
     with pytest.raises(ValueError):
         regularized_estimate(S, 0.0, g_xy, spec, LearnerConfig())
+
+
+def test_regularized_estimate_refuses_the_operator_norm_term(monkeypatch):
+    S, full = _criterion10_instance()
+    spec = WFunctionalSpec(full.gram_xy, full.gram_y, full.gram_x, include_operator_norm=True)
+    fidelity_gram = gram(KernelSpec("gaussian", sigma=1.0), S.space)
+    calls = [
+        _count_calls(monkeypatch, fidelity_gram, ("apply",)),
+        _count_calls(monkeypatch, spec.gram_y, ("sq_norms",)),
+        _count_calls(monkeypatch, spec.gram_xy, ("pair_form",)),
+    ]
+    with pytest.raises(ValueError, match="without the operator-norm term"):
+        regularized_estimate(S, 0.1, fidelity_gram, spec, LearnerConfig(max_iters=5))
+    # refused before any evaluation
+    assert calls == [{"apply": 0}, {"sq_norms": 0}, {"pair_form": 0}]
 
 
 def test_regularized_point_mass_fit():
@@ -790,13 +813,11 @@ def test_regularized_deterministic_given_seed():
 
 
 def _criterion10_instance():
-    """Criterion 10's 6x4 grid and n = 200 draws, the unscaled product Gram and all W terms."""
+    """Criterion 10's 6x4 grid and n = 200 draws, the unscaled product Gram, sup and Lipschitz."""
     xs = FiniteSpace([f"x{i}" for i in range(6)], coords=np.linspace(0.0, 5.0, 6)[:, None])
     ys = FiniteSpace([f"y{i}" for i in range(4)], coords=np.linspace(0.0, 3.0, 4)[:, None])
     prod = ProductSpace(xs, ys)
-    spec = WFunctionalSpec.from_kernel(
-        KernelSpec("gaussian", sigma=1.0), xs, ys, include_operator_norm=True
-    )
+    spec = WFunctionalSpec.from_kernel(KernelSpec("gaussian", sigma=1.0), xs, ys)
     drift = np.linspace(0.0, 3.0, 6)
     rows = np.exp(-0.5 * (np.linspace(0.0, 3.0, 4)[None, :] - drift[:, None]) ** 2)
     rows /= rows.sum(axis=1, keepdims=True)
@@ -824,9 +845,9 @@ def test_regularized_beats_uniform_start():
 
 def test_regularized_factored_gram_matches_dense():
     S, spec = _criterion10_instance()
-    assert isinstance(spec.gram_xy, KroneckerGram) and spec.include_operator_norm
+    assert isinstance(spec.gram_xy, KroneckerGram)
     dense_xy = GramMatrix(S.space, spec.gram_xy.values)
-    dense = WFunctionalSpec(dense_xy, spec.gram_y, spec.gram_x, include_operator_norm=True)
+    dense = WFunctionalSpec(dense_xy, spec.gram_y, spec.gram_x)
     gamma = 200 ** -0.5
     config = LearnerConfig(max_iters=250)
     fit = regularized_estimate(S, gamma, spec.gram_xy, spec, config)

@@ -12,7 +12,7 @@ from probmorph.kernels import GramMatrix, KernelSpec, gram
 from probmorph.morphisms import (
     MarkovKernel,
     SignedKernel,
-    _top_eigspace,
+    _top_eigenvalue,
     compose,
     deterministic,
     disintegrate,
@@ -427,9 +427,9 @@ def test_operator_norm_rejects_singular_gx():
         embedded_operator_norm(t, g_sing, gXY)
 
 
-def test_top_eigspace_raises_when_the_eigen_solve_fails():
+def test_top_eigenvalue_raises_when_the_eigen_solve_fails():
     with pytest.raises(np.linalg.LinAlgError):
-        _top_eigspace(np.full((3, 3), np.nan), np.eye(3))
+        _top_eigenvalue(np.full((3, 3), np.nan), np.eye(3))
 
 
 # ---------------------------------------------------------------------------
