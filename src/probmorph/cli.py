@@ -382,7 +382,7 @@ def cmd_estimate(args) -> int:
         gamma = gamma_schedule(len(data))
     if not 0 < gamma < math.inf:
         raise _UsageError("gamma must be finite and strictly positive")
-    solver_keys = (("max_iters", int), ("step_size", float), ("tol", float))
+    solver_keys = (("max_iters", int), ("tol", float))
     knobs = {key: _cfg_number(cfg, key, kind=kind) for key, kind in solver_keys if key in cfg}
     try:
         config = LearnerConfig(seed=args.seed, **knobs)
@@ -400,7 +400,7 @@ def cmd_estimate(args) -> int:
     try:
         fit = regularized_estimate(data, gamma, wspec.gram_xy, wspec, config)
     except ArithmeticError as exc:
-        raise ConfigError(f"the fit overflowed ({exc}); lower gamma or step_size") from exc
+        raise ConfigError(f"the fit overflowed ({exc}); lower gamma") from exc
     out = Path(args.out)
     _write_json(out / "estimate.json", kernel_to_json(fit.h))
     _write_json(out / "trace.json", {"objective": fit.trace})

@@ -35,10 +35,11 @@ import numpy as np
 from ._tol import PROB_SUM_ATOL
 from .kernels import GramMatrix, KernelSpec, KroneckerGram, gram
 from .losses import empirical_risk
-from .morphisms import MarkovKernel, _conditional_rows, _sum_zero_pencil, _top_eigenvalue
+from .morphisms import MarkovKernel, _conditional_rows, embedded_operator_norm
 from .spaces import Dataset, FiniteSpace, ProbMeasure, ProductSpace, SignedMeasure
 
 _MAX_NEWTON_NODES = 12
+_STEP = 0.3  # mirror descent's step scale (see _mirror_descent)
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +86,15 @@ def gamma_schedule(n: int) -> float:
 class LearnerConfig:
     """Optimizer knobs of regularized_estimate, which fits W's sup and Lipschitz terms.
 
-    The fit is deterministic: max_iters, step_size and tol steer the one
-    mirror-descent run, which stops early once its Frank-Wolfe gap is at
-    most tol, so tol must be >= 0. `seed` drives only the random probes behind
-    eps_certificate. `restarts` is validated but not read; perfbench's
-    workloads still pass it.
+    The fit is deterministic: max_iters and tol steer the one
+    mirror-descent run (its step scale is the module's fixed _STEP), which
+    stops early once its Frank-Wolfe gap is at most tol, so tol must be
+    >= 0. `seed` drives only the random probes behind eps_certificate.
+    `restarts` is validated but not read; perfbench's workloads still pass it.
     """
 
     restarts: int = 8
     max_iters: int = 500
-    step_size: float = 0.3
     tol: float = 1e-9
     seed: int = 0
 
@@ -103,8 +103,6 @@ class LearnerConfig:
             raise ValueError("restarts must be a positive integer")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
             raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
-        if not 0 < self.step_size < math.inf:
-            raise ValueError("step_size must be finite and strictly positive")
         if not self.tol >= 0:  # also refuses NaN, which no gap is ever <= to
             raise ValueError("tol must be a nonnegative number")
 
@@ -121,7 +119,7 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
     """Entropic mirror descent from uniform rows; returns (rows, value, trace).
 
     Each step is x <- softmax(log x - eta_t g) rowwise, a subgradient
-    step normalized by eta_t = step_size / (sqrt(t + 1) max|g|). It
+    step normalized by eta_t = _STEP / (sqrt(t + 1) max|g|). It
     needs no descent direction, so the kinks of the max terms in W do
     not stall it. The run stops after max_iters steps, or earlier once
     the Frank-Wolfe gap sum_x (<g_x, x_x> - min_j g_xj) is at most tol.
@@ -147,7 +145,7 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
             if t == config.max_iters or gap <= config.tol:
                 break
             scale = math.sqrt(t + 1) * np.maximum.reduce(abs(grad), axis=None)
-            z = z - config.step_size / scale * grad
+            z = z - _STEP / scale * grad
             if not np.isfinite(z).all():
                 raise ArithmeticError(f"non-finite logits after {t + 1} steps")
     return best_rows, best_val, trace
@@ -217,16 +215,16 @@ class WFunctionalSpec:
     gram_xy embeds joint measures, gram_y embeds rows, gram_x embeds
     input measures (used by the operator-norm term). At least one term
     must be enabled. The operator-norm term is evaluated, never fitted:
-    w_functional reads its value, and regularized_estimate refuses a
-    spec that includes it.
+    w_functional adds embedded_operator_norm(h, gram_x, gram_xy), which
+    refuses a singular gram_x on each call, and regularized_estimate
+    refuses a spec that includes it.
 
     Construction checks the source geometry and precomputes the pieces
-    every evaluation reads: the sum-zero basis whitened by gram_x for the
-    operator norm, the Lipschitz pairs and their coordinate distances,
-    which are all positive (a repeated source coordinate is refused
-    here), the gather indices that stack the sup term's rows and the
-    pairs' first rows for one gram_y product, and one divisor per stacked
-    piece. Piece k of the stack is ||stack[k]||_{G_Y} / divisors[k]: the
+    every evaluation of the sup and Lipschitz terms reads: the Lipschitz
+    pairs and their coordinate distances, which are all positive (a
+    repeated source coordinate is refused here), the gather indices that
+    stack the sup term's rows and the pairs' first rows for one gram_y
+    product, and one divisor per stacked piece. Piece k of the stack is ||stack[k]||_{G_Y} / divisors[k]: the
     divisor is 1 / a_i for sup row i and d_k for Lipschitz pair k (a
     quotient, since 1 / d overflows at subnormal distances). When gram_xy
     is a KroneckerGram whose right factor equals gram_y, the i-th
@@ -250,7 +248,6 @@ class WFunctionalSpec:
     _gather: np.ndarray = field(init=False, repr=False, compare=False)
     _divisors: np.ndarray = field(init=False, repr=False, compare=False)
     _graph_blocks: bool = field(init=False, repr=False, compare=False)
-    _basis: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.include_sup or self.include_lipschitz or self.include_operator_norm):
@@ -258,10 +255,6 @@ class WFunctionalSpec:
         x_space, y_space, xy = self.gram_x.points, self.gram_y.points, self.gram_xy.points
         if not (isinstance(xy, ProductSpace) and xy.left == x_space and xy.right == y_space):
             raise ValueError("gram_xy must live on the product of gram_x and gram_y points")
-        # refused here: a degenerate source Gram, then missing or repeated coordinates
-        self._basis = None
-        if self.include_operator_norm and x_space.size > 1:
-            self._basis = _sum_zero_pencil(self.gram_x)
         self._pairs, self._dists = _lipschitz_pairs(x_space, self.include_lipschitz)
         n_sup = x_space.size if self.include_sup else 0
         self._gather = np.concatenate((np.arange(n_sup), self._pairs[0]))
@@ -307,7 +300,7 @@ class WFunctionalSpec:
         )
 
     def _value_grad(self, rows: np.ndarray, want_grad: bool = True):
-        """Value and row-gradient of W(h) = (sup + lipschitz + opnorm)^2, in one pass.
+        """Value and row-gradient of (sup + lipschitz)^2, in one pass, whatever the flags.
 
         Every piece is a norm of a constant linear map of the rows. The rows
         and the Lipschitz pair differences are stacked (by the gather indices
@@ -318,15 +311,11 @@ class WFunctionalSpec:
         of the active piece is G_Y times its stack row over (norm * divisor).
         A gram_xy whose diagonal blocks differ adds graph row i's norm to
         sup piece i, with its gradient on row i from graph_sq_norms. The
-        operator norm, the square root of the top eigenvalue of the graph
-        rows' Gram matrix m whitened by the spec's sum-zero basis, is a value
-        only: a gradient request on a spec with that term raises ValueError.
-        One buffer sums the sup and Lipschitz gradients. Tiny or huge source
+        operator-norm term is never read here: w_functional adds it. One
+        buffer sums the sup and Lipschitz gradients. Tiny or huge source
         distances can overflow the Lipschitz ratio or step to inf, so callers
         evaluate it under np.errstate.
         """
-        if want_grad and self.include_operator_norm:
-            raise ValueError("the operator-norm term has no gradient: it is evaluated, never fitted")
         total = 0.0
         sup = lip = None
         n_sup = len(rows) if self.include_sup else 0
@@ -349,10 +338,6 @@ class WFunctionalSpec:
             total += float(pieces[p])
             if pieces[p] > 0:
                 lip = p
-        if self._basis is not None:
-            lam = _top_eigenvalue(self.gram_xy.pair_form(rows), self._basis)
-            if lam > 0.0:
-                total += math.sqrt(lam)
         if not want_grad:
             return total * total, None
         grad = np.zeros(rows.shape)
@@ -409,6 +394,9 @@ def w_functional(h: MarkovKernel, spec: WFunctionalSpec) -> float:
         raise ValueError("hypothesis grids do not match the W geometry")
     with np.errstate(all="ignore"):  # see _value_grad: a ratio may overflow to inf
         value, _ = spec._value_grad(h.matrix, want_grad=False)
+    if spec.include_operator_norm:  # sqrt undoes a binary square exactly, barring underflow
+        root = math.sqrt(value) + embedded_operator_norm(h, spec.gram_x, spec.gram_xy)
+        value = root * root
     return value
 
 

@@ -65,7 +65,11 @@ class MarkovKernel(SignedKernel):
     """A row-stochastic kernel: nonnegative rows, each summing to 1.
 
     Row sums may deviate from 1 by at most 1e-12; tiny negative dust
-    above -1e-12 is clamped to zero. Larger violations are rejected.
+    above -1e-12 is clamped to zero. Larger violations are rejected. A
+    row off 1 by more than b = INVARIANT_ATOL / 8 is divided by its sum;
+    nearer rows keep their bits. A row of compose or joint then sums
+    within about 2b of 1, so any b up to about INVARIANT_ATOL / 2 keeps
+    products of kernels kernels.
     """
 
     markov = True
@@ -81,7 +85,11 @@ class MarkovKernel(SignedKernel):
             # a row with an entry above 2 fails the sum bound capped or not; capped,
             # no row sum overflows, so the check emits no warning
             sums = np.add.reduce(np.minimum(m, 2.0), axis=1)
-            if np.maximum.reduce(np.abs(sums - 1.0), axis=None) <= INVARIANT_ATOL:
+            off = np.abs(sums - 1.0)
+            if (worst := np.maximum.reduce(off, axis=None)) <= INVARIANT_ATOL:
+                if worst > INVARIANT_ATOL / 8:
+                    far = off > INVARIANT_ATOL / 8
+                    m[far] /= sums[far, None]
                 m.flags.writeable = False
                 self.source = source
                 self.target = target

@@ -31,6 +31,7 @@ from probmorph.losses import empirical_risk, sup_row_mmd
 from probmorph.morphisms import (
     MarkovKernel,
     SingularGramError,
+    _sum_zero_pencil,
     disintegrate,
     embedded_operator_norm,
     graph_pushforward,
@@ -457,7 +458,7 @@ def _grid(nx):
 @pytest.mark.parametrize("nx", [3, 6, 33, 64])
 def test_from_kernel_leaves_the_operator_norm_off_at_every_size(nx):
     spec = WFunctionalSpec.from_kernel(KernelSpec("gaussian", sigma=1.0), _grid(nx), Y2)
-    assert spec.include_operator_norm is False and spec._basis is None
+    assert spec.include_operator_norm is False
     assert spec.include_sup and spec.include_lipschitz
 
 
@@ -470,14 +471,32 @@ def test_operator_norm_refuses_an_ill_conditioned_source_gram(scale):
     for xs, refused in ((_grid(14), None), (_grid(16), r"kappa = 2\.26e\+07"), (twin, "kappa")):
         g_x, g_xy = gram(k, xs), gram(k, ProductSpace(xs, Y2))
         h = MarkovKernel(xs, Y2, np.full((xs.size, 2), 0.5))
+        # the spec reads the source Gram only when W is evaluated
+        spec = WFunctionalSpec.from_kernel(k, xs, Y2, include_lipschitz=False, include_operator_norm=True)
         if refused is None:
-            WFunctionalSpec.from_kernel(k, xs, Y2, include_operator_norm=True)
+            assert w_functional(h, spec) >= 0.0
             assert embedded_operator_norm(h, g_x, g_xy) >= 0.0
             continue
         with pytest.raises(SingularGramError, match=refused):
-            WFunctionalSpec.from_kernel(k, xs, Y2, include_operator_norm=True)
+            w_functional(h, spec)
         with pytest.raises(SingularGramError, match=refused):
             embedded_operator_norm(h, g_x, g_xy)
+    # with the Lipschitz term on, the repeated point is refused when the spec is built
+    with pytest.raises(ValueError, match="share a coordinate"):
+        WFunctionalSpec.from_kernel(k, twin, Y2, include_operator_norm=True)
+
+
+def test_building_an_operator_norm_spec_runs_no_eigen_solve(monkeypatch):
+    k, xs = KernelSpec("gaussian", sigma=1.0), _grid(6)
+    g_xy, g_y, g_x = gram(k, ProductSpace(xs, Y2)), gram(k, Y2), gram(k, xs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a spec build ran a dense factorization")
+
+    for name in ("eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    for terms in (W_TERMS["opnorm"], W_TERMS["all"]):
+        WFunctionalSpec(g_xy, g_y, g_x, **terms)
 
 
 def _graph_gram(g_xy, rows):
@@ -509,7 +528,7 @@ def test_operator_norm_matches_generalized_eigh_oracle(kernel, nx):
         kernel, xs, ys, include_sup=False, include_lipschitz=False, include_operator_norm=True
     )
     g_x = spec.gram_x.values
-    w = spec._basis
+    w = _sum_zero_pencil(spec.gram_x)
     assert np.max(np.abs(w.T @ g_x @ w - np.eye(nx - 1))) <= 1e-12
     assert np.max(np.abs(np.ones(nx) @ w)) <= 1e-12
     b = scipy.linalg.null_space(np.ones((1, nx)))  # an orthonormal sum-zero basis
@@ -546,15 +565,22 @@ def test_w_gradient_at_constant_rows_is_a_subgradient():
         assert (ahead - value) / t >= float(np.vdot(grad, d)) - 1e-6 * np.abs(grad).sum()
 
 
-def test_w_opnorm_spec_gives_a_value_and_refuses_a_gradient():
+def test_w_opnorm_term_is_added_by_w_functional_only():
     _, full = _criterion10_instance()
-    spec = WFunctionalSpec(full.gram_xy, full.gram_y, full.gram_x, include_operator_norm=True)
     rows = np.random.default_rng(8).dirichlet(np.ones(4), size=6)
-    with pytest.raises(ValueError, match="operator-norm term has no gradient"):
-        spec._value_grad(rows)
-    value, grad = spec._value_grad(rows, want_grad=False)
-    assert grad is None
-    assert value == w_functional(MarkovKernel(full.gram_x.points, full.gram_y.points, rows), spec)
+    h = MarkovKernel(full.gram_x.points, full.gram_y.points, rows)
+    for terms in ("sup", "lipschitz", "sup+lipschitz"):
+        without = WFunctionalSpec(full.gram_xy, full.gram_y, full.gram_x, **W_TERMS[terms])
+        spec = WFunctionalSpec(
+            full.gram_xy, full.gram_y, full.gram_x, **{**W_TERMS[terms], "include_operator_norm": True}
+        )
+        for want_grad in (True, False):
+            value, grad = spec._value_grad(h.matrix, want_grad)
+            expect, expect_grad = without._value_grad(h.matrix, want_grad)
+            assert value == expect
+            assert (grad is None) if expect_grad is None else grad.tobytes() == expect_grad.tobytes()
+    only = WFunctionalSpec(full.gram_xy, full.gram_y, full.gram_x, **W_TERMS["opnorm"])
+    assert w_functional(h, only) == embedded_operator_norm(h, full.gram_x, full.gram_xy) ** 2
 
 
 def test_w_monotone_in_terms():
@@ -615,12 +641,9 @@ def test_w_gradient_matches_central_differences(terms, dim):
     assert isinstance(g_xy, KroneckerGram)
     kron = WFunctionalSpec(g_xy, g_y, g_x, **W_TERMS[terms])
     dense = WFunctionalSpec(GramMatrix(g_xy.points, g_xy.values), g_y, g_x, **W_TERMS[terms])
-    if kron.include_operator_norm:  # a value only: the term is never fitted
-        value, _ = kron._value_grad(rows, want_grad=False)
-        assert dense._value_grad(rows, want_grad=False)[0] == pytest.approx(value, rel=1e-12)
-        for spec in (kron, dense):
-            with pytest.raises(ValueError, match="operator-norm term has no gradient"):
-                spec._value_grad(rows)
+    if kron.include_operator_norm:  # a value only, added by w_functional: the term is never fitted
+        h = MarkovKernel(g_x.points, g_y.points, rows)
+        assert w_functional(h, dense) == pytest.approx(w_functional(h, kron), rel=1e-12)
         return
     value, grad = kron._value_grad(rows)
     dense_value, dense_grad = dense._value_grad(rows)
@@ -741,6 +764,12 @@ def test_learner_config_refuses_a_tol_no_gap_meets(tol):
 def test_learner_config_accepts_every_nonnegative_tol():
     for tol in (0.0, 1e-300, 1.0, math.inf):
         assert LearnerConfig(tol=tol).tol == tol
+
+
+def test_learner_config_has_no_step_size():
+    # the step scale is the fixed _STEP, not a knob
+    with pytest.raises(TypeError, match="step_size"):
+        LearnerConfig(step_size=0.3)
 
 
 def test_regularized_estimate_validates_gamma():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from constructor_inputs import assert_builds_like, just_outside, shaped_inputs, weight_rows
+from constructor_inputs import assert_builds_like, edge_of_sum, just_outside, shaped_inputs, weight_rows
 from probmorph._tol import INVARIANT_ATOL
 from probmorph.kernels import GramMatrix, KernelSpec, gram
 from probmorph.morphisms import (
@@ -89,6 +89,8 @@ def reference_markov_rows(source, target, rows):
             raise ValueError(
                 f"row-stochasticity: row at {source.labels[i]!r} sums to {float(sums[i])!r}, not 1"
             )
+        far = off > INVARIANT_ATOL / 8  # accepted rows this far from 1 are divided by their sums
+        m[far] = m[far] / sums[far, None]
     return reference_signed_rows(source, target, m)
 
 
@@ -207,6 +209,27 @@ def test_joint_example():
     k2 = deterministic(X2, X2, {"x1": "x2", "x2": "x1"})
     jd = joint(k1, k2)
     assert jd.row("x1").weight(("y1", "x2")) == 1.0
+
+
+def test_products_of_accepted_kernels_are_accepted():
+    # rows up to INVARIANT_ATOL off 1 are accepted, and a product of two such rows may
+    # sum twice as far off; dividing far-off rows by their sums keeps products accepted
+    X = FiniteSpace(["a", "b"])
+    t = MarkovKernel(X, X, [[0.5 + 0.9e-12, 0.5], [0.5, 0.5 + 0.9e-12]])
+    kernels = [t]
+    for side in (1, -1):
+        for n in (2, 3, 4):
+            row = [0.25] * (n - 1)
+            row.append(edge_of_sum(INVARIANT_ATOL, side) - sum(row))  # exact difference
+            space = FiniteSpace(list(range(n)))
+            kernels.append(MarkovKernel(space, space, [row[i:] + row[:i] for i in range(n)]))
+    for k in kernels:
+        for product in (compose(k, k), joint(k, k), compose(k, compose(k, k))):
+            assert product.markov
+            assert np.max(np.abs(product.matrix.sum(axis=1) - 1.0)) <= INVARIANT_ATOL / 4
+    # a row within INVARIANT_ATOL / 8 of 1 keeps its bits
+    near = [[0.5 + 0.1e-12, 0.5], [0.25, 0.75]]
+    assert MarkovKernel(X, X, near).matrix.tolist() == near
 
 
 def test_graph_examples():
