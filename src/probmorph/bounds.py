@@ -48,7 +48,7 @@ class BoundReport:
     wilson_high: float = 1.0
 
     def __post_init__(self):
-        if self.trials < 1:
+        if not self.trials >= 1:  # also refuses NaN
             raise ValueError("trials must be at least 1")
         if not 0.0 <= self.empirical_failure_rate <= 1.0:
             raise ValueError("empirical failure rate must lie in [0, 1]")
@@ -59,7 +59,7 @@ class BoundReport:
 
 def hoeffding_bound(m: int, eps: float, c_k: float) -> float:
     """Failure probability bound 2 exp(-m eps^2 / (4 c_k^2)), clamped to [0, 1]."""
-    if m < 1:
+    if not m >= 1:  # also refuses NaN
         raise ValueError("m must be at least 1")
     if not eps > 0 or not c_k > 0:
         raise ValueError("eps and c_k must be strictly positive")
@@ -68,7 +68,7 @@ def hoeffding_bound(m: int, eps: float, c_k: float) -> float:
 
 def hoeffding_general(m: int, eps: float, value_range: float) -> float:
     """Two-sided Hoeffding failure bound 2 exp(-2 m eps^2 / range^2)."""
-    if m < 1:
+    if not m >= 1:  # also refuses NaN
         raise ValueError("m must be at least 1")
     if not eps > 0 or not value_range > 0:
         raise ValueError("eps and the value range must be strictly positive")
@@ -80,7 +80,7 @@ def covering_bound(n_cover: int, m: int, eps: float, c_k: float) -> float:
 
     The caller supplies n_cover = covering_number(class, eps / (8 c_k)).
     """
-    if n_cover < 1:
+    if not n_cover >= 1:  # also refuses NaN
         raise ValueError("the covering number must be at least 1")
     return min(1.0, 2.0 * n_cover * hoeffding_bound(m, eps, c_k))
 
@@ -115,7 +115,7 @@ def mmd_concentration_bound(n: int, delta: float, k_diag_mean: float) -> float:
     Valid for kernels scaled so the unit ball of the embedding space
     is sup-bounded by 1 (sup K(y, y) <= 1); the caller rescales.
     """
-    if n < 1:
+    if not n >= 1:  # also refuses NaN
         raise ValueError("n must be at least 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
@@ -147,7 +147,7 @@ def lipschitz_deviation_check(
 
 def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if trials < 1:
+    if not trials >= 1:  # also refuses NaN
         raise ValueError("trials must be at least 1")
     if not 0 <= failures <= trials:
         raise ValueError(f"failures must lie in [0, trials], got {failures} of {trials}")
@@ -205,9 +205,9 @@ def monte_carlo_verify(
                             between the empirical measure of n draws
                             and the truth exceeding the deviation bound.
     """
-    if trials < 1:
+    if not trials >= 1:  # also refuses NaN
         raise ValueError("trials must be at least 1")
-    if n < 1:
+    if not n >= 1:  # also refuses NaN
         raise ValueError("n must be at least 1")
     if bound_name not in VERIFIERS:
         raise ValueError(f"unknown bound name {bound_name!r}")

@@ -99,7 +99,7 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
+        if not self.restarts >= 1:  # also refuses NaN
             raise ValueError("restarts must be a positive integer")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
             raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
@@ -125,7 +125,12 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
     the Frank-Wolfe gap sum_x (<g_x, x_x> - min_j g_xj) is at most tol.
     The best rows seen, `incumbent` included, are returned; the trace
     holds their value after each step, so it never increases. A
-    non-finite objective or step raises ArithmeticError.
+    non-finite objective raises ArithmeticError, and so does a step whose
+    max|g| or eta_t is not finite. That test of two scalars is exact. The
+    logits start at 0, and while both are finite no logit moves by more
+    than _STEP / sqrt(t + 1) in a step. An inf or NaN in g, or a subnormal
+    max|g| whose eta_t overflows, would make a logit non-finite. A finite
+    g whose scale overflows gives eta_t = 0, a step that moves nothing.
     """
     z = np.zeros_like(incumbent)  # logits: softmax(log x) == softmax(z) rowwise
     best_rows = incumbent
@@ -144,10 +149,11 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
             gap = float(np.vdot(grad, rows) - np.add.reduce(np.minimum.reduce(grad, axis=1)))
             if t == config.max_iters or gap <= config.tol:
                 break
-            scale = math.sqrt(t + 1) * np.maximum.reduce(abs(grad), axis=None)
-            z = z - _STEP / scale * grad
-            if not np.isfinite(z).all():
+            g_max = np.maximum.reduce(abs(grad), axis=None)
+            eta = _STEP / (math.sqrt(t + 1) * g_max)
+            if not (math.isfinite(g_max) and math.isfinite(eta)):
                 raise ArithmeticError(f"non-finite logits after {t + 1} steps")
+            z = z - eta * grad
     return best_rows, best_val, trace
 
 
@@ -422,7 +428,9 @@ def regularized_estimate(
 
     The fidelity compares the hypothesis' graph pushforward of the
     empirical input marginal against the empirical joint, in the
-    geometry of gXY. W is the sup and Lipschitz terms of `spec`; a spec
+    geometry of gXY. Its square and gradient come from one
+    GramMatrix.sq_norms product, under the roundoff rule of mmd and the
+    W terms. W is the sup and Lipschitz terms of `spec`; a spec
     with the operator-norm term raises ValueError before any
     evaluation. The objective is convex over the product of row
     simplices, and one entropic mirror-descent run (see LearnerConfig)
@@ -457,15 +465,15 @@ def regularized_estimate(
 
     def objective_rows(rows, want_grad=True):
         d = mu_x * rows - target
-        g1d = gXY.apply(d)
-        fid = float(np.vdot(d, g1d))
+        dg, q = gXY.sq_norms(d.reshape(1, -1))
         wval, grad = spec._value_grad(rows, want_grad)
-        value = fid + gamma * wval
+        value = float(q[0]) + gamma * wval
         if not want_grad:
             return value, None
         grad *= gamma
-        g1d *= two_mu_x
-        grad += g1d
+        dg = dg.reshape(rows.shape)
+        dg *= two_mu_x
+        grad += dg
         return value, grad
 
     best_rows, best_val, trace = _mirror_descent(objective_rows, _conditional_rows(counts), config)

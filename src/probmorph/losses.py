@@ -18,6 +18,7 @@ pushforward and the joint, and its embedded (MMD) counterpart.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -190,7 +191,7 @@ def sup_row_mmd(f: SignedKernel, h: SignedKernel, gY: GramMatrix) -> float:
 
 def tv_correct_loss(h: MarkovKernel, mu: ProbMeasure, k: int = 1) -> float:
     """Total variation distance between the graph pushforward and mu, to the k-th power."""
-    if k < 1:
+    if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError("k must be a positive integer")
     _check_joint(h, mu)
     mu_x = marginal(mu, "left")

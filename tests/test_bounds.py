@@ -556,6 +556,24 @@ BOUNDS_REFUSALS = {
         ValueError, "ground truth does not live on the Gram matrix's space",
     ),
     "report-trials-0": (lambda: _report(trials=0), ValueError, "trials must be at least 1"),
+    # NaN fails every comparison, so a check written x < 1 passes it
+    "report-trials-nan": (lambda: _report(trials=math.nan), ValueError, "trials must be at least 1"),
+    "hoeffding-m-nan": (lambda: hoeffding_bound(math.nan, 0.5, 1.0), ValueError, "m must be at least 1"),
+    "general-m-nan": (lambda: hoeffding_general(math.nan, 0.5, 1.0), ValueError, "m must be at least 1"),
+    "covering-bound-N-nan": (
+        lambda: covering_bound(math.nan, 10, 0.5, 1.0), ValueError, "the covering number must be at least 1",
+    ),
+    "covering-bound-m-nan": (lambda: covering_bound(3, math.nan, 0.5, 1.0), ValueError, "m must be at least 1"),
+    "mmd-bound-n-nan": (lambda: mmd_concentration_bound(math.nan, 0.05, 0.5), ValueError, "n must be at least 1"),
+    "wilson-trials-nan": (lambda: wilson_interval(0, math.nan), ValueError, "trials must be at least 1"),
+    "verify-trials-nan": (
+        lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], 10, math.nan, 0, gY=G_Y3, eps=0.5),
+        ValueError, "trials must be at least 1",
+    ),
+    "verify-n-nan": (
+        lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], math.nan, 5, 0, gY=G_Y3, eps=0.5),
+        ValueError, "n must be at least 1",
+    ),
     "report-rate-above-1": (lambda: _report(empirical_failure_rate=1.5), ValueError, "empirical failure rate must lie in [0, 1]"),
 }
 

@@ -8,9 +8,11 @@ import pytest
 
 from probmorph.bounds import VERIFIERS
 from probmorph.cli import main
+from probmorph.kernels import KernelSpec
+from probmorph.learning import WFunctionalSpec, w_functional
 from probmorph.morphisms import MarkovKernel
-from probmorph.serialize import kernel_from_json, kernel_to_json, measure_to_json
-from probmorph.spaces import FiniteSpace, ProbMeasure, ProductSpace
+from probmorph.serialize import dataset_from_csv, kernel_from_json, kernel_to_json, measure_to_json
+from probmorph.spaces import FiniteSpace, ProbMeasure, ProductSpace, empirical, marginal
 from probmorph.morphisms import graph_pushforward
 
 X = FiniteSpace(["a", "b", "c"], coords=[[0.0], [1.0], [2.0]])
@@ -274,6 +276,40 @@ def test_estimate_tiny_kernel_scale_exit_0(workdir, capsys):
     assert code == 0, capsys.readouterr().err
     report = json.loads((workdir / "tiny" / "report.json").read_text())
     assert math.isfinite(report["objective"])
+
+
+def test_estimate_at_a_small_gamma_descends_to_the_reported_objective(workdir, capsys):
+    # at the default gamma the fit keeps its start; at 0.01 mirror descent moves it
+    out = workdir / "fit"
+    code = run(
+        "estimate", "--config", workdir / "est.cfg", "--seed", 0,
+        "--out", out, "--gamma", 0.01, workdir / "data.csv",
+    )
+    assert code == 0, capsys.readouterr().err
+    trace = json.loads((out / "trace.json").read_text())["objective"]
+    report = json.loads((out / "report.json").read_text())
+    assert any(b < a for a, b in zip(trace, trace[1:]))
+    assert trace[-1] == report["objective"]
+    # recomputed from the written kernel; the marginal's sums may round apart by an ulp
+    h = kernel_from_json(json.loads((out / "estimate.json").read_text()))
+    joint = empirical(dataset_from_csv((workdir / "data.csv").read_text(), ProductSpace(X, Y)))
+    spec = WFunctionalSpec.from_kernel(KernelSpec("gaussian", sigma=1.0), X, Y)
+    d = graph_pushforward(h, marginal(joint, "left")) - joint
+    objective = float(spec.gram_xy.sq_norms(d.weights[None])[1][0]) + 0.01 * w_functional(h, spec)
+    assert abs(objective - report["objective"]) <= 4 * math.ulp(report["objective"])
+
+
+def test_estimate_overflowing_fit_exit_64(tmp_path, capsys):
+    # the Lipschitz ratio over a source distance of 1e-155 overflows the second step
+    (tmp_path / "est.cfg").write_text(
+        "x_labels = a, b\nx_coords = 0; 1e-155\ny_labels = u, v\ny_coords = 0; 1\n"
+        "kernel = delta\ngamma = 1\nmax_iters = 5\n"
+    )
+    (tmp_path / "data.csv").write_text("x,y\na,u\nb,v\n")
+    assert _estimate(tmp_path, "est.cfg") == 64
+    err = capsys.readouterr().err
+    assert "the fit overflowed (non-finite logits after 2 steps); lower gamma" in err
+    assert "Traceback" not in err and not (tmp_path / "fit").exists()
 
 
 def test_embed_rank_one_linear_kernel_exit_0(workdir, capsys):

@@ -19,6 +19,7 @@ from probmorph.learning import (
     NewtonInterpolant,
     ParametricClass,
     WFunctionalSpec,
+    _mirror_descent,
     _probe_rows,
     cerm,
     empirical_section,
@@ -794,6 +795,89 @@ def test_regularized_estimate_refuses_the_operator_norm_term(monkeypatch):
     assert calls == [{"apply": 0}, {"sq_norms": 0}, {"pair_form": 0}]
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["kronecker", "dense"])
+def test_fidelity_is_one_sq_norms_call_per_evaluation(monkeypatch, dense):
+    # the fidelity follows the roundoff rule of GramMatrix.sq_norms, as mmd and W do
+    S, spec = _criterion10_instance()
+    g_xy = gram(KernelSpec("gaussian", sigma=1.0), S.space)
+    if dense:
+        g_xy = GramMatrix(S.space, g_xy.values)
+    calls = _count_calls(monkeypatch, g_xy, ("sq_norms", "apply"))
+    fit = regularized_estimate(S, 200 ** -0.5, g_xy, spec, LearnerConfig(max_iters=5))
+    evaluations = 1 + len(fit.trace) + 16  # the incumbent, one per step, the 16 probes
+    # KroneckerGram.sq_norms takes its product from its own apply
+    assert calls == {"sq_norms": evaluations, "apply": 0 if dense else evaluations}
+
+
+_C = np.eye(2)
+
+
+def _linear_objective(special):
+    """<_C, rows> on 2x2 rows; its gradient is _C, except `special` at step 1."""
+    grads = []
+
+    def objective_rows(rows, want_grad=True):
+        value = float(np.vdot(_C, rows))
+        if not want_grad:
+            return value, None
+        grads.append(special if len(grads) == 1 else _C)
+        return value, grads[-1].copy()
+
+    return objective_rows
+
+
+def _at_first(v, base):
+    g = base.copy()
+    g[0, 0] = v
+    return g
+
+
+# gradient at step 1, tol, and the steps taken (an int) or the ArithmeticError message
+MIRROR_DESCENT_OVERFLOWS = {
+    "huge-one-entry": (_at_first(1.5e308, _C), 1e-9, 4),
+    "huge-every-entry": (np.full((2, 2), 1.5e308), 1e-9, 4),
+    "inf": (_at_first(math.inf, _C), 1e-9, "non-finite logits after 2 steps"),
+    "-inf": (_at_first(-math.inf, _C), 1e-9, "non-finite logits after 2 steps"),
+    "nan": (_at_first(math.nan, _C), 1e-9, "non-finite logits after 2 steps"),
+    "only-1e-320": (_at_first(1e-320, np.zeros((2, 2))), 0.0, "non-finite logits after 2 steps"),
+    "only-1e-300": (_at_first(1e-300, np.zeros((2, 2))), 0.0, 4),
+    "only-5e-324": (_at_first(5e-324, np.zeros((2, 2))), 0.0, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "special, tol, outcome", MIRROR_DESCENT_OVERFLOWS.values(), ids=list(MIRROR_DESCENT_OVERFLOWS)
+)
+def test_mirror_descent_overflow_test(special, tol, outcome):
+    # a scale that overflows reads as a step of 0; a non-finite or subnormal max|g|
+    # would make a logit non-finite; 5e-324 * x rounds to 0, a gap of 0 <= tol
+    objective, start = _linear_objective(special), np.full((2, 2), 0.5)
+    config = LearnerConfig(max_iters=4, tol=tol)
+    if isinstance(outcome, str):
+        with pytest.raises(ArithmeticError) as info:
+            _mirror_descent(objective, start, config)
+        assert str(info.value) == outcome
+    else:
+        rows, value, trace = _mirror_descent(objective, start, config)
+        assert len(trace) == outcome + 1
+        assert np.isfinite(rows).all() and math.isfinite(value) and value == trace[-1]
+
+
+@pytest.mark.parametrize("coord, steps", [(1e-155, 2), (3e-155, 3), (1e-154, None)])
+def test_fit_at_a_tiny_source_distance_overflows_at_a_named_step(coord, steps):
+    # the Lipschitz ratio over a distance of 1e-155 makes the gradient non-finite
+    xs = FiniteSpace(["a", "b"], coords=[[0.0], [coord]])
+    ys = FiniteSpace(["u", "v"], coords=[[0.0], [1.0]])
+    spec = WFunctionalSpec.from_kernel(KernelSpec("delta"), xs, ys)
+    S = Dataset(ProductSpace(xs, ys), [("a", "u"), ("b", "v")])
+    config = LearnerConfig(max_iters=5)
+    if steps is None:
+        assert len(regularized_estimate(S, 1.0, spec.gram_xy, spec, config).trace) == 6
+    else:
+        with pytest.raises(ArithmeticError, match=f"^non-finite logits after {steps} steps$"):
+            regularized_estimate(S, 1.0, spec.gram_xy, spec, config)
+
+
 def test_regularized_point_mass_fit():
     g_xy, spec = reg_setup()
     S = make_dataset([("x1", "y2")] * 6)
@@ -1036,6 +1120,7 @@ LEARNING_REFUSALS = {
         ValueError, "W geometry does not match the dataset grids",
     ),
     "config-restarts-0": (lambda: LearnerConfig(restarts=0), ValueError, "restarts must be a positive integer"),
+    "config-restarts-nan": (lambda: LearnerConfig(restarts=math.nan), ValueError, "restarts must be a positive integer"),
     "config-max-iters-fraction": (
         lambda: LearnerConfig(max_iters=2.5), ValueError, "max_iters must be a nonnegative integer, got 2.5",
     ),

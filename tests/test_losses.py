@@ -327,12 +327,23 @@ def test_bh_holds_randomly(n, seed):
     assert res.holds
 
 
+def _tv_at_power(k):
+    """tv_correct_loss at power k of a kernel that is not the joint's conditional (TV 0.42)."""
+    h = MarkovKernel(X2, Y2, [[0.5, 0.5], [0.2, 0.8]])
+    return tv_correct_loss(h, ProbMeasure(PROD, [0.1, 0.2, 0.3, 0.4]), k=k)
+
+
 # every refusal of the module that no test above reaches: (call, exception type, message fragment)
 LOSSES_REFUSALS = {
     "tv-power-0": (
         lambda: tv_correct_loss(MarkovKernel(X2, Y2, np.eye(2)), product(dirac(X2, "x1"), dirac(Y2, "y1")), k=0),
         ValueError, "k must be a positive integer",
     ),
+    # a comparison k < 1 lets these through: inf reads 0.42 ** inf = 0, NaN reads NaN
+    "tv-power-inf": (lambda: _tv_at_power(math.inf), ValueError, "k must be a positive integer"),
+    "tv-power-nan": (lambda: _tv_at_power(math.nan), ValueError, "k must be a positive integer"),
+    "tv-power-1.5": (lambda: _tv_at_power(1.5), ValueError, "k must be a positive integer"),
+    "tv-power-float-1": (lambda: _tv_at_power(1.0), ValueError, "k must be a positive integer"),
     "kl-two-spaces": (
         lambda: kl_and_bh_check(dirac(X2, "x1"), dirac(Y2, "y1")),
         SpaceMismatchError, "measures live on different spaces",
