@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .kernels import KernelSpec, gram, mmd
+from .kernels import KernelSpec, NotPSDError, gram, mmd
 from .learning import (
     FiniteClass,
     LearnerConfig,
@@ -399,20 +399,24 @@ def cmd_estimate(args) -> int:
             raise DataFormatError("truth kernel grids do not match the config spaces")
     try:
         fit = regularized_estimate(data, gamma, wspec.gram_xy, wspec, config)
+        # the certificate's probes run on first read: read it before writing anything
+        summary = {
+            "n": len(data),
+            "gamma": gamma,
+            "objective": fit.objective,
+            "eps_certificate": fit.eps_certificate,
+            "seed": args.seed,
+        }
+        if truth is not None:
+            summary["sup_mmd_error_to_truth"] = sup_row_mmd(fit.h, truth, wspec.gram_y)
     except ArithmeticError as exc:
         raise ConfigError(f"the fit overflowed ({exc}); lower gamma") from exc
+    except NotPSDError as exc:  # a squared norm below its roundoff floor
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     out = Path(args.out)
     _write_json(out / "estimate.json", kernel_to_json(fit.h))
     _write_json(out / "trace.json", {"objective": fit.trace})
-    summary = {
-        "n": len(data),
-        "gamma": gamma,
-        "objective": fit.objective,
-        "eps_certificate": fit.eps_certificate,
-        "seed": args.seed,
-    }
-    if truth is not None:
-        summary["sup_mmd_error_to_truth"] = sup_row_mmd(fit.h, truth, wspec.gram_y)
     _write_json(out / "report.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK

@@ -249,15 +249,21 @@ def _coord_rows(spec: KernelSpec, space: FiniteSpace) -> np.ndarray:
 def _kernel_values(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """K(a_i, b_j) for the rows of a and b under a gaussian, laplacian or linear kernel."""
     # -sigma * d may overflow to -inf, whose exp is the exact 0; an entry
-    # that overflows to inf is rejected by GramMatrix
-    with np.errstate(over="ignore"):
+    # that overflows to inf (or a linear sum of +inf and -inf, NaN) is
+    # rejected by GramMatrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the inner product or the distance, one coordinate at a time, in order: no
+        # BLAS product, so every build rounds a Gram entry and a 1 x 1 evaluation alike
+        s = np.zeros((len(a), len(b)))
+        for a_k, b_k in zip(a.T, b.T):
+            if spec.variant == "linear":
+                s += np.multiply.outer(a_k, b_k)
+            else:
+                diff = np.subtract.outer(a_k, b_k)
+                s += np.square(diff, out=diff) if spec.variant == "gaussian" else np.abs(diff, out=diff)
         if spec.variant == "linear":
-            return spec.scale * (a @ b.T)
-        d = np.zeros((len(a), len(b)))
-        for a_k, b_k in zip(a.T, b.T):  # the distance, one coordinate at a time, in order
-            diff = np.subtract.outer(a_k, b_k)
-            d += np.square(diff, out=diff) if spec.variant == "gaussian" else np.abs(diff, out=diff)
-        return spec.scale * np.exp(-spec.sigma * d)
+            return spec.scale * s
+        return spec.scale * np.exp(-spec.sigma * s)
 
 
 def kernel_eval(spec: KernelSpec, y, y_prime, space: FiniteSpace | None = None) -> float:

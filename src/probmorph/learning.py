@@ -25,6 +25,7 @@ nodes exactly and whose components always sum to one.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -89,7 +90,9 @@ class LearnerConfig:
     The fit is deterministic: max_iters and tol steer the one
     mirror-descent run (its step scale is the module's fixed _STEP), which
     stops early once its Frank-Wolfe gap is at most tol, so tol must be
-    >= 0. `seed` drives only the random probes behind eps_certificate.
+    >= 0. `seed`, a nonnegative integer, drives only the random probes
+    behind eps_certificate; the fit copies it, and the probes run when the
+    certificate is first read (see RegularizedFit).
     `restarts` is validated but not read; perfbench's workloads still pass it.
     """
 
@@ -103,6 +106,8 @@ class LearnerConfig:
             raise ValueError("restarts must be a positive integer")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
             raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not self.tol >= 0:  # also refuses NaN, which no gap is ever <= to
             raise ValueError("tol must be a nonnegative number")
 
@@ -409,12 +414,63 @@ def w_functional(h: MarkovKernel, spec: WFunctionalSpec) -> float:
 # ---------------------------------------------------------------------------
 # regularized estimation
 # ---------------------------------------------------------------------------
+def _objective_rows(mu_x, target, gamma: float, gXY: GramMatrix, spec: WFunctionalSpec):
+    """The fit's objective fidelity^2 + gamma * W as a function of the rows.
+
+    It returns (value, gradient), or (value, None) when want_grad is
+    false. The fidelity's square and gradient come from one
+    GramMatrix.sq_norms product, under the roundoff rule of mmd and the
+    W terms.
+    """
+    two_mu_x = 2.0 * mu_x
+
+    def objective_rows(rows, want_grad=True):
+        d = mu_x * rows - target
+        dg, q = gXY.sq_norms(d.reshape(1, -1))
+        wval, grad = spec._value_grad(rows, want_grad)
+        value = float(q[0]) + gamma * wval
+        if not want_grad:
+            return value, None
+        grad *= gamma
+        dg = dg.reshape(rows.shape)
+        dg *= two_mu_x
+        grad += dg
+        return value, grad
+
+    return objective_rows
+
+
 @dataclass
 class RegularizedFit:
+    """The result of regularized_estimate.
+
+    eps_certificate is computed on first read and cached: the margin
+    (clamped at 0) by which 16 random probe kernels drawn from the fit's
+    seed failed to beat `objective` (see _probe_rows). It is a sanity
+    check, not a bound on suboptimality. The keyword-only fields are
+    what it reads: the objective's terms and the seed, copied at fit
+    time. Two threads that read it first compute the same bits.
+    """
+
     h: MarkovKernel
     objective: float
-    eps_certificate: float
     trace: list[float] = field(default_factory=list)
+    _mu_x: np.ndarray = field(kw_only=True, repr=False, compare=False)
+    _target: np.ndarray = field(kw_only=True, repr=False, compare=False)
+    _gamma: float = field(kw_only=True, repr=False, compare=False)
+    _gXY: GramMatrix = field(kw_only=True, repr=False, compare=False)
+    _spec: WFunctionalSpec = field(kw_only=True, repr=False, compare=False)
+    _seed: int = field(kw_only=True, repr=False, compare=False)
+
+    @functools.cached_property
+    def eps_certificate(self) -> float:
+        objective_rows = _objective_rows(self._mu_x, self._target, self._gamma, self._gXY, self._spec)
+        with np.errstate(all="ignore"):  # see _value_grad: a probe's value may overflow to inf
+            probe_best = min(
+                objective_rows(r, want_grad=False)[0]
+                for r in _probe_rows(*self.h.matrix.shape, self._seed)
+            )
+        return max(0.0, self.objective - probe_best)
 
 
 def regularized_estimate(
@@ -436,11 +492,12 @@ def regularized_estimate(
     simplices, and one entropic mirror-descent run (see LearnerConfig)
     minimizes it. The result is never worse than the empirical section
     or the uniform kernel. Its rows, objective and trace ignore
-    config.seed; eps_certificate does not. It is the margin (clamped at
-    0) by which 16 random probe kernels drawn from the seed failed to
-    beat the returned optimum (see _probe_rows): a sanity check, not a
-    bound on suboptimality. Callers expecting a gamma^2-minimizer should
-    check eps_certificate <= gamma^2.
+    config.seed; eps_certificate does not. The fit evaluates no probe:
+    it keeps the objective's terms and config.seed (as an int, so a
+    later change to config does not reach it), and eps_certificate is
+    computed from them on first read and cached (see RegularizedFit).
+    It is a sanity check, not a bound on suboptimality. Callers
+    expecting a gamma^2-minimizer should check eps_certificate <= gamma^2.
     """
     if len(S) == 0:
         raise ValueError("regularized_estimate needs a nonempty dataset")
@@ -460,33 +517,19 @@ def regularized_estimate(
     counts = S.counts()
     n = len(S)
     mu_x = counts.sum(axis=1)[:, None] / n
-    two_mu_x = 2.0 * mu_x
     target = counts / n
-
-    def objective_rows(rows, want_grad=True):
-        d = mu_x * rows - target
-        dg, q = gXY.sq_norms(d.reshape(1, -1))
-        wval, grad = spec._value_grad(rows, want_grad)
-        value = float(q[0]) + gamma * wval
-        if not want_grad:
-            return value, None
-        grad *= gamma
-        dg = dg.reshape(rows.shape)
-        dg *= two_mu_x
-        grad += dg
-        return value, grad
-
+    objective_rows = _objective_rows(mu_x, target, gamma, gXY, spec)
     best_rows, best_val, trace = _mirror_descent(objective_rows, _conditional_rows(counts), config)
-    with np.errstate(all="ignore"):  # see _value_grad: a probe's value may overflow to inf
-        probe_best = min(
-            objective_rows(r, want_grad=False)[0]
-            for r in _probe_rows(left.size, right.size, config.seed)
-        )
     return RegularizedFit(
         h=MarkovKernel(left, right, best_rows),
         objective=best_val,
-        eps_certificate=max(0.0, best_val - probe_best),
         trace=trace,
+        _mu_x=mu_x,
+        _target=target,
+        _gamma=gamma,
+        _gXY=gXY,
+        _spec=spec,
+        _seed=int(config.seed),
     )
 
 

@@ -245,13 +245,12 @@ class Dataset:
         left, right, ny = space.left._index, space.right._index, space.right.size
         cells = []
         for x, y in pairs:
-            i = left.get(x)
-            if i is None:
-                raise KeyError(f"x label {x!r} is not in the left factor")
-            j = right.get(y)
-            if j is None:
-                raise KeyError(f"y label {y!r} is not in the right factor")
-            cells.append(i * ny + j)
+            try:  # x is looked up first, so an unknown x is named before y
+                cells.append(left[x] * ny + right[y])
+            except KeyError:
+                if x not in left:
+                    raise KeyError(f"x label {x!r} is not in the left factor") from None
+                raise KeyError(f"y label {y!r} is not in the right factor") from None
         self.space = space
         self.pairs = pairs
         # the flat product-space index of each pair, in sample order

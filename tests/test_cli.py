@@ -8,8 +8,8 @@ import pytest
 
 from probmorph.bounds import VERIFIERS
 from probmorph.cli import main
-from probmorph.kernels import KernelSpec
-from probmorph.learning import WFunctionalSpec, w_functional
+from probmorph.kernels import KernelSpec, NotPSDError
+from probmorph.learning import LearnerConfig, WFunctionalSpec, regularized_estimate, w_functional
 from probmorph.morphisms import MarkovKernel
 from probmorph.serialize import dataset_from_csv, kernel_from_json, kernel_to_json, measure_to_json
 from probmorph.spaces import FiniteSpace, ProbMeasure, ProductSpace, empirical, marginal
@@ -310,6 +310,35 @@ def test_estimate_overflowing_fit_exit_64(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "the fit overflowed (non-finite logits after 2 steps); lower gamma" in err
     assert "Traceback" not in err and not (tmp_path / "fit").exists()
+
+
+def test_estimate_reads_the_certificate_before_writing(workdir, capsys, monkeypatch):
+    # the certificate's probes run on first read; a failure there writes nothing
+    def refuse(*args):
+        raise NotPSDError("squared norm -1.000e-03 below -1.000e-12: Gram is not PSD")
+
+    monkeypatch.setattr("probmorph.learning._probe_rows", refuse)
+    out = workdir / "fit"
+    code = run(
+        "estimate", "--config", workdir / "est.cfg", "--seed", 0, "--out", out, workdir / "data.csv"
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and "invariant failure: squared norm" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_estimate_reports_the_library_certificate(workdir):
+    out = workdir / "fit"
+    assert run(
+        "estimate", "--config", workdir / "est.cfg", "--seed", 3,
+        "--out", out, "--gamma", 0.01, workdir / "data.csv",
+    ) == 0
+    data = dataset_from_csv((workdir / "data.csv").read_text(), ProductSpace(X, Y))
+    spec = WFunctionalSpec.from_kernel(KernelSpec("gaussian", sigma=1.0), X, Y)
+    fit = regularized_estimate(data, 0.01, spec.gram_xy, spec, LearnerConfig(max_iters=150, seed=3))
+    report = json.loads((out / "report.json").read_text())
+    assert report["objective"] == fit.objective
+    assert report["eps_certificate"] == fit.eps_certificate
 
 
 def test_embed_rank_one_linear_kernel_exit_0(workdir, capsys):

@@ -281,6 +281,20 @@ def test_reproducing_identity(space, spec):
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_linear_gram_entry_is_kernel_eval_on_every_blas_build(dim):
+    # BLAS's FMA kernels (OPENBLAS_CORETYPE=Haswell) round a multi-coordinate dot
+    # product apart in an n x n and a 1 x 1 product; the sum is taken without BLAS
+    spec = KernelSpec("linear", scale=0.5)
+    rng = np.random.default_rng(dim)
+    for _ in range(40):
+        space = FiniteSpace(list(range(5)), coords=np.round(rng.uniform(-3, 3, (5, dim)), 4))
+        g = gram(spec, space).values
+        for i in range(5):
+            for j in range(5):
+                assert g[i, j] == kernel_eval(spec, space.coords[i], space.coords[j])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     coord_spaces(max_points=5),

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import warnings
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 import scipy.linalg
 
 import probmorph.kernels as kernels_mod
+import probmorph.learning as learning_mod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -804,8 +806,11 @@ def test_fidelity_is_one_sq_norms_call_per_evaluation(monkeypatch, dense):
         g_xy = GramMatrix(S.space, g_xy.values)
     calls = _count_calls(monkeypatch, g_xy, ("sq_norms", "apply"))
     fit = regularized_estimate(S, 200 ** -0.5, g_xy, spec, LearnerConfig(max_iters=5))
-    evaluations = 1 + len(fit.trace) + 16  # the incumbent, one per step, the 16 probes
+    evaluations = 1 + len(fit.trace)  # the incumbent, one per step
     # KroneckerGram.sq_norms takes its product from its own apply
+    assert calls == {"sq_norms": evaluations, "apply": 0 if dense else evaluations}
+    fit.eps_certificate  # the 16 probes, on first read
+    evaluations += 16
     assert calls == {"sq_norms": evaluations, "apply": 0 if dense else evaluations}
 
 
@@ -986,6 +991,86 @@ def test_regularized_fit_ignores_seed():
         assert f0.trace == f1.trace
 
 
+def _grid_instance(nx, ny, n):
+    """n uniform draws on an nx x ny grid, with a gaussian W spec and its Kronecker gram_xy."""
+    xs = FiniteSpace([f"x{i}" for i in range(nx)], coords=np.linspace(0.0, 5.0, nx)[:, None])
+    ys = FiniteSpace([f"y{i}" for i in range(ny)], coords=np.linspace(0.0, 3.0, ny)[:, None])
+    prod = ProductSpace(xs, ys)
+    spec = WFunctionalSpec.from_kernel(KernelSpec("gaussian", sigma=1.0), xs, ys)
+    idx = np.random.default_rng((nx, ny, n)).integers(0, nx * ny, n)
+    return Dataset(prod, [prod.labels[i] for i in idx]), spec
+
+
+def _probe_values(S, gamma, g_xy, spec, seed):
+    """The objective at each of the 16 probes, evaluated as a fit evaluates it."""
+    counts = S.counts()
+    mu_x = counts.sum(axis=1)[:, None] / len(S)
+    target = counts / len(S)
+    with np.errstate(all="ignore"):
+        return [
+            float(g_xy.sq_norms((mu_x * r - target).reshape(1, -1))[1][0])
+            + gamma * spec._value_grad(r, want_grad=False)[0]
+            for r in _probe_rows(*counts.shape, seed)
+        ]
+
+
+@pytest.mark.parametrize("nx, ny, n", [(3, 2, 8), (6, 4, 200), (64, 16, 1000)])
+@pytest.mark.parametrize("dense", [False, True], ids=["kronecker", "dense"])
+def test_lazy_certificate_equals_the_eager_formula(nx, ny, n, dense):
+    S, spec = _grid_instance(nx, ny, n)
+    if dense:
+        spec = WFunctionalSpec(GramMatrix(S.space, spec.gram_xy.values), spec.gram_y, spec.gram_x)
+    gamma = n ** -0.5
+    for seed in (0, 1, 7):
+        fit = regularized_estimate(S, gamma, spec.gram_xy, spec, LearnerConfig(max_iters=20, seed=seed))
+        values = _probe_values(S, gamma, spec.gram_xy, spec, seed)
+        assert fit.eps_certificate.hex() == max(0.0, fit.objective - min(values)).hex()
+        # the fit beats every probe, so a worse objective shows the margin unclamped
+        worse = replace(fit, objective=max(values))
+        assert worse.eps_certificate.hex() == (max(values) - min(values)).hex()
+        assert worse.eps_certificate > 0
+
+
+def test_certificate_reads_the_seed_of_the_fit():
+    # LearnerConfig is mutable: the fit copies its seed, so a later change does not reach it
+    S, spec = _grid_instance(6, 4, 200)
+    config = LearnerConfig(max_iters=20, seed=3)
+    fit = regularized_estimate(S, 0.1, spec.gram_xy, spec, config)
+    config.seed = 4
+    at = {seed: min(_probe_values(S, 0.1, spec.gram_xy, spec, seed)) for seed in (3, 4)}
+    assert at[3] != at[4]
+    worse = replace(fit, objective=1.0)
+    assert worse.eps_certificate.hex() == (1.0 - at[3]).hex()
+
+
+def test_certificate_survives_a_pickle_round_trip():
+    S, spec = _grid_instance(6, 4, 200)
+    fit = regularized_estimate(S, 0.1, spec.gram_xy, spec, LearnerConfig(max_iters=20, seed=5))
+    fit = replace(fit, objective=1.0)  # a margin that is not clamped to 0
+    before = pickle.loads(pickle.dumps(fit))
+    value = fit.eps_certificate
+    after = pickle.loads(pickle.dumps(fit))
+    assert "eps_certificate" not in vars(before) and "eps_certificate" in vars(after)
+    assert before.eps_certificate.hex() == after.eps_certificate.hex() == value.hex()
+    assert np.array_equal(before.h.matrix, fit.h.matrix) and before.trace == fit.trace
+
+
+def test_certificate_probes_run_once_on_first_read(monkeypatch):
+    calls = []
+    real = learning_mod._probe_rows
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(learning_mod, "_probe_rows", counted)
+    S, spec = _grid_instance(6, 4, 200)
+    fit = regularized_estimate(S, 0.1, spec.gram_xy, spec, LearnerConfig(max_iters=20, seed=2))
+    assert calls == []
+    first, second = fit.eps_certificate, fit.eps_certificate
+    assert calls == [(6, 4, 2)] and first.hex() == second.hex()
+
+
 @pytest.mark.parametrize("nx, ny, seed", [(1, 1, 0), (3, 2, 5), (6, 4, 1), (64, 16, 2)])
 def test_probe_rows_are_one_draw(nx, ny, seed):
     # one generator draws all 16 probes' logits, and one softmax turns them into rows
@@ -1123,6 +1208,12 @@ LEARNING_REFUSALS = {
     "config-restarts-nan": (lambda: LearnerConfig(restarts=math.nan), ValueError, "restarts must be a positive integer"),
     "config-max-iters-fraction": (
         lambda: LearnerConfig(max_iters=2.5), ValueError, "max_iters must be a nonnegative integer, got 2.5",
+    ),
+    "config-seed-negative": (
+        lambda: LearnerConfig(seed=-1), ValueError, "seed must be a nonnegative integer, got -1",
+    ),
+    "config-seed-fraction": (
+        lambda: LearnerConfig(seed=1.5), ValueError, "seed must be a nonnegative integer, got 1.5",
     ),
     "gamma-nan-n": (lambda: gamma_schedule(math.nan), ValueError, "sample size must be at least 1, got nan"),
     "w-no-term": (

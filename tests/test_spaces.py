@@ -157,6 +157,11 @@ def test_dataset_rejects_unknown_labels():
         Dataset(prod, [("a", "z")])
     with pytest.raises(KeyError, match="x label 'z' is not in the left factor"):
         Dataset(prod, [("a", "c"), ("z", "c")])
+    # the first bad pair is named, and in it x before y
+    with pytest.raises(KeyError, match="x label 'w' is not in the left factor"):
+        Dataset(prod, [("a", "c"), ("w", "z"), ("v", "c")])
+    with pytest.raises(KeyError, match="y label 'z' is not in the right factor"):
+        Dataset(prod, [("b", "z"), ("w", "c")])
 
 
 def test_dataset_counts_match_a_pair_loop():
