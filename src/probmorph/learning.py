@@ -213,7 +213,7 @@ def empirical_section(S: Dataset) -> MarkovKernel:
     """
     if len(S) == 0:
         raise ValueError("cannot build an empirical section from no samples")
-    return MarkovKernel(S.space.left, S.space.right, _conditional_rows(S.counts()))
+    return MarkovKernel(S.space.left, S.space.right, _conditional_rows(S.counts())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +516,11 @@ def regularized_estimate(
         )
     counts = S.counts()
     n = len(S)
-    mu_x = counts.sum(axis=1)[:, None] / n
+    start, mass = _conditional_rows(counts)
+    mu_x = mass[:, None] / n
     target = counts / n
     objective_rows = _objective_rows(mu_x, target, gamma, gXY, spec)
-    best_rows, best_val, trace = _mirror_descent(objective_rows, _conditional_rows(counts), config)
+    best_rows, best_val, trace = _mirror_descent(objective_rows, start, config)
     return RegularizedFit(
         h=MarkovKernel(left, right, best_rows),
         objective=best_val,

@@ -57,14 +57,14 @@ def _check_joint(h: MarkovKernel, mu: SignedMeasure) -> ProductSpace:
     return space
 
 
-def _loss_grids(rows: np.ndarray, g: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Instantaneous losses of a stack of rows on g's points, and the rows' squared norms.
+def _loss_grids(g: GramMatrix, hg: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """Instantaneous losses of a stack of rows on g's points, from g.sq_norms(rows).
 
     grid[r, y] = ||M(rows[r])||^2 + K(y, y) - 2 <M(rows[r]), K_y>, with
-    q[r] = ||M(rows[r])||^2, from one GramMatrix.sq_norms product.
+    (hg, quad) = g.sq_norms(rows) or a leading slice of both. Each entry
+    is computed alone, so a slice of the stack gives the same bits.
     """
-    hg, quad = g.sq_norms(rows)
-    return quad[:, None] + g.diag[None, :] - 2.0 * hg, quad
+    return quad[:, None] + g.diag[None, :] - 2.0 * hg
 
 
 def _check_gram(h: SignedKernel, g: GramMatrix) -> None:
@@ -75,7 +75,7 @@ def _check_gram(h: SignedKernel, g: GramMatrix) -> None:
 def _loss_grid(h: MarkovKernel, g: GramMatrix) -> np.ndarray:
     """Matrix of instantaneous losses, indexed by (x, y)."""
     _check_gram(h, g)
-    return _loss_grids(h.matrix, g)[0]
+    return _loss_grids(g, *g.sq_norms(h.matrix))
 
 
 def instantaneous_loss(h: MarkovKernel, x, y, gY: GramMatrix) -> float:
@@ -124,20 +124,24 @@ def _deviation_terms(
     """(R_mu(f) - Rhat_S(f), R_mu(g) - Rhat_S(g), d_inf(f, g)) from one Gram product.
 
     The rows of f, g and f - g go through one GramMatrix.sq_norms
-    product, which gives both loss grids and the squared row distances.
-    The expected parts come from one reduction and the empirical parts
-    through math.fsum, as the public risks compute them. So the terms are
-    the public risks' and sup_row_mmd's bit for bit where BLAS rounds a
-    row alike at every stack height, as on a diagonal (delta) Gram, and
-    within roundoff elsewhere.
+    product. Loss grids are built for the rows of f and g only; the
+    squared norms of f - g give d_inf. The expected parts come from one
+    reduction and the empirical parts through math.fsum, as the public
+    risks compute them. So the terms are the public risks' and
+    sup_row_mmd's bit for bit where BLAS rounds a row alike at every
+    stack height. That was measured, on the delta and a gaussian label
+    Gram, for OpenBLAS's SandyBridge, Haswell and SkylakeX kernels; on
+    its older Katmai kernels (OPENBLAS_CORETYPE=Prescott) it fails even
+    for the delta Gram. Elsewhere the terms agree within roundoff.
     """
-    for h in (f, g):  # mu on f's grids and on g's puts f and g on the same grids
-        _check_joint(h, mu)
-        _check_sample(h, S)
+    _check_joint(f, mu)
+    _check_sample(f, S)
+    if g.source != f.source or g.target != f.target:  # mu fits f, so it does not fit g
+        raise SpaceMismatchError("joint measure does not match the hypothesis spaces")
     _check_gram(f, gY)
     n = f.source.size
-    grids, sq = _loss_grids(np.concatenate([f.matrix, g.matrix, f.matrix - g.matrix]), gY)
-    grids = grids[: 2 * n].reshape(2, n, -1)
+    hg, sq = gY.sq_norms(np.concatenate([f.matrix, g.matrix, f.matrix - g.matrix]))
+    grids = _loss_grids(gY, hg[: 2 * n], sq[: 2 * n]).reshape(2, n, -1)
     empirical = [math.fsum(losses) / len(S) for losses in _empirical_losses(grids, S)]
     gap_f, gap_g = [e - m for e, m in zip(_expected_risks(grids, mu).tolist(), empirical)]
     return gap_f, gap_g, float(_d_inf(sq[2 * n :]))
@@ -172,6 +176,12 @@ def _sup_row_mmd_matrix(kernels: Sequence[SignedKernel], gY: GramMatrix) -> np.n
 
     Member i's rows minus the rows of every later member form one stack,
     so n members take n - 1 products; sup_row_mmd is the two-member case.
+    d[i, j] has the bits of sup_row_mmd(kernels[i], kernels[j]) where BLAS
+    rounds a row alike at every stack height. That was measured, on the
+    delta and a gaussian label Gram, for OpenBLAS's SandyBridge, Haswell
+    and SkylakeX kernels; on its older Katmai kernels
+    (OPENBLAS_CORETYPE=Prescott) it fails even for the delta Gram.
+    Elsewhere the two agree within roundoff.
     """
     f = kernels[0]
     if gY.points != f.target or any(h.source != f.source or h.target != f.target for h in kernels):

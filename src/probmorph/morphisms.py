@@ -85,10 +85,12 @@ class MarkovKernel(SignedKernel):
             # a row with an entry above 2 fails the sum bound capped or not; capped,
             # no row sum overflows, so the check emits no warning
             sums = np.add.reduce(np.minimum(m, 2.0), axis=1)
-            off = np.abs(sums - 1.0)
-            if (worst := np.maximum.reduce(off, axis=None)) <= INVARIANT_ATOL:
+            # the worst |sum - 1|, in Python: s - 1 rounds monotonically in s, so the
+            # largest sum and the least give it exactly
+            s = sums.tolist()
+            if (worst := max(max(s) - 1.0, 1.0 - min(s))) <= INVARIANT_ATOL:
                 if worst > INVARIANT_ATOL / 8:
-                    far = off > INVARIANT_ATOL / 8
+                    far = np.abs(sums - 1.0) > INVARIANT_ATOL / 8
                     m[far] /= sums[far, None]
                 m.flags.writeable = False
                 self.source = source
@@ -241,26 +243,26 @@ def disintegrate(mu: ProbMeasure, zero_row_policy: str = "uniform"):
     space = mu.space
     if not isinstance(space, ProductSpace) or not isinstance(mu, ProbMeasure):
         raise SpaceMismatchError("disintegrate needs a ProbMeasure on a ProductSpace")
-    w = mu.weights.reshape(space.left.size, space.right.size)
-    mass = w.sum(axis=1)
-    dead = np.flatnonzero(mass <= 0.0)
-    if zero_row_policy == "error" and dead.size:
+    rows, mass = _conditional_rows(mu.weights.reshape(space.left.size, space.right.size))
+    if zero_row_policy == "error" and (dead := np.flatnonzero(mass <= 0.0)).size:
         labels = [space.left.labels[i] for i in dead]
         raise ValueError(f"marginal mass is zero at {labels!r}")
-    return ProbMeasure(space.left, mass), MarkovKernel(space.left, space.right, _conditional_rows(w))
+    return ProbMeasure(space.left, mass), MarkovKernel(space.left, space.right, rows)
 
 
-def _conditional_rows(w: np.ndarray) -> np.ndarray:
-    """The rows of a nonnegative (|X|, |Y|) array divided by their sums.
+def _conditional_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a nonnegative (|X|, |Y|) array divided by their sums, and the sums.
 
     Rows that sum to zero become uniform. w may hold joint weights or
-    pair counts; either way the result is the conditional kernel.
+    pair counts; either way the rows are the conditional kernel and the
+    sums the unnormalized left marginal.
     """
     mass = w.sum(axis=1)
-    rows = np.full(w.shape, 1.0 / w.shape[1])
     alive = mass > 0.0
-    rows[alive] = w[alive] / mass[alive, None]
-    return rows
+    # a dead row is divided by 1, then overwritten: a live row is divided by its own sum
+    rows = w / np.where(alive, mass, 1.0)[:, None]
+    rows[~alive] = 1.0 / w.shape[1]
+    return rows, mass
 
 
 def sup_tv_norm(T: SignedKernel) -> float:

@@ -199,23 +199,24 @@ class ProbMeasure(SignedMeasure):
 
     def __init__(self, space: FiniteSpace, weights):
         w = np.array(weights, dtype=float, order="C").reshape(-1)
-        # NaN and +-inf fail these comparisons, so they decide finiteness too.
-        # The reductions are called on the ufuncs, skipping the ndarray method wrappers,
-        # and fsum is exact, so summing the list gives the sum of the array.
-        if (
-            w.shape[0] == space.size
-            and (lo := np.minimum.reduce(w)) >= -INVARIANT_ATOL
-            and np.maximum.reduce(w) < math.inf
-        ):
+        # NaN and -inf fail the bound on the minimum. fsum is exact, so summing the list
+        # gives the sum of the array. A weight of +inf makes that sum inf or raises
+        # OverflowError, as two huge finite weights do, so a sum near 1 implies finite
+        # weights. The reduction is called on the ufunc, skipping the ndarray method wrapper.
+        if w.shape[0] == space.size and (lo := np.minimum.reduce(w)) >= -INVARIANT_ATOL:
             if lo <= 0.0:
                 np.maximum(w, 0.0, out=w)  # also turns -0.0 into +0.0
-            s = math.fsum(w.tolist())
-            if abs(s - 1.0) <= PROB_SUM_ATOL:
-                if s != 1.0:
-                    w /= s
-                self.space = space
-                self.weights = _freeze(w)
-                return
+            try:
+                s = math.fsum(w.tolist())
+            except OverflowError:  # _measure_error names the rule that fails
+                pass
+            else:
+                if abs(s - 1.0) <= PROB_SUM_ATOL:
+                    if s != 1.0:
+                        w /= s
+                    self.space = space
+                    self.weights = _freeze(w)
+                    return
         raise ValueError(_measure_error(space, w, prob=True))
 
 
@@ -241,18 +242,18 @@ class Dataset:
     def __init__(self, space: ProductSpace, pairs: Iterable[tuple]):
         if not isinstance(space, ProductSpace):
             raise TypeError("Dataset requires a ProductSpace")
-        pairs = tuple((x, y) for x, y in pairs)
         left, right, ny = space.left._index, space.right._index, space.right.size
-        cells = []
-        for x, y in pairs:
+        stored, cells = [], []
+        for x, y in pairs:  # one pass: a pair that is not two items raises ValueError
             try:  # x is looked up first, so an unknown x is named before y
                 cells.append(left[x] * ny + right[y])
             except KeyError:
                 if x not in left:
                     raise KeyError(f"x label {x!r} is not in the left factor") from None
                 raise KeyError(f"y label {y!r} is not in the right factor") from None
+            stored.append((x, y))
         self.space = space
-        self.pairs = pairs
+        self.pairs = tuple(stored)
         # the flat product-space index of each pair, in sample order
         self.cells = _freeze(np.array(cells, dtype=np.intp))
 

@@ -190,6 +190,16 @@ def test_dataset_cells_are_the_product_indices_of_the_pairs():
         Dataset(prod, [(["a"], 0)])
 
 
+def test_dataset_stores_each_pair_as_a_two_tuple():
+    prod = ProductSpace(AB, CD)
+    S = Dataset(prod, ([x, y] for x, y in [("a", "c"), ("b", "d"), ("a", "d")]))
+    assert S.pairs == (("a", "c"), ("b", "d"), ("a", "d"))
+    assert all(type(p) is tuple for p in S.pairs)
+    assert S.cells.tolist() == [0, 3, 1]
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        Dataset(prod, [("a", "c"), ("b", "d", "c")])
+
+
 # Reference copies of the measure constructors' rules, one check per rule in
 # precedence order. They return the array a constructor must store, or raise.
 def reference_signed_weights(space, weights):
