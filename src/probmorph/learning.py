@@ -116,8 +116,10 @@ class LearnerConfig:
 # mirror descent over row simplices
 # ---------------------------------------------------------------------------
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig):
@@ -136,6 +138,8 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
     than _STEP / sqrt(t + 1) in a step. An inf or NaN in g, or a subnormal
     max|g| whose eta_t overflows, would make a logit non-finite. A finite
     g whose scale overflows gives eta_t = 0, a step that moves nothing.
+    objective_rows returns a new gradient array on each call, and the step
+    scales it in place.
     """
     z = np.zeros_like(incumbent)  # logits: softmax(log x) == softmax(z) rowwise
     best_rows = incumbent
@@ -158,7 +162,8 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
             eta = _STEP / (math.sqrt(t + 1) * g_max)
             if not (math.isfinite(g_max) and math.isfinite(eta)):
                 raise ArithmeticError(f"non-finite logits after {t + 1} steps")
-            z = z - eta * grad
+            grad *= eta
+            z -= grad
     return best_rows, best_val, trace
 
 
@@ -244,8 +249,12 @@ class WFunctionalSpec:
     a_i = 2 for the gaussian, laplacian and delta kernels. On any other
     gram_xy (the linear kernel, or a hand-built Gram) the blocks differ,
     a_i = 1, and each evaluation adds the graph norm from
-    gram_xy.graph_sq_norms. Change a field by building a new spec, not by
-    assigning to it.
+    gram_xy.graph_sq_norms. Each evaluation reads single entries, so the
+    spec also keeps copies that index cheaply: the divisors as a list of
+    Python floats, the pairs as a list of [i, j] Python ints, and the
+    pairs' second rows as one contiguous index array. Change a field by
+    building a new spec (dataclasses.replace does), not by assigning to
+    it: the copies are derived once, here.
     """
 
     gram_xy: GramMatrix
@@ -259,6 +268,9 @@ class WFunctionalSpec:
     _gather: np.ndarray = field(init=False, repr=False, compare=False)
     _divisors: np.ndarray = field(init=False, repr=False, compare=False)
     _graph_blocks: bool = field(init=False, repr=False, compare=False)
+    _second: np.ndarray = field(init=False, repr=False, compare=False)
+    _divisor_list: list = field(init=False, repr=False, compare=False)
+    _pair_list: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.include_sup or self.include_lipschitz or self.include_operator_norm):
@@ -278,6 +290,9 @@ class WFunctionalSpec:
         if n_sup and factored:
             a += np.sqrt(np.maximum(self.gram_xy.left.diag, 0.0))
         self._divisors = np.concatenate((1.0 / a, self._dists))
+        self._second = np.ascontiguousarray(self._pairs[1])
+        self._divisor_list = self._divisors.tolist()
+        self._pair_list = self._pairs.T.tolist()
 
     @classmethod
     def from_kernel(
@@ -320,6 +335,9 @@ class WFunctionalSpec:
         a_i ||r_i||_{G_Y} for sup row i, ||r_i - r_j||_{G_Y} / d_ij for a
         Lipschitz pair. Each max is an argmax on its slice, and the gradient
         of the active piece is G_Y times its stack row over (norm * divisor).
+        The active piece, its norm and divisor are read as Python floats and
+        the active pair as Python ints, from the spec's copies: the same
+        IEEE operations as on numpy scalars, without their dispatch.
         A gram_xy whose diagonal blocks differ adds graph row i's norm to
         sup piece i, with its gradient on row i from graph_sq_norms. The
         operator-norm term is never read here: w_functional adds it. One
@@ -332,7 +350,7 @@ class WFunctionalSpec:
         n_sup = len(rows) if self.include_sup else 0
         if len(self._gather):
             stack = rows.take(self._gather, axis=0)
-            stack[n_sup:] -= rows.take(self._pairs[1], axis=0)
+            stack[n_sup:] -= rows.take(self._second, axis=0)
             g2, q = self.gram_y.sq_norms(stack)
             norms = np.sqrt(q)
             pieces = norms / self._divisors
@@ -343,23 +361,25 @@ class WFunctionalSpec:
                 ng_norm = np.sqrt(qg)
                 phi = phi + ng_norm
             sup = int(phi.argmax())
-            total += float(phi[sup])
+            total += phi.item(sup)
         if len(self._dists):
             p = n_sup + int(pieces[n_sup:].argmax())
-            total += float(pieces[p])
-            if pieces[p] > 0:
+            piece = pieces.item(p)
+            total += piece
+            if piece > 0:
                 lip = p
         if not want_grad:
             return total * total, None
         grad = np.zeros(rows.shape)
         if sup is not None:
-            if norms[sup] > 0:
-                grad[sup] = g2[sup] / (norms[sup] * self._divisors[sup])
+            norm = norms.item(sup)
+            if norm > 0:
+                grad[sup] = g2[sup] / (norm * self._divisor_list[sup])
             if self._graph_blocks and ng_norm[sup] > 0:
                 grad[sup] += b[sup] / ng_norm[sup]
         if lip is not None:
-            i, j = self._pairs[:, lip - n_sup]
-            step = g2[lip] / (norms[lip] * self._divisors[lip])
+            i, j = self._pair_list[lip - n_sup]
+            step = g2[lip] / (norms.item(lip) * self._divisor_list[lip])
             grad[i] += step
             grad[j] -= step
         grad *= 2.0 * total
@@ -420,21 +440,26 @@ def _objective_rows(mu_x, target, gamma: float, gXY: GramMatrix, spec: WFunction
     It returns (value, gradient), or (value, None) when want_grad is
     false. The fidelity's square and gradient come from one
     GramMatrix.sq_norms product, under the roundoff rule of mmd and the
-    W terms.
+    W terms. mu_x, of shape (|X|, 1), and 2 mu_x are repeated once into
+    full (|X|, |Y|) grids held flat, so each evaluation multiplies arrays
+    of one shape: an (|X|, 1) broadcast costs about twice as much on
+    these tiny grids, and every product keeps its bits.
     """
-    two_mu_x = 2.0 * mu_x
+    mu = np.repeat(mu_x, target.shape[1], axis=1).reshape(1, -1)
+    two_mu = 2.0 * mu
+    flat_target = target.reshape(1, -1)
 
     def objective_rows(rows, want_grad=True):
-        d = mu_x * rows - target
-        dg, q = gXY.sq_norms(d.reshape(1, -1))
+        d = mu * rows.reshape(1, -1)
+        d -= flat_target
+        dg, q = gXY.sq_norms(d)
         wval, grad = spec._value_grad(rows, want_grad)
-        value = float(q[0]) + gamma * wval
+        value = q.item() + gamma * wval
         if not want_grad:
             return value, None
         grad *= gamma
-        dg = dg.reshape(rows.shape)
-        dg *= two_mu_x
-        grad += dg
+        dg *= two_mu
+        grad += dg.reshape(rows.shape)
         return value, grad
 
     return objective_rows

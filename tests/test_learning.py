@@ -34,6 +34,7 @@ from probmorph.losses import empirical_risk, sup_row_mmd
 from probmorph.morphisms import (
     MarkovKernel,
     SingularGramError,
+    _conditional_rows,
     _sum_zero_pencil,
     disintegrate,
     embedded_operator_norm,
@@ -1081,6 +1082,181 @@ def test_probe_rows_are_one_draw(nx, ny, seed):
     assert probes.shape == (16, nx, ny)
     assert np.array_equal(probes, want)
     assert np.allclose(probes.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+
+
+def _plain_value_grad(spec, rows, want_grad=True):
+    """W's value and gradient as first written: numpy-scalar indexing, no cached copies."""
+    total = 0.0
+    sup = lip = None
+    n_sup = len(rows) if spec.include_sup else 0
+    if len(spec._gather):
+        stack = rows.take(spec._gather, axis=0)
+        stack[n_sup:] -= rows.take(spec._pairs[1], axis=0)
+        g2, q = spec.gram_y.sq_norms(stack)
+        norms = np.sqrt(q)
+        pieces = norms / spec._divisors
+    if n_sup:
+        phi = pieces[:n_sup]
+        if spec._graph_blocks:
+            b, qg = spec.gram_xy.graph_sq_norms(rows)
+            ng_norm = np.sqrt(qg)
+            phi = phi + ng_norm
+        sup = int(phi.argmax())
+        total += float(phi[sup])
+    if len(spec._dists):
+        p = n_sup + int(pieces[n_sup:].argmax())
+        total += float(pieces[p])
+        if pieces[p] > 0:
+            lip = p
+    if not want_grad:
+        return total * total, None
+    grad = np.zeros(rows.shape)
+    if sup is not None:
+        if norms[sup] > 0:
+            grad[sup] = g2[sup] / (norms[sup] * spec._divisors[sup])
+        if spec._graph_blocks and ng_norm[sup] > 0:
+            grad[sup] += b[sup] / ng_norm[sup]
+    if lip is not None:
+        i, j = spec._pairs[:, lip - n_sup]
+        step = g2[lip] / (norms[lip] * spec._divisors[lip])
+        grad[i] += step
+        grad[j] -= step
+    grad *= 2.0 * total
+    return total * total, grad
+
+
+def _plain_softmax(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _plain_fit(S, gamma, g_xy, spec, max_iters, seed):
+    """regularized_estimate as one plain loop: (rows, objective, trace, probe minimum).
+
+    The objective broadcasts mu_x over the rows, and each step allocates
+    new logits. Any change to the order of a floating-point operation in
+    the library's step shows as a moved bit against it.
+    """
+    counts = S.counts()
+    start, mass = _conditional_rows(counts)
+    mu_x = mass[:, None] / len(S)
+    target = counts / len(S)
+
+    def objective(rows, want_grad=True):
+        d = mu_x * rows - target
+        dg, q = g_xy.sq_norms(d.reshape(1, -1))
+        wval, wgrad = _plain_value_grad(spec, rows, want_grad)
+        value = float(q[0]) + gamma * wval
+        if not want_grad:
+            return value, None
+        return value, wgrad * gamma + dg.reshape(rows.shape) * (2.0 * mu_x)
+
+    with np.errstate(all="ignore"):
+        z = np.zeros_like(start)
+        best_rows, (best_val, _) = start, objective(start, want_grad=False)
+        trace = []
+        for t in range(max_iters + 1):
+            rows = _plain_softmax(z)
+            value, grad = objective(rows)
+            if value < best_val:
+                best_rows, best_val = rows, value
+            trace.append(best_val)
+            gap = float(np.vdot(grad, rows) - grad.min(axis=1).sum())
+            if t == max_iters or gap <= 1e-9:
+                break
+            z = z - learning_mod._STEP / (math.sqrt(t + 1) * np.abs(grad).max()) * grad
+        nx, ny = counts.shape
+        logits = 2.0 * np.random.default_rng((seed, 104729)).standard_normal((16 * nx, ny))
+        probes = _plain_softmax(logits).reshape(16, nx, ny)
+        probe_min = min(objective(r, want_grad=False)[0] for r in probes)
+    return best_rows, best_val, trace, probe_min
+
+
+def _draws(xs, ys, n, seed, sources=None):
+    """n uniform pairs on xs x ys, drawn only at the source indices `sources` (all by default)."""
+    prod = ProductSpace(xs, ys)
+    rng = np.random.default_rng(seed)
+    sources = np.arange(xs.size) if sources is None else np.asarray(sources)
+    pairs = [(xs.labels[i], ys.labels[j]) for i, j in zip(rng.choice(sources, n), rng.integers(0, ys.size, n))]
+    return Dataset(prod, pairs)
+
+
+def _line(name, n, hi):
+    return FiniteSpace([f"{name}{i}" for i in range(n)], coords=np.linspace(0.0, hi, n)[:, None])
+
+
+def _pinned_criterion10():
+    S, spec = _criterion10_instance()
+    return S, 200 ** -0.5, GramMatrix(S.space, 50.0 * spec.gram_xy.values), spec, 250
+
+
+def _pinned_from_kernel(xs, ys, n, k=KernelSpec("gaussian", sigma=1.0), sources=None, **terms):
+    spec = WFunctionalSpec.from_kernel(k, xs, ys, **terms)
+    return _draws(xs, ys, n, (xs.size, ys.size, n), sources), 0.2, spec.gram_xy, spec, 60
+
+
+def _pinned_scaled_left_factor():
+    # a hand-built Kronecker gram_xy whose left diagonal is 1.7, so a_i = 1 + sqrt(1.7)
+    # and the sup divisors are not powers of two
+    xs, ys = _line("x", 6, 5.0), _line("y", 4, 3.0)
+    k = KernelSpec("gaussian", sigma=1.0)
+    g_x, g_y = gram(k, xs), gram(k, ys)
+    g_xy = KroneckerGram(ProductSpace(xs, ys), GramMatrix(xs, 1.7 * g_x.values), g_y)
+    spec = WFunctionalSpec(g_xy, g_y, g_x)
+    assert spec._divisors[0] != 0.5
+    return _draws(xs, ys, 150, 17), 0.3, g_xy, spec, 120
+
+
+PINNED_FITS = {
+    "criterion10-dense": _pinned_criterion10,
+    "scaled-left-factor": _pinned_scaled_left_factor,
+    "gaussian-16x8": lambda: _pinned_from_kernel(_line("x", 16, 5.0), _line("y", 8, 3.0), 300),
+    "2d-source-5x4": lambda: _pinned_from_kernel(
+        FiniteSpace([f"x{i}" for i in range(5)], coords=np.random.default_rng(5).uniform(0, 3, (5, 2))),
+        _line("y", 4, 3.0),
+        120,
+        KernelSpec("gaussian", sigma=0.7),
+    ),
+    "linear": lambda: _pinned_from_kernel(
+        _line("x", 5, 2.0), _line("y", 3, 1.0), 80, KernelSpec("linear", scale=0.5)
+    ),
+    "sup-only": lambda: _pinned_from_kernel(_line("x", 6, 5.0), _line("y", 4, 3.0), 200, include_lipschitz=False),
+    "lipschitz-only": lambda: _pinned_from_kernel(_line("x", 6, 5.0), _line("y", 4, 3.0), 200, include_sup=False),
+    "unobserved-input": lambda: _pinned_from_kernel(
+        _line("x", 6, 5.0), _line("y", 4, 3.0), 100, sources=[0, 1, 2, 4, 5]
+    ),
+}
+
+
+@pytest.mark.parametrize("make", PINNED_FITS.values(), ids=list(PINNED_FITS))
+def test_fit_bits_equal_a_plain_copy_of_the_step(make):
+    # the step's numpy calls may change, its floating-point operations may not
+    S, gamma, g_xy, spec, max_iters = make()
+    rows, objective, trace, probe_min = _plain_fit(S, gamma, g_xy, spec, max_iters, seed=7)
+    fit = regularized_estimate(S, gamma, g_xy, spec, LearnerConfig(max_iters=max_iters, seed=7))
+    want = MarkovKernel(S.space.left, S.space.right, rows)
+    assert fit.h.matrix.tobytes() == want.matrix.tobytes()
+    assert fit.objective.hex() == objective.hex()
+    assert [v.hex() for v in fit.trace] == [v.hex() for v in trace]
+    assert fit.eps_certificate.hex() == max(0.0, objective - probe_min).hex()
+    # a margin that is not clamped to 0 pins the probes' minimum too: 2p - p is exact
+    assert replace(fit, objective=2.0 * probe_min).eps_certificate.hex() == probe_min.hex()
+
+
+@pytest.mark.parametrize("flag", ["include_sup", "include_lipschitz"])
+@pytest.mark.parametrize("kernel", [KernelSpec("gaussian", sigma=1.0), KernelSpec("linear", scale=0.5)])
+def test_a_rebuilt_spec_carries_no_stale_copies(flag, kernel):
+    xs, ys = _line("x", 5, 4.0), _line("y", 3, 2.0)
+    spec = WFunctionalSpec.from_kernel(kernel, xs, ys)
+    rebuilt = replace(spec, **{flag: False})
+    fresh = WFunctionalSpec.from_kernel(kernel, xs, ys, **{flag: False})
+    rows = np.random.default_rng(3).dirichlet(np.ones(3), size=5)
+    assert rebuilt._value_grad(rows, want_grad=False)[0].hex() == fresh._value_grad(rows, want_grad=False)[0].hex()
+    value, grad = rebuilt._value_grad(rows)
+    fresh_value, fresh_grad = fresh._value_grad(rows)
+    assert value.hex() == fresh_value.hex()
+    assert grad.tobytes() == fresh_grad.tobytes()
+    assert value != spec._value_grad(rows)[0]
 
 
 # ---------------------------------------------------------------------------
