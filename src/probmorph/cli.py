@@ -169,7 +169,8 @@ def entry() -> None:
 def _read_text(path: str, kind: str, error: type[ValueError]) -> str:
     """The text of a UTF-8 file, a leading byte-order mark dropped.
 
-    A missing or undecodable file raises `error`, naming it a `kind` file.
+    A missing, unreadable or undecodable file raises `error`, naming it a
+    `kind` file.
     """
     p = Path(path)
     if not p.is_file():
@@ -178,6 +179,8 @@ def _read_text(path: str, kind: str, error: type[ValueError]) -> str:
         return p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{kind} file {path!r} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {kind} file {path!r}: {exc}") from exc
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -185,9 +188,13 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 
 def _load_json(path: str):
+    """The document of a JSON data file; any text json.loads cannot build raises DataFormatError."""
+    text = _read_text(path, "data", DataFormatError)
     try:
-        return json.loads(_read_text(path, "data", DataFormatError))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    # ValueError covers JSONDecodeError and an integer literal past Python's digit limit,
+    # RecursionError a nesting deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 

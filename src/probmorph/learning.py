@@ -218,7 +218,8 @@ def empirical_section(S: Dataset) -> MarkovKernel:
     """
     if len(S) == 0:
         raise ValueError("cannot build an empirical section from no samples")
-    return MarkovKernel(S.space.left, S.space.right, _conditional_rows(S.counts())[0])
+    # a new array of ratios of counts and uniform rows: finite, nonnegative, no -0.0
+    return MarkovKernel._derived(S.space.left, S.space.right, _conditional_rows(S.counts())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +548,9 @@ def regularized_estimate(
     objective_rows = _objective_rows(mu_x, target, gamma, gXY, spec)
     best_rows, best_val, trace = _mirror_descent(objective_rows, start, config)
     return RegularizedFit(
-        h=MarkovKernel(left, right, best_rows),
+        # start or a softmax of finite logits, new and kept by nothing else: ratios
+        # of counts, or exp values in [0, 1] over sums >= 1, never -0.0
+        h=MarkovKernel._derived(left, right, best_rows),
         objective=best_val,
         trace=trace,
         _mu_x=mu_x,

@@ -70,6 +70,14 @@ class MarkovKernel(SignedKernel):
     nearer rows keep their bits. A row of compose or joint then sums
     within about 2b of 1, so any b up to about INVARIANT_ATOL / 2 keeps
     products of kernels kernels.
+
+    The constructor checks caller-supplied rows in one pass over a
+    private copy: the entry checks (shape, NaN and -inf, negative dust
+    and -0.0, a cap on entries above 2 that keeps the sums finite), then
+    the row-sum rule. The kernels of the calculus (compose, joint,
+    graph, disintegrate, ...) are built by _derived, which runs the
+    row-sum rule alone on a matrix its producer guarantees would pass
+    the entry checks unchanged; the stored bits are the constructor's.
     """
 
     markov = True
@@ -84,14 +92,7 @@ class MarkovKernel(SignedKernel):
                 np.maximum(m, 0.0, out=m)  # also turns -0.0 into +0.0
             # a row with an entry above 2 fails the sum bound capped or not; capped,
             # no row sum overflows, so the check emits no warning
-            sums = np.add.reduce(np.minimum(m, 2.0), axis=1)
-            # the worst |sum - 1|, in Python: s - 1 rounds monotonically in s, so the
-            # largest sum and the least give it exactly
-            s = sums.tolist()
-            if (worst := max(max(s) - 1.0, 1.0 - min(s))) <= INVARIANT_ATOL:
-                if worst > INVARIANT_ATOL / 8:
-                    far = np.abs(sums - 1.0) > INVARIANT_ATOL / 8
-                    m[far] /= sums[far, None]
+            if _row_sum_rule(m, np.add.reduce(np.minimum(m, 2.0), axis=1)):
                 m.flags.writeable = False
                 self.source = source
                 self.target = target
@@ -99,8 +100,50 @@ class MarkovKernel(SignedKernel):
                 return
         raise ValueError(_rows_error(source, target, m, markov=True))
 
+    @classmethod
+    def _derived(cls, source: FiniteSpace, target: FiniteSpace, m: np.ndarray) -> "MarkovKernel":
+        """The kernel of rows a calculus function has just built.
+
+        The caller guarantees that m is a new C-ordered float array of
+        shape (source.size, target.size) that nothing else holds, with
+        finite nonnegative entries and no -0.0. The constructor's copy
+        and entry checks would then leave every bit as it is, and so
+        would its cap: a row that passes the sum rule has no entry above
+        2, and a row that has one fails it either way. Only the row-sum
+        rule runs, in place; rows it rejects raise the constructor's
+        ValueError. By the 2b argument above, that does not happen for
+        the products and sums of accepted kernels and measures.
+        """
+        if not _row_sum_rule(m, np.add.reduce(m, axis=1)):
+            raise ValueError(_rows_error(source, target, m, markov=True))
+        m.flags.writeable = False
+        k = object.__new__(cls)
+        k.source = source
+        k.target = target
+        k.matrix = m
+        return k
+
     def row(self, x) -> ProbMeasure:
-        return ProbMeasure(self.target, self.matrix[self.source.index(x)])
+        # a copy of an accepted row: new, finite, nonnegative, no -0.0
+        return ProbMeasure._derived(self.target, self.matrix[self.source.index(x)].copy())
+
+
+def _row_sum_rule(m: np.ndarray, sums: np.ndarray) -> bool:
+    """The row-sum rule of a Markov kernel, on rows that passed the entry checks.
+
+    sums holds the row sums of m. False if a row sum is off 1 by more
+    than INVARIANT_ATOL; otherwise the rows off 1 by more than
+    INVARIANT_ATOL / 8 are divided in place by their sums.
+    """
+    # the worst |sum - 1|, in Python: s - 1 rounds monotonically in s, so the
+    # largest sum and the least give it exactly
+    s = sums.tolist()
+    if not (worst := max(max(s) - 1.0, 1.0 - min(s))) <= INVARIANT_ATOL:
+        return False
+    if worst > INVARIANT_ATOL / 8:
+        far = np.abs(sums - 1.0) > INVARIANT_ATOL / 8
+        m[far] /= sums[far, None]
+    return True
 
 
 def _rows_error(source: FiniteSpace, target: FiniteSpace, m: np.ndarray, markov: bool) -> str:
@@ -130,11 +173,11 @@ def deterministic(source: FiniteSpace, target: FiniteSpace, mapping) -> MarkovKe
         if y not in target:
             raise KeyError(f"map sends {x!r} to {y!r}, which is not in the target")
         m[i, target.index(y)] = 1.0
-    return MarkovKernel(source, target, m)
+    return MarkovKernel._derived(source, target, m)  # a new array of zeros and one 1.0 a row
 
 
 def identity_kernel(space: FiniteSpace) -> MarkovKernel:
-    return MarkovKernel(space, space, np.eye(space.size))
+    return MarkovKernel._derived(space, space, np.eye(space.size))  # a new 0/1 array
 
 
 def projection_kernel(space: ProductSpace, axis: str) -> MarkovKernel:
@@ -144,15 +187,24 @@ def projection_kernel(space: ProductSpace, axis: str) -> MarkovKernel:
     Dirac at a (left) or at b (right), the matrix deterministic builds.
     """
     n, m = space.left.size, space.right.size
+    # repeat and tile return new arrays of zeros and ones
     if axis == "left":
-        return MarkovKernel(space, space.left, np.repeat(np.eye(n), m, 0))
+        return MarkovKernel._derived(space, space.left, np.repeat(np.eye(n), m, 0))
     if axis == "right":
-        return MarkovKernel(space, space.right, np.tile(np.eye(m), (n, 1)))
+        return MarkovKernel._derived(space, space.right, np.tile(np.eye(m), (n, 1)))
     raise ValueError(f"axis must be 'left' or 'right', got {axis!r}")
 
 
 def _wrap(source, target, matrix, markov: bool):
-    return (MarkovKernel if markov else SignedKernel)(source, target, matrix)
+    """The kernel of a new C-ordered row matrix that compose, joint or graph built.
+
+    For markov, the matrix holds products and sums of entries of
+    accepted Markov kernels, which are finite and nonnegative, and IEEE
+    products and sums of +0.0 and positive numbers are never -0.0.
+    """
+    if markov:
+        return MarkovKernel._derived(source, target, matrix)
+    return SignedKernel(source, target, matrix)
 
 
 def pushforward(T: SignedKernel, mu: SignedMeasure) -> SignedMeasure:
@@ -165,7 +217,8 @@ def pushforward(T: SignedKernel, mu: SignedMeasure) -> SignedMeasure:
         raise SpaceMismatchError("measure does not live on the kernel's source")
     w = mu.weights @ T.matrix
     if T.markov and isinstance(mu, ProbMeasure):
-        return ProbMeasure(T.target, w)
+        # a new array of sums of products of accepted entries: finite, nonnegative, no -0.0
+        return ProbMeasure._derived(T.target, w)
     return SignedMeasure(T.target, w)
 
 
@@ -225,7 +278,8 @@ def graph_pushforward(T: SignedKernel, mu_x: SignedMeasure) -> SignedMeasure:
     space = ProductSpace(T.source, T.target)
     w = (mu_x.weights[:, None] * T.matrix).reshape(-1)
     if T.markov and isinstance(mu_x, ProbMeasure):
-        return ProbMeasure(space, w)
+        # a new array of products of accepted entries: finite, nonnegative, no -0.0
+        return ProbMeasure._derived(space, w)
     return SignedMeasure(space, w)
 
 
@@ -247,7 +301,12 @@ def disintegrate(mu: ProbMeasure, zero_row_policy: str = "uniform"):
     if zero_row_policy == "error" and (dead := np.flatnonzero(mass <= 0.0)).size:
         labels = [space.left.labels[i] for i in dead]
         raise ValueError(f"marginal mass is zero at {labels!r}")
-    return ProbMeasure(space.left, mass), MarkovKernel(space.left, space.right, rows)
+    # both new (see _conditional_rows); sums and ratios of accepted weights, and
+    # uniform rows: finite, nonnegative, no -0.0
+    return (
+        ProbMeasure._derived(space.left, mass),
+        MarkovKernel._derived(space.left, space.right, rows),
+    )
 
 
 def _conditional_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

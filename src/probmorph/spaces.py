@@ -195,29 +195,65 @@ class ProbMeasure(SignedMeasure):
     Construction clamps negative dust above -1e-12 to zero and
     renormalizes sums within PROB_SUM_ATOL of 1; anything worse is
     rejected rather than silently repaired.
+
+    The constructor checks caller-supplied weights in one pass over a
+    private copy: the entry checks (shape, NaN and -inf, negative dust
+    and -0.0), then the sum rule. The measures of the calculus
+    (pushforward, marginal, product, ...) are built by _derived, which
+    runs the sum rule alone on a weight array its producer guarantees
+    would pass the entry checks unchanged; the stored bits are the
+    constructor's.
     """
 
     def __init__(self, space: FiniteSpace, weights):
         w = np.array(weights, dtype=float, order="C").reshape(-1)
-        # NaN and -inf fail the bound on the minimum. fsum is exact, so summing the list
-        # gives the sum of the array. A weight of +inf makes that sum inf or raises
-        # OverflowError, as two huge finite weights do, so a sum near 1 implies finite
-        # weights. The reduction is called on the ufunc, skipping the ndarray method wrapper.
+        # NaN and -inf fail the bound on the minimum, +inf the sum rule.
+        # The reduction is called on the ufunc, skipping the ndarray method wrapper.
         if w.shape[0] == space.size and (lo := np.minimum.reduce(w)) >= -INVARIANT_ATOL:
             if lo <= 0.0:
                 np.maximum(w, 0.0, out=w)  # also turns -0.0 into +0.0
-            try:
-                s = math.fsum(w.tolist())
-            except OverflowError:  # _measure_error names the rule that fails
-                pass
-            else:
-                if abs(s - 1.0) <= PROB_SUM_ATOL:
-                    if s != 1.0:
-                        w /= s
-                    self.space = space
-                    self.weights = _freeze(w)
-                    return
+            if _sum_rule(w):
+                self.space = space
+                self.weights = _freeze(w)
+                return
         raise ValueError(_measure_error(space, w, prob=True))
+
+    @classmethod
+    def _derived(cls, space: FiniteSpace, w: np.ndarray) -> "ProbMeasure":
+        """The measure of weights a calculus function has just built.
+
+        The caller guarantees that w is a new 1-D float array of
+        space.size weights that nothing else holds, finite, nonnegative
+        and free of -0.0, so the constructor's copy and entry checks
+        would leave its bits as they are. Only the sum rule runs, in
+        place; a sum it rejects raises the constructor's ValueError.
+        """
+        if not _sum_rule(w):
+            raise ValueError(_measure_error(space, w, prob=True))
+        mu = object.__new__(cls)
+        mu.space = space
+        mu.weights = _freeze(w)
+        return mu
+
+
+def _sum_rule(w: np.ndarray) -> bool:
+    """The sum rule of a probability measure, on weights that passed the entry checks.
+
+    False if the weights do not sum to within PROB_SUM_ATOL of 1;
+    otherwise a sum other than 1 divides w in place. fsum is exact, so
+    summing the list gives the sum of the array. A weight of +inf makes
+    that sum inf or raises OverflowError, as two huge finite weights do,
+    so a sum near 1 implies finite weights.
+    """
+    try:
+        s = math.fsum(w.tolist())
+    except OverflowError:  # _measure_error names the rule that fails
+        return False
+    if not abs(s - 1.0) <= PROB_SUM_ATOL:
+        return False
+    if s != 1.0:
+        w /= s
+    return True
 
 
 def _measure_error(space: FiniteSpace, w: np.ndarray, prob: bool) -> str:
@@ -284,7 +320,7 @@ def dirac(space: FiniteSpace, x: Label) -> ProbMeasure:
     """The point mass at x."""
     w = np.zeros(space.size)
     w[space.index(x)] = 1.0
-    return ProbMeasure(space, w)
+    return ProbMeasure._derived(space, w)  # a new array of zeros and one 1.0
 
 
 def empirical(data, space: FiniteSpace | None = None) -> ProbMeasure:
@@ -302,7 +338,8 @@ def empirical(data, space: FiniteSpace | None = None) -> ProbMeasure:
     n = int(counts.sum())
     if n == 0:
         raise ValueError("cannot build an empirical measure from no samples")
-    return ProbMeasure(space, counts / n)
+    # a new array of ratios of counts: finite, nonnegative, no -0.0
+    return ProbMeasure._derived(space, counts / n)
 
 
 def tv_norm(mu: SignedMeasure) -> float:
@@ -336,7 +373,8 @@ def product(
         raise SpaceMismatchError("product space factors do not match the measures")
     w = np.outer(mu.weights, nu.weights).reshape(-1)
     if isinstance(mu, ProbMeasure) and isinstance(nu, ProbMeasure):
-        return ProbMeasure(space, w)
+        # a new array of products of accepted weights: finite, nonnegative, no -0.0
+        return ProbMeasure._derived(space, w)
     return SignedMeasure(space, w)
 
 
@@ -357,5 +395,6 @@ def marginal(mu: SignedMeasure, axis: str) -> SignedMeasure:
     else:
         raise ValueError(f"axis must be 'left' or 'right', got {axis!r}")
     if isinstance(mu, ProbMeasure):
-        return ProbMeasure(factor, w)
+        # a new array of sums of accepted weights: finite, nonnegative, no -0.0
+        return ProbMeasure._derived(factor, w)
     return SignedMeasure(factor, w)

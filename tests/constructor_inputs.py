@@ -103,3 +103,36 @@ def assert_builds_like(build, reference, spaces, given_input, attr):
         given_input[...] = 7.0
         assert stored.tobytes() == expect.tobytes()
     return got
+
+
+@st.composite
+def near_stochastic(draw, n, k, atol):
+    """An (n, k) array of nonnegative rows, zeros among them, each summing to about 1 + delta.
+
+    Each row is integer counts over their total, scaled by 1 + delta with
+    |delta| <= atol drawn per row, so a row may sit on either side of a
+    rule's tolerance and the divide step of the sum rule may run.
+    """
+    counts = st.lists(st.integers(0, 64), min_size=k, max_size=k).filter(any)
+    rows = []
+    for _ in range(n):
+        c, delta = draw(counts), draw(st.floats(-atol, atol))
+        rows.append([v / sum(c) * (1.0 + delta) for v in c])
+    return np.array(rows)
+
+
+def assert_public_bits(got, public, attr, *inputs):
+    """A calculus result equals the public constructor's object of its raw array.
+
+    The same type and attributes, the same stored bits, read-only and
+    C-ordered, sharing memory with none of `inputs`.
+    """
+    assert type(got) is type(public) and vars(got).keys() == vars(public).keys()
+    for key, value in vars(public).items():
+        if key != attr:
+            assert getattr(got, key) == value
+    stored, expect = getattr(got, attr), getattr(public, attr)
+    assert stored.dtype == np.float64 and stored.shape == expect.shape
+    assert stored.tobytes() == expect.tobytes()
+    assert not stored.flags.writeable and stored.flags.c_contiguous
+    assert not any(np.shares_memory(stored, a) for a in inputs)

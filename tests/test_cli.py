@@ -2,6 +2,7 @@ import json
 import math
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -744,6 +745,9 @@ BAD_TRUTH_DOCS = [
 BAD_KERNEL_ROWS = [
     {"a": 1}, None, 3, "abc", [[math.nan, 1.0]] * 3, [[{"a": 1}, 0.0]] * 3, [[0.5, 0.5]] * 2,
 ]
+# texts json.loads cannot build, which json.dumps cannot write: a nesting past the
+# decoder's recursion limit and an integer literal past Python's digit limit
+UNBUILDABLE_JSON = ["[" * 100_000 + "]" * 100_000, "1" * 5000]
 
 
 @pytest.mark.filterwarnings("error")  # the library prints nothing, warnings included
@@ -759,7 +763,8 @@ BAD_KERNEL_ROWS = [
     ],
 )
 def test_json_fuzz_keeps_exit_contract(workdir, bounds_dir, capsys, command, key):
-    # a bad JSON input is a data error (65); laws reports a bad fixture as a failed invariant (2)
+    # a bad JSON input is a data error (65); laws reports a bad fixture as a failed invariant (2),
+    # and a fixture it cannot decode as a data error (65)
     bad = bounds_dir / "bad.json"
     if key == "truth_measure":
         docs = BAD_TRUTH_DOCS
@@ -779,19 +784,20 @@ def test_json_fuzz_keeps_exit_contract(workdir, bounds_dir, capsys, command, key
         out = bounds_dir / "rep"
         argv = ["bounds", "--seed", 0, "--trials", 5, "--n", 10, "--out", out]
     (bounds_dir / "fuzz.cfg").write_text(cfg)
-    expected = 2 if command == "laws" else 65
+    cases = [(json.dumps(doc), 2 if command == "laws" else 65) for doc in docs]
+    cases += [(text, 65) for text in UNBUILDABLE_JSON]
     broken = []
-    for doc in docs:
-        bad.write_text(json.dumps(doc))
+    for text, expected in cases:
+        bad.write_text(text)
         try:
             code = run(*argv, "--config", bounds_dir / "fuzz.cfg")
         except Exception as exc:  # what the console entry point would print as a traceback
             code = repr(exc)
         err = capsys.readouterr().err
         if code != expected or "Traceback" in err:
-            broken.append((doc, code, err.strip()[-200:]))
+            broken.append((text[:60], code, err.strip()[-200:]))
         elif out.exists():  # a bad input is refused before anything is written
-            broken.append((doc, code, sorted(p.name for p in out.iterdir())))
+            broken.append((text[:60], code, sorted(p.name for p in out.iterdir())))
     assert broken == []
 
 
@@ -840,6 +846,31 @@ def test_non_utf8_file_keeps_exit_contract(workdir, capsys, target):
     assert code == (64 if target == "config" else 65)
     err = capsys.readouterr().err
     assert "UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["config", "data", "truth_kernel"])
+def test_unreadable_file_keeps_exit_contract(workdir, capsys, monkeypatch, target):
+    # a file that exists but cannot be read: a config error (64) or a data error (65)
+    # naming the path and the OS message; root reads past chmod 000, so the read is patched
+    (workdir / "truth.json").write_text(json.dumps(kernel_to_json(MarkovKernel(X, Y, np.full((3, 2), 0.5)))))
+    (workdir / "t.cfg").write_text(EST_CFG + f"truth_kernel = {workdir}/truth.json\n")
+    path = workdir / {"config": "t.cfg", "data": "data.csv", "truth_kernel": "truth.json"}[target]
+    read_text = Path.read_text
+
+    def refuse(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code = run(
+        "estimate", "--config", workdir / "t.cfg", "--seed", 0,
+        "--out", workdir / "fit", workdir / "data.csv",
+    )
+    assert code == (64 if target == "config" else 65)
+    err = capsys.readouterr().err
+    assert str(path) in err and "Permission denied" in err and "Traceback" not in err
+    assert not (workdir / "fit").exists()
 
 
 @pytest.mark.parametrize("target", ["config", "data", "truth_kernel", "embed_sample"])

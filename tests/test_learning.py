@@ -14,6 +14,7 @@ import probmorph.learning as learning_mod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constructor_inputs import assert_public_bits
 from probmorph.kernels import GramMatrix, KernelSpec, KroneckerGram, NotPSDError, gram, mmd
 from probmorph.learning import (
     FiniteClass,
@@ -176,6 +177,20 @@ def test_empirical_section_round_trip(pairs):
     assert np.allclose(
         graph_pushforward(sec, mu_x).weights, empirical(S).weights, atol=1e-12
     )
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(X3.labels), st.sampled_from(Y2.labels)),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_empirical_section_is_the_constructor_kernel_of_its_rows(pairs):
+    S = make_dataset(pairs)
+    rows, _ = _conditional_rows(S.counts())
+    assert_public_bits(empirical_section(S), MarkovKernel(X3, Y2, rows), "matrix", S.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -1241,6 +1256,22 @@ def test_fit_bits_equal_a_plain_copy_of_the_step(make):
     assert fit.eps_certificate.hex() == max(0.0, objective - probe_min).hex()
     # a margin that is not clamped to 0 pins the probes' minimum too: 2p - p is exact
     assert replace(fit, objective=2.0 * probe_min).eps_certificate.hex() == probe_min.hex()
+
+
+@pytest.mark.parametrize("max_iters", [0, 30])
+def test_fit_kernel_is_the_constructor_kernel_of_the_best_rows(monkeypatch, max_iters):
+    best = []
+
+    def spy(*args):
+        rows, value, trace = _mirror_descent(*args)
+        best.append(rows.copy())
+        return rows, value, trace
+
+    monkeypatch.setattr(learning_mod, "_mirror_descent", spy)
+    S, gamma, g_xy, spec, _ = _pinned_criterion10()
+    fit = regularized_estimate(S, gamma, g_xy, spec, LearnerConfig(max_iters=max_iters))
+    public = MarkovKernel(S.space.left, S.space.right, best[0])
+    assert_public_bits(fit.h, public, "matrix", fit._mu_x, fit._target)
 
 
 @pytest.mark.parametrize("flag", ["include_sup", "include_lipschitz"])

@@ -6,12 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from constructor_inputs import assert_builds_like, edge_of_sum, just_outside, shaped_inputs, weight_rows
-from probmorph._tol import INVARIANT_ATOL
+from constructor_inputs import (
+    assert_builds_like,
+    assert_public_bits,
+    edge_of_sum,
+    just_outside,
+    near_stochastic,
+    shaped_inputs,
+    weight_rows,
+)
+from probmorph._tol import INVARIANT_ATOL, PROB_SUM_ATOL
 from probmorph.kernels import GramMatrix, KernelSpec, gram
 from probmorph.morphisms import (
     MarkovKernel,
     SignedKernel,
+    _conditional_rows,
     _top_eigenvalue,
     compose,
     deterministic,
@@ -453,6 +462,92 @@ def test_operator_norm_rejects_singular_gx():
 def test_top_eigenvalue_raises_when_the_eigen_solve_fails():
     with pytest.raises(np.linalg.LinAlgError):
         _top_eigenvalue(np.full((3, 3), np.nan), np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# calculus results: built without the entry checks, stored with the constructor's bits
+# ---------------------------------------------------------------------------
+@st.composite
+def derived_rows(draw):
+    """Spaces of 1 to 10 points and nonnegative rows up to 2 * INVARIANT_ATOL off 1."""
+    n, k = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    rows = draw(near_stochastic(n, k, 2 * INVARIANT_ATOL))
+    return FiniteSpace(list(range(n))), FiniteSpace(list(range(k))), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(derived_rows())
+def test_derived_kernel_stores_the_constructor_bits(case):
+    # widths of 8 and up take numpy's unrolled sum; rows past b = INVARIANT_ATOL / 8
+    # are divided, rows past INVARIANT_ATOL refused with the constructor's message
+    source, target, rows = case
+    assert_builds_like(
+        lambda s, t, m: MarkovKernel._derived(s, t, m.copy()),
+        lambda s, t, m: MarkovKernel(s, t, m).matrix,
+        [source, target],
+        rows,
+        "matrix",
+    )
+
+
+@st.composite
+def calculus_inputs(draw):
+    """Accepted kernels X -> Y, Y -> Z and X -> Z and a measure on X, on 1 to 10 points each.
+
+    The kernels' rows sit up to INVARIANT_ATOL / 8 off 1, where they keep
+    their bits, so the rows of their products land on both sides of that
+    bound. Zero weights of the measure leave dead rows to disintegrate.
+    """
+    xs, ys, zs = (FiniteSpace([f"{t}{i}" for i in range(draw(st.integers(1, 10)))]) for t in "xyz")
+
+    def kernel(a, b):
+        return MarkovKernel(a, b, draw(near_stochastic(a.size, b.size, INVARIANT_ATOL / 8)))
+
+    mu = ProbMeasure(xs, draw(near_stochastic(1, xs.size, PROB_SUM_ATOL / 2))[0])
+    return kernel(xs, ys), kernel(ys, zs), kernel(xs, zs), mu
+
+
+@settings(max_examples=200, deadline=None)
+@given(calculus_inputs())
+def test_calculus_results_are_the_constructor_objects_of_their_raw_arrays(case):
+    t1, t2, t3, mu = case
+    xs, ys, zs = t1.source, t1.target, t2.target
+    a, b, c, w = t1.matrix, t2.matrix, t3.matrix, mu.weights
+    n, k = a.shape
+    xy = ProductSpace(xs, ys)
+    blocks = np.zeros((n, n, k))
+    blocks[np.arange(n), np.arange(n)] = a
+    kernels = [
+        (compose(t2, t1), MarkovKernel(xs, zs, a @ b)),
+        (
+            joint(t1, t3),
+            MarkovKernel(xs, ProductSpace(ys, zs), np.einsum("xi,xj->xij", a, c).reshape(n, -1)),
+        ),
+        (graph(t1), MarkovKernel(xs, xy, blocks.reshape(n, -1))),
+        (identity_kernel(xs), MarkovKernel(xs, xs, np.eye(n))),
+        (projection_kernel(xy, "left"), MarkovKernel(xy, xs, np.repeat(np.eye(n), k, 0))),
+        (projection_kernel(xy, "right"), MarkovKernel(xy, ys, np.tile(np.eye(k), (n, 1)))),
+        (
+            deterministic(xs, ys, lambda x: ys.labels[xs.index(x) % k]),
+            MarkovKernel(xs, ys, np.eye(k)[np.arange(n) % k]),
+        ),
+    ]
+    for got, public in kernels:
+        assert_public_bits(got, public, "matrix", a, b, c, w)
+    joint_mu = graph_pushforward(t1, mu)
+    rows, mass = _conditional_rows(joint_mu.weights.reshape(n, k))
+    mu_x, cond = disintegrate(joint_mu)
+    measures = [
+        (pushforward(t1, mu), ProbMeasure(ys, w @ a)),
+        (joint_mu, ProbMeasure(xy, (w[:, None] * a).reshape(-1))),
+        (mu_x, ProbMeasure(xs, mass)),
+        (t1.row(xs.labels[-1]), ProbMeasure(ys, a[-1])),
+    ]
+    for got, public in measures:
+        assert_public_bits(got, public, "weights", a, b, c, w)
+    assert_public_bits(cond, MarkovKernel(xs, ys, rows), "matrix", a, w, joint_mu.weights)
+    assert not np.shares_memory(mu_x.weights, joint_mu.weights)
+    assert not np.shares_memory(cond.matrix, mu_x.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from constructor_inputs import (
     assert_builds_like,
+    assert_public_bits,
     edge_of_sum,
     just_outside,
+    near_stochastic,
     past_edge_of_sum,
     shaped_inputs,
     weight_rows,
@@ -284,6 +286,55 @@ def test_prob_measure_boundaries(n, weights, error):
         with pytest.raises(error):
             ProbMeasure(space, weights)
         assert_builds_like(ProbMeasure, reference_prob_weights, [space], weights, "weights")
+
+
+@st.composite
+def derived_weights(draw, atol):
+    """A space of 1 to 10 points and nonnegative weights up to atol off a unit sum."""
+    n = draw(st.integers(1, 10))
+    return FiniteSpace(list(range(n))), draw(near_stochastic(1, n, atol))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(derived_weights(2 * PROB_SUM_ATOL))
+def test_derived_measure_stores_the_constructor_bits(case):
+    # sums other than 1 are divided, sums past PROB_SUM_ATOL refused with the constructor's message
+    space, weights = case
+    assert_builds_like(
+        lambda sp, w: ProbMeasure._derived(sp, w.copy()),
+        lambda sp, w: ProbMeasure(sp, w).weights,
+        [space],
+        weights,
+        "weights",
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    derived_weights(PROB_SUM_ATOL / 2),
+    derived_weights(PROB_SUM_ATOL / 2),
+    st.lists(st.integers(0, 99), min_size=1, max_size=30),
+)
+def test_measure_calculus_results_are_the_constructor_objects_of_their_raw_arrays(left, right, draws):
+    (xs, wx), (ys, wy) = left, right
+    mu, nu = ProbMeasure(xs, wx), ProbMeasure(ys, wy)
+    a, b = mu.weights, nu.weights
+    prod = ProductSpace(xs, ys)
+    joint = product(mu, nu)
+    grid = joint.weights.reshape(xs.size, ys.size)
+    pairs = [(xs.labels[d % xs.size], ys.labels[d // 10 % ys.size]) for d in draws]
+    S = Dataset(prod, pairs)
+    labels = [x for x, _ in pairs]
+    counts = np.bincount([xs.index(x) for x in labels], minlength=xs.size)
+    assert_public_bits(joint, ProbMeasure(prod, np.outer(a, b).reshape(-1)), "weights", a, b)
+    for got, public in [
+        (marginal(joint, "left"), ProbMeasure(xs, grid.sum(axis=1))),
+        (marginal(joint, "right"), ProbMeasure(ys, grid.sum(axis=0))),
+        (empirical(S), ProbMeasure(prod, S.counts().reshape(-1) / len(pairs))),
+        (empirical(labels, xs), ProbMeasure(xs, counts / len(pairs))),
+        (dirac(ys, ys.labels[-1]), ProbMeasure(ys, np.eye(ys.size)[-1])),
+    ]:
+        assert_public_bits(got, public, "weights", a, b, joint.weights)
 
 
 # ---------------------------------------------------------------------------
