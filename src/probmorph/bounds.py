@@ -20,6 +20,7 @@ stays bounded for any number of trials.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -186,6 +187,7 @@ def monte_carlo_verify(
 ) -> BoundReport:
     """Empirically test a bound's failure event on seeded i.i.d. draws.
 
+    n (the draws per trial) and trials must be integers of at least 1.
     bound_name selects the experiment:
 
       "hoeffding":          ground_truth is a joint ProbMeasure, subject a
@@ -205,10 +207,11 @@ def monte_carlo_verify(
                             between the empirical measure of n draws
                             and the truth exceeding the deviation bound.
     """
-    if not trials >= 1:  # also refuses NaN
-        raise ValueError("trials must be at least 1")
-    if not n >= 1:  # also refuses NaN
-        raise ValueError("n must be at least 1")
+    for name, value in (("trials", trials), ("n", n)):
+        if not value >= 1:  # also refuses NaN
+            raise ValueError(f"{name} must be at least 1")
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if bound_name not in VERIFIERS:
         raise ValueError(f"unknown bound name {bound_name!r}")
     return VERIFIERS[bound_name](ground_truth, subject, n, trials, seed, **params)

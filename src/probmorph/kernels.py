@@ -21,9 +21,10 @@ stores the two factors: |X|^2 + |Y|^2 numbers instead of (|X||Y|)^2,
 a PSD check on the factors' eigenvalues, and products in
 O(|X||Y|(|X| + |Y|)). The linear kernel on a product is
 G_X (x) 1 + 1 (x) G_Y, a sum rather than a product, and stays dense.
-Consumers of a product Gram go through apply, sq_norms, graph_sq_norms
-and pair_form, which both representations implement, and never need the
-dense matrix.
+Consumers of a product Gram go through apply, sq_norms and pair_form,
+which both representations implement, and never need the dense matrix;
+only a W spec whose product Gram does not factor over its label Gram
+copies the diagonal blocks once (see learning.WFunctionalSpec).
 Every squared embedded norm d' G d is GramMatrix.sq_norms, under one
 rule for roundoff below zero. The module needs numpy alone.
 """
@@ -155,19 +156,6 @@ class GramMatrix:
             raise NotPSDError(f"squared norm {q[k]:.3e} below -{floor[k]:.3e}: Gram is not PSD")
         return np.maximum(q, 0.0)
 
-    def graph_sq_norms(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(b, q) for rows r on X x Y: b[i] = B_i r[i] and q[i] = r[i]' B_i r[i], clamped.
-
-        Row i of r is read as the graph row on {x_i} x Y, and B_i is the
-        i-th |Y| x |Y| diagonal block of G. So q is the diagonal of
-        pair_form(r), under the roundoff rule of sq_norms, and
-        b[i] / sqrt(q[i]) is the gradient of graph row i's norm in r[i].
-        """
-        nx, ny = r.shape
-        blocks = np.einsum("iyiz->iyz", self.values.reshape(nx, ny, nx, ny))
-        b = np.matmul(blocks, r[:, :, None])[:, :, 0]
-        return b, self._clamp_roundoff(np.einsum("iy,iy->i", b, r), r)
-
     def pair_form(self, r) -> np.ndarray:
         """m[i, j] = sum_{y, z} r[i, y] G[(i, y), (j, z)] r[j, z] on X x Y.
 
@@ -230,11 +218,6 @@ class KroneckerGram(GramMatrix):
     def sq_norms(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dg = self.apply(d)
         return dg, self._clamp_roundoff(np.vecdot(dg, d), d)
-
-    def graph_sq_norms(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # B_i = left[i, i] * right, so one right.sq_norms product of the rows gives both
-        rr, q = self.right.sq_norms(r)
-        return self.left.diag[:, None] * rr, self._clamp_roundoff(self.left.diag * q, r)
 
     def pair_form(self, r) -> np.ndarray:
         return self.left.values * (r @ self.right.values @ r.T)
@@ -348,13 +331,17 @@ def mmd(g: GramMatrix, mu: SignedMeasure, nu: SignedMeasure) -> float:
 
 
 def c_k(spec: KernelSpec, space: FiniteSpace) -> float:
-    """C_K = max over points of sqrt(|K(y, y)|)."""
+    """C_K = max over points of sqrt(|K(y, y)|).
+
+    K(y, y) is the scale for the gaussian, laplacian and delta kernels,
+    which then need no coordinates. The linear kernel evaluates each point
+    as kernel_eval does, so K(y, y) is the Gram diagonal's entry to the
+    bit, and one that overflows reads inf.
+    """
     if spec.variant in ("gaussian", "laplacian", "delta"):
-        diag = np.full(space.size, spec.scale)
-    else:
-        c = _coord_rows(spec, space)
-        diag = spec.scale * np.sum(c * c, axis=1)
-    return math.sqrt(float(np.max(np.abs(diag))))
+        return math.sqrt(spec.scale)
+    c = _coord_rows(spec, space)
+    return math.sqrt(max(abs(float(_kernel_values(spec, p[None], p[None])[0, 0])) for p in c))
 
 
 def embedding_injective(g: GramMatrix) -> bool:

@@ -241,21 +241,23 @@ class WFunctionalSpec:
     pairs and their coordinate distances, which are all positive (a
     repeated source coordinate is refused here), the gather indices that
     stack the sup term's rows and the pairs' first rows for one gram_y
-    product, and one divisor per stacked piece. Piece k of the stack is ||stack[k]||_{G_Y} / divisors[k]: the
-    divisor is 1 / a_i for sup row i and d_k for Lipschitz pair k (a
-    quotient, since 1 / d overflows at subnormal distances). When gram_xy
-    is a KroneckerGram whose right factor equals gram_y, the i-th
-    diagonal block of gram_xy is left[i, i] * G_Y, so graph row i has the
-    norm sqrt(left[i, i]) ||r_i||_{G_Y} and a_i = 1 + sqrt(left[i, i]);
-    a_i = 2 for the gaussian, laplacian and delta kernels. On any other
-    gram_xy (the linear kernel, or a hand-built Gram) the blocks differ,
-    a_i = 1, and each evaluation adds the graph norm from
-    gram_xy.graph_sq_norms. Each evaluation reads single entries, so the
-    spec also keeps copies that index cheaply: the divisors as a list of
-    Python floats, the pairs as a list of [i, j] Python ints, and the
-    pairs' second rows as one contiguous index array. Change a field by
-    building a new spec (dataclasses.replace does), not by assigning to
-    it: the copies are derived once, here.
+    product, and one divisor per stacked piece. Piece k of the stack is
+    ||stack[k]||_{G_Y} / divisors[k]: the divisor is 1 / a_i for sup row i
+    and d_k for Lipschitz pair k (a quotient, since 1 / d overflows at
+    subnormal distances). Construction is also the one place where W's
+    terms read gram_xy. When it is a KroneckerGram whose right factor
+    equals gram_y, the i-th diagonal block of gram_xy is left[i, i] * G_Y,
+    so graph row i has the norm sqrt(left[i, i]) ||r_i||_{G_Y} and
+    a_i = 1 + sqrt(left[i, i]); a_i = 2 for the gaussian, laplacian and
+    delta kernels. On any other gram_xy (the linear kernel, or a
+    hand-built Gram) the blocks differ, a_i = 1, and the |X| diagonal
+    blocks B_i of gram_xy.values are copied once into _blocks (None on the
+    factored path, or with no sup term). Each evaluation reads single
+    entries, so the spec also keeps copies that index cheaply: the
+    divisors as a list of Python floats, the pairs as a list of [i, j]
+    Python ints, and the pairs' second rows as one contiguous index array.
+    Change a field by building a new spec (dataclasses.replace does), not
+    by assigning to it: the copies are derived once, here.
     """
 
     gram_xy: GramMatrix
@@ -264,11 +266,9 @@ class WFunctionalSpec:
     include_sup: bool = True
     include_lipschitz: bool = True
     include_operator_norm: bool = False
-    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
-    _dists: np.ndarray = field(init=False, repr=False, compare=False)
     _gather: np.ndarray = field(init=False, repr=False, compare=False)
     _divisors: np.ndarray = field(init=False, repr=False, compare=False)
-    _graph_blocks: bool = field(init=False, repr=False, compare=False)
+    _blocks: np.ndarray | None = field(init=False, repr=False, compare=False)
     _second: np.ndarray = field(init=False, repr=False, compare=False)
     _divisor_list: list = field(init=False, repr=False, compare=False)
     _pair_list: list = field(init=False, repr=False, compare=False)
@@ -279,21 +279,24 @@ class WFunctionalSpec:
         x_space, y_space, xy = self.gram_x.points, self.gram_y.points, self.gram_xy.points
         if not (isinstance(xy, ProductSpace) and xy.left == x_space and xy.right == y_space):
             raise ValueError("gram_xy must live on the product of gram_x and gram_y points")
-        self._pairs, self._dists = _lipschitz_pairs(x_space, self.include_lipschitz)
+        pairs, dists = _lipschitz_pairs(x_space, self.include_lipschitz)
         n_sup = x_space.size if self.include_sup else 0
-        self._gather = np.concatenate((np.arange(n_sup), self._pairs[0]))
+        self._gather = np.concatenate((np.arange(n_sup), pairs[0]))
         factored = isinstance(self.gram_xy, KroneckerGram) and (
             self.gram_xy.right is self.gram_y
             or np.array_equal(self.gram_xy.right.values, self.gram_y.values)
         )
-        self._graph_blocks = n_sup > 0 and not factored
         a = np.ones(n_sup)
+        self._blocks = None
         if n_sup and factored:
             a += np.sqrt(np.maximum(self.gram_xy.left.diag, 0.0))
-        self._divisors = np.concatenate((1.0 / a, self._dists))
-        self._second = np.ascontiguousarray(self._pairs[1])
+        elif n_sup:
+            nx, ny = x_space.size, y_space.size
+            self._blocks = np.einsum("iyiz->iyz", self.gram_xy.values.reshape(nx, ny, nx, ny)).copy()
+        self._divisors = np.concatenate((1.0 / a, dists))
+        self._second = np.ascontiguousarray(pairs[1])
         self._divisor_list = self._divisors.tolist()
-        self._pair_list = self._pairs.T.tolist()
+        self._pair_list = pairs.T.tolist()
 
     @classmethod
     def from_kernel(
@@ -339,8 +342,11 @@ class WFunctionalSpec:
         The active piece, its norm and divisor are read as Python floats and
         the active pair as Python ints, from the spec's copies: the same
         IEEE operations as on numpy scalars, without their dispatch.
-        A gram_xy whose diagonal blocks differ adds graph row i's norm to
-        sup piece i, with its gradient on row i from graph_sq_norms. The
+        On a spec with _blocks, sup piece i adds graph row i's norm
+        sqrt(q_i): b_i = B_i r_i comes from one batched matmul, and
+        q_i = b_i . r_i takes gram_xy's roundoff rule (_clamp_roundoff). Its
+        gradient on row i is b_i / sqrt(q_i). No product here reads a Gram
+        but gram_y: the blocks were copied when the spec was built. The
         operator-norm term is never read here: w_functional adds it. One
         buffer sums the sup and Lipschitz gradients. Tiny or huge source
         distances can overflow the Lipschitz ratio or step to inf, so callers
@@ -357,13 +363,13 @@ class WFunctionalSpec:
             pieces = norms / self._divisors
         if n_sup:
             phi = pieces[:n_sup]
-            if self._graph_blocks:
-                b, qg = self.gram_xy.graph_sq_norms(rows)
-                ng_norm = np.sqrt(qg)
+            if self._blocks is not None:
+                b = np.matmul(self._blocks, rows[:, :, None])[:, :, 0]
+                ng_norm = np.sqrt(self.gram_xy._clamp_roundoff(np.einsum("iy,iy->i", b, rows), rows))
                 phi = phi + ng_norm
             sup = int(phi.argmax())
             total += phi.item(sup)
-        if len(self._dists):
+        if len(self._pair_list):
             p = n_sup + int(pieces[n_sup:].argmax())
             piece = pieces.item(p)
             total += piece
@@ -376,7 +382,7 @@ class WFunctionalSpec:
             norm = norms.item(sup)
             if norm > 0:
                 grad[sup] = g2[sup] / (norm * self._divisor_list[sup])
-            if self._graph_blocks and ng_norm[sup] > 0:
+            if self._blocks is not None and ng_norm[sup] > 0:
                 grad[sup] += b[sup] / ng_norm[sup]
         if lip is not None:
             i, j = self._pair_list[lip - n_sup]

@@ -551,6 +551,15 @@ BOUNDS_REFUSALS = {
         lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], 0, 5, 0, gY=G_Y3, eps=0.5),
         ValueError, "n must be at least 1",
     ),
+    # a fractional n would draw floor(n) samples but divide the counts, and take the bound, at n
+    "verify-n-fraction": (
+        lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], 5.5, 5, 0, gY=G_Y3, eps=0.5),
+        ValueError, "n must be an integer, got 5.5",
+    ),
+    "verify-trials-fraction": (
+        lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], 10, 2.5, 0, gY=G_Y3, eps=0.5),
+        ValueError, "trials must be an integer, got 2.5",
+    ),
     "mmd-truth-on-other-space": (
         lambda: monte_carlo_verify("mmd_concentration", ProbMeasure(X3, [0.2, 0.3, 0.5]), G_Y3, 10, 5, 0, delta=0.05),
         ValueError, "ground truth does not live on the Gram matrix's space",

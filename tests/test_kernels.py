@@ -243,6 +243,23 @@ def test_c_k_examples():
     assert c_k(KernelSpec("linear"), three) == 3.0
 
 
+@pytest.mark.parametrize("dim", range(8, 13))
+def test_linear_c_k_is_the_root_of_the_gram_diagonal(dim):
+    # the linear K(y, y) is the Gram diagonal's entry to the bit, at dimensions where a
+    # vectorized sum of squares rounds apart from the coordinate-by-coordinate one
+    rng = np.random.default_rng(dim)
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        space = FiniteSpace(list(range(n)), coords=rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4))
+        for scale in (1.0, 0.37, 3e5):
+            k = KernelSpec("linear", scale=scale)
+            assert c_k(k, space) == math.sqrt(float(np.max(np.abs(gram(k, space).diag))))
+
+
+def test_linear_c_k_overflows_to_inf_without_a_warning():
+    assert c_k(KernelSpec("linear", scale=1e300), FiniteSpace(["a"], [[1e10]])) == math.inf
+
+
 def test_embedding_injective_examples():
     assert embedding_injective(gram(KernelSpec("delta"), Y01))
     assert not embedding_injective(gram(KernelSpec("linear"), Y01))
@@ -441,6 +458,26 @@ def _graph_block_oracle(g, r):
     return b, np.einsum("iy,iy->i", b, r)
 
 
+def _spec_graph_sq_norms(g_xy, r):
+    """(b, q) as a sup-only W spec on g_xy reads them: b[i] = B_i r[i], q[i] = r[i]' B_i r[i].
+
+    The spec's label Gram is 0, so sup piece i is the norm of graph row i
+    alone: W on r with every row but row i set to 0 is q[i], and where
+    q[i] > 0 row i of its gradient is 2 b[i].
+    """
+    xs, ys = g_xy.points.left, g_xy.points.right
+    zero = GramMatrix(ys, np.zeros((ys.size, ys.size)))
+    w = WFunctionalSpec(g_xy, zero, GramMatrix(xs, np.eye(xs.size)), include_lipschitz=False)
+    assert w._blocks is not None
+    b, q = np.zeros_like(r), np.zeros(len(r))
+    for i in range(len(r)):
+        only = np.zeros_like(r)
+        only[i] = r[i]
+        q[i], grad = w._value_grad(only)
+        b[i] = grad[i] / 2.0
+    return b, q
+
+
 @pytest.mark.parametrize("spec", PRODUCT_VARIANTS + [KernelSpec("linear", scale=0.5)], ids=repr)
 @pytest.mark.parametrize("shape", [(3, 4), (64, 16)], ids=["3x4", "64x16"])
 def test_graph_sq_norms_are_the_diagonal_of_the_pair_form(spec, shape):
@@ -450,36 +487,34 @@ def test_graph_sq_norms_are_the_diagonal_of_the_pair_form(spec, shape):
     ys = FiniteSpace(list(range(ny)), coords=np.linspace(0.0, 2.0, ny)[:, None])
     g = gram(spec, ProductSpace(xs, ys))
     r = rng.dirichlet(np.ones(ny), size=nx)
-    b, q = g.graph_sq_norms(r)
     assert isinstance(g, KroneckerGram) == (spec.variant != "linear")
-    assert spec.variant == "linear" or "values" not in vars(g)  # a Kronecker Gram reads its factors
     dense = GramMatrix(g.points, g.values)
+    b, q = _spec_graph_sq_norms(dense, r)
     b_oracle, q_oracle = _graph_block_oracle(dense, r)
     i = nx // 2
     u = np.eye(1, nx, i).T
-    for got_b, got_q in ((b, q), dense.graph_sq_norms(r)):
-        assert np.allclose(got_q, dense.pair_form(r).diagonal(), rtol=1e-12, atol=0)
-        assert np.allclose(got_q, q_oracle, rtol=1e-12, atol=0)
-        assert np.max(np.abs(got_b - b_oracle)) <= 1e-12 * np.max(np.abs(b_oracle))
-        # b[i] is the only nonzero row of G applied to graph row i
-        step = (u * dense.apply(u * r))[i]
-        assert np.max(np.abs(step - got_b[i])) <= 1e-12 * np.max(np.abs(step))
+    assert np.allclose(q, dense.pair_form(r).diagonal(), rtol=1e-12, atol=0)
+    assert np.allclose(q, q_oracle, rtol=1e-12, atol=0)
+    assert np.max(np.abs(b - b_oracle)) <= 1e-12 * np.max(np.abs(b_oracle))
+    # b[i] is the only nonzero row of G applied to graph row i
+    step = (u * dense.apply(u * r))[i]
+    assert np.max(np.abs(step - b[i])) <= 1e-12 * np.max(np.abs(step))
 
 
 def test_graph_sq_norms_follow_the_roundoff_rule_of_sq_norms():
-    # eigenvalue -5e-10 along (1, -1) on {a} x Y01, dense and factored: not roundoff
+    # eigenvalue -5e-10 along (1, -1) on {a} x Y01: not roundoff
     one = FiniteSpace(["a"])
     right = GramMatrix(Y01, [[1.0, 1.0 + 5e-10], [1.0 + 5e-10, 1.0]])
     factored = KroneckerGram(ProductSpace(one, Y01), GramMatrix(one, [[1.0]]), right)
-    for g in (factored, GramMatrix(factored.points, factored.values)):
-        for t in (1e-6, 1.0, 1e6):
-            with pytest.raises(NotPSDError):
-                g.graph_sq_norms(np.array([[t, -t]]))
+    dense = GramMatrix(factored.points, factored.values)
+    for t in (1e-6, 1.0, 1e6):
+        with pytest.raises(NotPSDError):
+            _spec_graph_sq_norms(dense, np.array([[t, -t]]))
     # on a rank-one linear Gram, c'r = 0 leaves only roundoff, read as 0
     xs = FiniteSpace(["a", "b"], coords=[[0.0], [0.0]])
     ys = FiniteSpace([0, 1, 2], coords=[[0.1], [0.8], [1.5]])
     lin = gram(KernelSpec("linear", scale=1e8), ProductSpace(xs, ys))
-    _, q = lin.graph_sq_norms(np.array([[0.5, -1.0, 0.5], [1.0, 0.0, 0.0]]))
+    _, q = _spec_graph_sq_norms(lin, np.array([[0.5, -1.0, 0.5], [1.0, 0.0, 0.0]]))
     assert 0.0 <= q[0] < 1e-5 and q[1] == pytest.approx(1e6)
 
 
@@ -494,7 +529,7 @@ def test_factored_sup_pieces_match_the_graph_blocks(base, scale, shape):
     xs = FiniteSpace(list(range(nx)), coords=rng.uniform(0.0, 3.0, (nx, 2)))
     ys = FiniteSpace(list(range(ny)), coords=np.linspace(0.0, 2.0, ny)[:, None])
     spec = WFunctionalSpec.from_kernel(replace(base, scale=scale), xs, ys, include_lipschitz=False)
-    assert not spec._graph_blocks
+    assert spec._blocks is None
     rows = rng.dirichlet(np.ones(ny), size=nx)
     b, qg = _graph_block_oracle(spec.gram_xy, rows)
     ry = rows @ spec.gram_y.values

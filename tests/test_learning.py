@@ -22,6 +22,7 @@ from probmorph.learning import (
     NewtonInterpolant,
     ParametricClass,
     WFunctionalSpec,
+    _lipschitz_pairs,
     _mirror_descent,
     _probe_rows,
     cerm,
@@ -280,8 +281,7 @@ def _count_norm_products(monkeypatch) -> Counter:
         return wrapper
 
     for cls in (GramMatrix, KroneckerGram):
-        for name in ("sq_norms", "graph_sq_norms"):
-            monkeypatch.setattr(cls, name, counted(name, vars(cls)[name]))
+        monkeypatch.setattr(cls, "sq_norms", counted("sq_norms", vars(cls)["sq_norms"]))
     return calls
 
 
@@ -296,7 +296,7 @@ def test_w_on_a_from_kernel_spec_is_one_label_product(monkeypatch, kernel):
     rows = np.random.default_rng(5).dirichlet(np.ones(2), size=4)
     h = MarkovKernel(xs, Y2, rows)
     # the same W on a hand-built spec whose product Gram carries the scale on its left
-    # factor: unless the scale is 1 its right factor is not gram_y, so the sup term reads
+    # factor: unless the scale is 1 its right factor is not gram_y, so the spec copies
     # the graph blocks
     left = gram(kernel, xs)
     other = WFunctionalSpec(
@@ -304,15 +304,15 @@ def test_w_on_a_from_kernel_spec_is_one_label_product(monkeypatch, kernel):
         spec.gram_y,
         left,
     )
-    assert not spec._graph_blocks and other._graph_blocks == (kernel.scale != 1.0)
+    assert spec._blocks is None and (other._blocks is not None) == (kernel.scale != 1.0)
     calls = _count_norm_products(monkeypatch)
     value = w_functional(h, spec)
     spec._value_grad(rows)
     assert calls == {"sq_norms": 2}  # one per evaluation, and no graph product
     calls.clear()
     assert w_functional(h, other) == pytest.approx(value, rel=1e-12, abs=0)
-    # then one label product, and one graph product that reads the right factor once
-    assert calls == ({"sq_norms": 2, "graph_sq_norms": 1} if other._graph_blocks else {"sq_norms": 1})
+    # then one label product: the graph blocks were copied when the spec was built
+    assert calls == {"sq_norms": 1}
 
 
 @pytest.mark.parametrize("scale, checks", [(1.0, 2), (1.7, 3)])
@@ -343,9 +343,10 @@ def test_lipschitz_distances_on_a_line_are_exact():
     c = rng.standard_normal(40) * 10.0 ** rng.integers(-150, 150, 40)
     line = FiniteSpace([f"p{i}" for i in range(40)], coords=c[:, None])
     spec = WFunctionalSpec.from_kernel(KernelSpec("delta"), line, Y2)
-    a, b = spec._pairs
-    assert np.array_equal(spec._dists, np.abs(c[a] - c[b]))
-    assert np.array_equal(spec._dists, np.sqrt((c[a] - c[b]) ** 2))
+    a, b = np.array(spec._pair_list).T
+    dists = spec._divisors[line.size :]  # after the sup divisors
+    assert np.array_equal(dists, np.abs(c[a] - c[b]))
+    assert np.array_equal(dists, np.sqrt((c[a] - c[b]) ** 2))
 
 
 def test_w_duplicate_coords_error():
@@ -1099,26 +1100,35 @@ def test_probe_rows_are_one_draw(nx, ny, seed):
     assert np.allclose(probes.sum(axis=2), 1.0, rtol=0, atol=1e-12)
 
 
+def _plain_graph_sq_norms(g, r):
+    """(b, q) from g's diagonal blocks, read from g.values on each call: b[i] = B_i r[i], q[i] = b[i]' r[i]."""
+    nx, ny = r.shape
+    blocks = np.einsum("iyiz->iyz", g.values.reshape(nx, ny, nx, ny))
+    b = np.matmul(blocks, r[:, :, None])[:, :, 0]
+    return b, g._clamp_roundoff(np.einsum("iy,iy->i", b, r), r)
+
+
 def _plain_value_grad(spec, rows, want_grad=True):
     """W's value and gradient as first written: numpy-scalar indexing, no cached copies."""
     total = 0.0
     sup = lip = None
     n_sup = len(rows) if spec.include_sup else 0
+    pairs, _ = _lipschitz_pairs(spec.gram_x.points, spec.include_lipschitz)
     if len(spec._gather):
         stack = rows.take(spec._gather, axis=0)
-        stack[n_sup:] -= rows.take(spec._pairs[1], axis=0)
+        stack[n_sup:] -= rows.take(pairs[1], axis=0)
         g2, q = spec.gram_y.sq_norms(stack)
         norms = np.sqrt(q)
         pieces = norms / spec._divisors
     if n_sup:
         phi = pieces[:n_sup]
-        if spec._graph_blocks:
-            b, qg = spec.gram_xy.graph_sq_norms(rows)
+        if spec._blocks is not None:
+            b, qg = _plain_graph_sq_norms(spec.gram_xy, rows)
             ng_norm = np.sqrt(qg)
             phi = phi + ng_norm
         sup = int(phi.argmax())
         total += float(phi[sup])
-    if len(spec._dists):
+    if pairs.shape[1]:
         p = n_sup + int(pieces[n_sup:].argmax())
         total += float(pieces[p])
         if pieces[p] > 0:
@@ -1129,10 +1139,10 @@ def _plain_value_grad(spec, rows, want_grad=True):
     if sup is not None:
         if norms[sup] > 0:
             grad[sup] = g2[sup] / (norms[sup] * spec._divisors[sup])
-        if spec._graph_blocks and ng_norm[sup] > 0:
+        if spec._blocks is not None and ng_norm[sup] > 0:
             grad[sup] += b[sup] / ng_norm[sup]
     if lip is not None:
-        i, j = spec._pairs[:, lip - n_sup]
+        i, j = pairs[:, lip - n_sup]
         step = g2[lip] / (norms[lip] * spec._divisors[lip])
         grad[i] += step
         grad[j] -= step
@@ -1288,6 +1298,42 @@ def test_a_rebuilt_spec_carries_no_stale_copies(flag, kernel):
     assert value.hex() == fresh_value.hex()
     assert grad.tobytes() == fresh_grad.tobytes()
     assert value != spec._value_grad(rows)[0]
+
+
+class _LockableGram(GramMatrix):
+    """A dense Gram that counts reads of `values`, and refuses them once locked."""
+
+    def __init__(self, points, entries):
+        self.reads, self.locked = 0, False
+        super().__init__(points, entries)
+
+    @property
+    def values(self):
+        if self.locked:
+            raise AttributeError("values is locked")
+        self.reads += 1
+        return self._values
+
+    @values.setter
+    def values(self, g):
+        self._values = g
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec("linear", scale=0.5), KernelSpec("gaussian", sigma=1.0, scale=1.7)])
+def test_a_dense_spec_reads_the_product_gram_once(kernel):
+    xs, ys = _line("x", 5, 4.0), _line("y", 3, 2.0)
+    spec = WFunctionalSpec.from_kernel(kernel, xs, ys)
+    g_xy = _LockableGram(spec.gram_xy.points, spec.gram_xy.values)
+    dense = WFunctionalSpec(GramMatrix(g_xy.points, spec.gram_xy.values), spec.gram_y, spec.gram_x)
+    counted = WFunctionalSpec(g_xy, spec.gram_y, spec.gram_x)
+    assert g_xy.reads == 1 and counted._blocks is not None
+    g_xy.locked = True
+    h = MarkovKernel(xs, ys, np.random.default_rng(4).dirichlet(np.ones(3), size=5))
+    for rows in (h.matrix, np.full((5, 3), 1.0 / 3.0)):
+        value, grad = counted._value_grad(rows)
+        want_value, want_grad = dense._value_grad(rows)
+        assert value.hex() == want_value.hex() and grad.tobytes() == want_grad.tobytes()
+    assert w_functional(h, counted).hex() == w_functional(h, dense).hex()
 
 
 # ---------------------------------------------------------------------------

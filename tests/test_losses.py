@@ -348,6 +348,10 @@ LOSSES_REFUSALS = {
         lambda: kl_and_bh_check(dirac(X2, "x1"), dirac(Y2, "y1")),
         SpaceMismatchError, "measures live on different spaces",
     ),
+    "risk-joint-on-other-product": (
+        lambda: expected_risk(MarkovKernel(X2, Y2, np.eye(2)), ProbMeasure(ProductSpace(Y2, X2), [0.25] * 4), G_DELTA),
+        SpaceMismatchError, "joint measure does not match the hypothesis spaces",
+    ),
 }
 
 
