@@ -187,7 +187,8 @@ def monte_carlo_verify(
 ) -> BoundReport:
     """Empirically test a bound's failure event on seeded i.i.d. draws.
 
-    n (the draws per trial) and trials must be integers of at least 1.
+    n (the draws per trial) and trials must be integers of at least 1,
+    and seed a nonnegative integer.
     bound_name selects the experiment:
 
       "hoeffding":          ground_truth is a joint ProbMeasure, subject a
@@ -212,6 +213,8 @@ def monte_carlo_verify(
             raise ValueError(f"{name} must be at least 1")
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if bound_name not in VERIFIERS:
         raise ValueError(f"unknown bound name {bound_name!r}")
     return VERIFIERS[bound_name](ground_truth, subject, n, trials, seed, **params)

@@ -8,8 +8,10 @@ Subcommands:
   embed     embedded distance between two empirical samples
 
 Exit codes: 0 success, 2 invariant failure, 64 usage error, 65 data
-error. Every subcommand is deterministic given its config and seed;
-output JSON is written with sorted keys so reruns are byte-identical.
+error; a config key its subcommand does not read (see _CONFIG_KEYS)
+is a usage error. Every subcommand is deterministic given its config
+and seed; output JSON is written with sorted keys so reruns are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -183,8 +185,44 @@ def _read_text(path: str, kind: str, error: type[ValueError]) -> str:
         raise error(f"cannot read {kind} file {path!r}: {exc}") from exc
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    return {} if path is None else parse_config(_read_text(path, "config", ConfigError))
+# the config keys each command reads; estimate also accepts restarts, which the
+# benchmark's verify workload writes and nothing reads
+_KERNEL_KEYS = ("kernel", "sigma", "scale")
+_CONFIG_KEYS = {
+    "laws": frozenset({"kernel_file"}),
+    "estimate": frozenset({
+        "x_labels", "x_coords", "y_labels", "y_coords", *_KERNEL_KEYS,
+        "gamma", "max_iters", "tol", "truth_kernel", "restarts",
+    }),
+    # one table for the three bounds, so that one base config serves each of them
+    "bounds": frozenset({
+        "bound", "x_labels", "x_coords", "y_labels", "y_coords", *_KERNEL_KEYS,
+        "truth_measure", "hypothesis", "class", "eps", "c_m", "delta",
+    }),
+    "embed": frozenset({"y_labels", "y_coords", *_KERNEL_KEYS, "delta"}),
+}
+# keys no command reads any more, each with the reason it went
+_REMOVED_KEYS = {
+    "operator_norm": (
+        "the operator-norm term was removed from the fit, "
+        "which minimizes the sup and Lipschitz terms only"
+    ),
+    "step_size": "the step scale of the fit is fixed",
+}
+
+
+def _load_config(path: str | None, command: str) -> dict[str, str]:
+    """The config file at path ({} without one), refused if it sets a key command does not read."""
+    cfg = {} if path is None else parse_config(_read_text(path, "config", ConfigError))
+    known = _CONFIG_KEYS[command]
+    for key, value in cfg.items():
+        if key in _REMOVED_KEYS:
+            raise ConfigError(f"{key} = {value!r}: {_REMOVED_KEYS[key]}; delete the key")
+        if key not in known:
+            raise ConfigError(
+                f"unknown key {key!r}: {command} reads {', '.join(sorted(known))}"
+            )
+    return cfg
 
 
 def _load_json(path: str):
@@ -332,7 +370,7 @@ def _law_suite(seed: int, trials: int) -> dict[str, float]:
 
 
 def cmd_laws(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "laws")
     report = {
         "seed": args.seed,
         "trials": args.trials,
@@ -362,12 +400,7 @@ def cmd_laws(args) -> int:
 # estimate
 # ---------------------------------------------------------------------------
 def cmd_estimate(args) -> int:
-    cfg = _load_config(args.config)
-    if "operator_norm" in cfg:  # it asks for another objective, so it is not ignored
-        raise ConfigError(
-            f"operator_norm = {cfg['operator_norm']!r}: the operator-norm term was removed "
-            "from the fit, which minimizes the sup and Lipschitz terms only; delete the key"
-        )
+    cfg = _load_config(args.config, "estimate")
     x_space = space_from_config(cfg, "x")
     y_space = space_from_config(cfg, "y")
     prod = ProductSpace(x_space, y_space)
@@ -433,12 +466,12 @@ def cmd_estimate(args) -> int:
 # bounds
 # ---------------------------------------------------------------------------
 def cmd_bounds(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "bounds")
     name = cfg.get("bound")
     if name is None:
-        raise _UsageError("config must set 'bound'")
+        raise ConfigError("config must set 'bound'")
     if name not in bounds_mod.VERIFIERS:
-        raise _UsageError(f"unknown bound name {name!r}")
+        raise ConfigError(f"unknown bound name {name!r}")
     kernel = _kernel_spec(cfg)
     y_space = space_from_config(cfg, "y")
     _check_y_coords(kernel, y_space)
@@ -453,12 +486,12 @@ def cmd_bounds(args) -> int:
         params = {"gY": g_y, "eps": _cfg_bounded(cfg, "eps")}
         if name == "hoeffding":
             if "hypothesis" not in cfg:
-                raise _UsageError("hoeffding needs a 'hypothesis' kernel file")
+                raise ConfigError("hoeffding needs a 'hypothesis' kernel file")
             subject = kernel_from_json(_load_json(cfg["hypothesis"]))
         else:
             paths = [p.strip() for p in cfg.get("class", "").split(";") if p.strip()]
             if not paths:
-                raise _UsageError("covering needs a 'class' list of kernel files")
+                raise ConfigError("covering needs a 'class' list of kernel files")
             members = [kernel_from_json(_load_json(p)) for p in paths]
             try:
                 subject = FiniteClass(members)
@@ -497,7 +530,7 @@ def _truth_measure(cfg: dict[str, str], space: FiniteSpace) -> ProbMeasure:
 # embed
 # ---------------------------------------------------------------------------
 def cmd_embed(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "embed")
     y_space = space_from_config(cfg, "y")
     kernel = _kernel_spec(cfg)
     _check_y_coords(kernel, y_space)

@@ -560,6 +560,19 @@ BOUNDS_REFUSALS = {
         lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], 10, 2.5, 0, gY=G_Y3, eps=0.5),
         ValueError, "trials must be an integer, got 2.5",
     ),
+    # numpy would draw from OS entropy on None, and raise its own errors on the others
+    "verify-seed-fraction": (
+        lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], 10, 5, 1.5, gY=G_Y3, eps=0.5),
+        ValueError, "seed must be a nonnegative integer, got 1.5",
+    ),
+    "verify-seed-none": (
+        lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], 10, 5, None, gY=G_Y3, eps=0.5),
+        ValueError, "seed must be a nonnegative integer, got None",
+    ),
+    "verify-seed-negative": (
+        lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], 10, 5, -1, gY=G_Y3, eps=0.5),
+        ValueError, "seed must be a nonnegative integer, got -1",
+    ),
     "mmd-truth-on-other-space": (
         lambda: monte_carlo_verify("mmd_concentration", ProbMeasure(X3, [0.2, 0.3, 0.5]), G_Y3, 10, 5, 0, delta=0.05),
         ValueError, "ground truth does not live on the Gram matrix's space",

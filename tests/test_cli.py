@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from probmorph.bounds import VERIFIERS
-from probmorph.cli import main
+from probmorph.cli import _CONFIG_KEYS, main
 from probmorph.kernels import KernelSpec, NotPSDError
 from probmorph.learning import LearnerConfig, WFunctionalSpec, regularized_estimate, w_functional
 from probmorph.morphisms import MarkovKernel
-from probmorph.serialize import dataset_from_csv, kernel_from_json, kernel_to_json, measure_to_json
+from probmorph.serialize import (
+    dataset_from_csv, kernel_from_json, kernel_to_json, measure_to_json, parse_config,
+)
 from probmorph.spaces import FiniteSpace, ProbMeasure, ProductSpace, empirical, marginal
 from probmorph.morphisms import graph_pushforward
 
@@ -196,12 +198,12 @@ def test_estimate_reports_truth_error(workdir):
     assert 0.0 <= report["sup_mmd_error_to_truth"] < 2.0
 
 
-def test_estimate_ignores_a_step_size_key(workdir):
-    # mirror descent's step scale is fixed, so the key is ignored like restarts; at this
-    # gamma the descent leaves the uniform start, so a step scale would show in the trace
+def test_estimate_outputs_do_not_depend_on_restarts(workdir):
+    # restarts is accepted and read by nothing; at this gamma the descent leaves the
+    # uniform start, so a key that changed the fit would show in the trace
     outs = []
-    for name, extra in (("plain", ""), ("stepped", "step_size = 0.01\n")):
-        (workdir / f"{name}.cfg").write_text(EST_CFG + "gamma = 0.01\n" + extra)
+    for name, cfg in (("with", EST_CFG), ("without", EST_CFG.replace("restarts = 2\n", ""))):
+        (workdir / f"{name}.cfg").write_text(cfg + "gamma = 0.01\n")
         out = workdir / name
         assert run(
             "estimate", "--config", workdir / f"{name}.cfg", "--seed", 0,
@@ -715,7 +717,7 @@ def test_config_fuzz_keeps_exit_contract(workdir, bounds_dir, embed_dir, capsys,
             except Exception as exc:  # what the console entry point would print as a traceback
                 code = repr(exc)
             err = capsys.readouterr().err
-            if key == "operator_norm":
+            if key in ("operator_norm", "step_size"):  # removed keys
                 expected = {64}
             elif key == "c_m":
                 expected = {0, 2, 64, 65} if _finite_nonnegative(value) else {64}
@@ -1055,6 +1057,119 @@ def test_missing_coords_or_empty_class_exit_64(embed_dir, capsys, command, cfg):
                 "--trials", 5, "--n", 10, "--out", embed_dir / "nope"]
     assert run(*argv) == 64
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# config keys
+# ---------------------------------------------------------------------------
+def _command_argv(command, cfg_path, workdir, bounds_dir, embed_dir):
+    """A run of command on cfg_path and the fixtures' inputs, and the output it would write."""
+    if command == "laws":
+        out = workdir / "laws.json"
+        return ["laws", "--config", cfg_path, "--seed", 0, "--trials", 2, "--out", out], out
+    if command == "estimate":
+        out = workdir / "fit"
+        return ["estimate", "--config", cfg_path, "--seed", 0, "--out", out, workdir / "data.csv"], out
+    if command == "embed":
+        out = embed_dir / "embed.json"
+        return ["embed", "--config", cfg_path, embed_dir / "a.csv", embed_dir / "b.csv", "--out", out], out
+    out = bounds_dir / "rep"
+    return ["bounds", "--config", cfg_path, "--seed", 0, "--trials", 5, "--n", 10, "--out", out], out
+
+
+def _command_config(command, bounds_dir, embed_dir):
+    """The text of a config on which command exits 0."""
+    if command == "laws":
+        return f"kernel_file = {bounds_dir}/hyp.json\n"
+    if command == "estimate":
+        return EST_CFG
+    if command == "embed":
+        return (embed_dir / "embed.cfg").read_text()
+    return (bounds_dir / "bounds.cfg").read_text()
+
+
+@pytest.mark.parametrize(
+    "command, line, read",
+    [
+        ("laws", "kernel_fle = x.json", "kernel_file"),
+        ("estimate", "max_iter = 5", "max_iters"),
+        ("bounds", "epss = 0.2", "eps"),
+        ("embed", "dleta = 2", "delta"),
+    ],
+    ids=["laws", "estimate", "bounds", "embed"],
+)
+def test_a_key_its_command_does_not_read_exits_64(
+    workdir, bounds_dir, embed_dir, capsys, command, line, read
+):
+    # a misspelt key would otherwise run on the default of the key it was meant to be
+    cfg_path = workdir / "typo.cfg"
+    cfg_path.write_text(_command_config(command, bounds_dir, embed_dir) + line + "\n")
+    argv, out = _command_argv(command, cfg_path, workdir, bounds_dir, embed_dir)
+    assert run(*argv) == 64
+    captured = capsys.readouterr()
+    key = line.split(" =")[0]
+    assert f"config error: unknown key {key!r}: {command} reads " in captured.err
+    assert read in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["laws", "estimate", "bounds", "embed"])
+@pytest.mark.parametrize(
+    "key, reason",
+    [
+        ("operator_norm", "the operator-norm term was removed"),
+        ("step_size", "the step scale of the fit is fixed"),
+    ],
+    ids=["operator_norm", "step_size"],
+)
+def test_a_removed_key_exits_64_naming_the_removal(
+    workdir, bounds_dir, embed_dir, capsys, command, key, reason
+):
+    cfg_path = workdir / "removed.cfg"
+    cfg_path.write_text(_command_config(command, bounds_dir, embed_dir) + f"{key} = 0.3\n")
+    argv, out = _command_argv(command, cfg_path, workdir, bounds_dir, embed_dir)
+    assert run(*argv) == 64
+    err = capsys.readouterr().err
+    assert f"config error: {key} = '0.3': {reason}" in err and "delete the key" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["laws", "estimate", "embed", *(f"bounds-{name}" for name in sorted(VERIFIERS))]
+)
+def test_a_config_of_every_key_its_command_reads_exits_0(
+    workdir, bounds_dir, embed_dir, capsys, command
+):
+    # each config sets every key of its command's table, so a table that left out a key
+    # its command reads would refuse the config
+    command, _, bound = command.partition("-")
+    hyp = bounds_dir / "hyp.json"
+    kernel = "kernel = gaussian\nsigma = 1.0\nscale = 1.0\n"
+    grids = "x_labels = a, b, c\nx_coords = 0; 1; 2\ny_labels = u, v\ny_coords = 0; 1\n"
+    if command == "laws":
+        text = f"kernel_file = {hyp}\n"
+    elif command == "estimate":
+        text = (
+            grids + kernel + "gamma = 0.3\nmax_iters = 50\ntol = 1e-6\nrestarts = 2\n"
+            f"truth_kernel = {hyp}\n"
+        )
+    elif command == "embed":
+        text = "y_labels = u, v\ny_coords = 0; 1\n" + kernel + "delta = 0.1\n"
+    else:
+        # the truth lives on y for mmd_concentration, on the joint space for the others
+        truth = bounds_dir / ("truth_y.json" if bound == "mmd_concentration" else "truth.json")
+        truth_y = measure_to_json(ProbMeasure(Y, [0.4, 0.6]))
+        (bounds_dir / "truth_y.json").write_text(json.dumps(truth_y))
+        text = (
+            f"bound = {bound}\n" + grids + kernel + f"truth_measure = {truth}\n"
+            f"hypothesis = {hyp}\nclass = {hyp}; {hyp}\neps = 0.25\nc_m = 0.1\ndelta = 0.1\n"
+        )
+    assert set(parse_config(text)) == _CONFIG_KEYS[command]
+    cfg_path = workdir / "all.cfg"
+    cfg_path.write_text(text)
+    argv, out = _command_argv(command, cfg_path, workdir, bounds_dir, embed_dir)
+    assert run(*argv) == 0, capsys.readouterr().err
+    assert out.exists()
 
 
 # ---------------------------------------------------------------------------
