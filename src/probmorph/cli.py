@@ -310,19 +310,34 @@ def _write_text(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # laws
 # ---------------------------------------------------------------------------
-def _random_space(rng, tag: str, lo: int = 2, hi: int = 6) -> FiniteSpace:
-    n = int(rng.integers(lo, hi + 1))
+# The suite draws each space's size from 2..6 under one of four tags, so its
+# grids are at most 4 x 5 = 20 spaces; each is built once per process, with
+# its identity kernel. Both are immutable, so trials may share them.
+@functools.cache
+def _grid_space(tag: str, n: int) -> FiniteSpace:
     return FiniteSpace([f"{tag}{i}" for i in range(n)])
 
 
+@functools.cache
+def _grid_identity(space: FiniteSpace) -> MarkovKernel:
+    return identity_kernel(space)
+
+
+def _random_space(rng, tag: str, lo: int = 2, hi: int = 6) -> FiniteSpace:
+    return _grid_space(tag, int(rng.integers(lo, hi + 1)))
+
+
+# The random rows and weights below are new C-ordered arrays, finite and at
+# least 1e-3 / (their sum) > 0, so the public constructors' entry checks would
+# leave every bit as it is: _derived stores the same bits.
 def _random_stochastic(rng, source: FiniteSpace, target: FiniteSpace) -> MarkovKernel:
     m = rng.random((source.size, target.size)) + 1e-3
-    return MarkovKernel(source, target, m / m.sum(axis=1, keepdims=True))
+    return MarkovKernel._derived(source, target, m / m.sum(axis=1, keepdims=True))
 
 
 def _random_prob(rng, space: FiniteSpace) -> ProbMeasure:
     w = rng.random(space.size) + 1e-3
-    return ProbMeasure(space, w / w.sum())
+    return ProbMeasure._derived(space, w / w.sum())
 
 
 def _gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -341,8 +356,8 @@ def _law_violations(rng) -> dict[str, float]:
     return {
         "compose_associative": _gap(compose(t3, t21).matrix, compose(compose(t3, t2), t1).matrix),
         "identity_units": max(
-            _gap(compose(t1, identity_kernel(xs)).matrix, t1.matrix),
-            _gap(compose(identity_kernel(ys), t1).matrix, t1.matrix),
+            _gap(compose(t1, _grid_identity(xs)).matrix, t1.matrix),
+            _gap(compose(_grid_identity(ys), t1).matrix, t1.matrix),
         ),
         "pushforward_functorial": _gap(
             pushforward(t21, mu).weights, pushforward(t2, t1_mu).weights

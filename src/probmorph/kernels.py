@@ -111,7 +111,7 @@ class GramMatrix:
         self.max_eigenvalue = float(eigenvalues[-1])
         self.max_entry = float(np.max(np.abs(g)))
         _check_psd(self.min_eigenvalue, points.size, self.max_entry)
-        g.flags.writeable = False
+        g.setflags(write=False)
         self.points = points
         self.values = g
 
@@ -201,13 +201,13 @@ class KroneckerGram(GramMatrix):
     @cached_property
     def values(self) -> np.ndarray:
         g = np.kron(self.left.values, self.right.values)
-        g.flags.writeable = False
+        g.setflags(write=False)
         return g
 
     @cached_property
     def diag(self) -> np.ndarray:
         d = np.kron(self.left.diag, self.right.diag)
-        d.flags.writeable = False
+        d.setflags(write=False)
         return d
 
     def apply(self, w) -> np.ndarray:

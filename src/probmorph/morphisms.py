@@ -38,7 +38,7 @@ class SignedKernel:
         m = np.array(rows, dtype=float, order="C")
         if m.shape != (source.size, target.size) or not np.isfinite(m).all():
             raise ValueError(_rows_error(source, target, m, markov=False))
-        m.flags.writeable = False
+        m.setflags(write=False)
         self.source = source
         self.target = target
         self.matrix = m
@@ -93,7 +93,7 @@ class MarkovKernel(SignedKernel):
             # a row with an entry above 2 fails the sum bound capped or not; capped,
             # no row sum overflows, so the check emits no warning
             if _row_sum_rule(m, np.add.reduce(np.minimum(m, 2.0), axis=1)):
-                m.flags.writeable = False
+                m.setflags(write=False)
                 self.source = source
                 self.target = target
                 self.matrix = m
@@ -116,7 +116,7 @@ class MarkovKernel(SignedKernel):
         """
         if not _row_sum_rule(m, np.add.reduce(m, axis=1)):
             raise ValueError(_rows_error(source, target, m, markov=True))
-        m.flags.writeable = False
+        m.setflags(write=False)
         k = object.__new__(cls)
         k.source = source
         k.target = target
@@ -185,13 +185,15 @@ def projection_kernel(space: ProductSpace, axis: str) -> MarkovKernel:
 
     Built in closed form: row (a, b) of the row-major product is the
     Dirac at a (left) or at b (right), the matrix deterministic builds.
+    Its rows are gathered from one identity: row k is row k // m of the
+    left factor's identity, or row k % m of the right factor's.
     """
     n, m = space.left.size, space.right.size
-    # repeat and tile return new arrays of zeros and ones
+    # gathering rows by an index array returns a new C-ordered array of zeros and ones
     if axis == "left":
-        return MarkovKernel._derived(space, space.left, np.repeat(np.eye(n), m, 0))
+        return MarkovKernel._derived(space, space.left, np.eye(n)[np.arange(n * m) // m])
     if axis == "right":
-        return MarkovKernel._derived(space, space.right, np.tile(np.eye(m), (n, 1)))
+        return MarkovKernel._derived(space, space.right, np.eye(m)[np.arange(n * m) % m])
     raise ValueError(f"axis must be 'left' or 'right', got {axis!r}")
 
 

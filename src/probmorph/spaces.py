@@ -32,7 +32,7 @@ Label = object
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 

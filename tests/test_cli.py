@@ -7,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from probmorph import cli
 from probmorph.bounds import VERIFIERS
 from probmorph.cli import _CONFIG_KEYS, main
 from probmorph.kernels import KernelSpec, NotPSDError
 from probmorph.learning import LearnerConfig, WFunctionalSpec, regularized_estimate, w_functional
-from probmorph.morphisms import MarkovKernel
+from probmorph.morphisms import (
+    MarkovKernel, compose, disintegrate, graph, identity_kernel, pullback, pushforward,
+)
 from probmorph.serialize import (
     dataset_from_csv, kernel_from_json, kernel_to_json, measure_to_json, parse_config,
 )
@@ -108,6 +111,89 @@ def test_laws_overflowing_fixture_row_prints_no_warning(tmp_path, capsys):
         'invariant failure: ["kernel fixture: bad kernel document: '
         "row-stochasticity: row at 'u' sums to inf, not 1\"]"
     ]
+
+
+def _reference_law_violations(rng):
+    """One instance of the law suite, built from fresh public objects.
+
+    It draws from rng in the law suite's order, but builds new spaces,
+    kernels and measures through the public constructors on every trial,
+    with a fresh identity kernel and the projection from np.tile.
+    """
+    def space(tag):
+        return FiniteSpace([f"{tag}{i}" for i in range(int(rng.integers(2, 7)))])
+
+    def stochastic(a, b):
+        m = rng.random((a.size, b.size)) + 1e-3
+        return MarkovKernel(a, b, m / m.sum(axis=1, keepdims=True))
+
+    def prob(sp):
+        w = rng.random(sp.size) + 1e-3
+        return ProbMeasure(sp, w / w.sum())
+
+    def gap(a, b):
+        return float(np.max(np.abs(a - b)))
+
+    xs, ys, zs, ws = (space(tag) for tag in "xyzw")
+    t1, t2, t3 = stochastic(xs, ys), stochastic(ys, zs), stochastic(zs, ws)
+    mu = prob(xs)
+    f = rng.standard_normal(ys.size)
+    joint = prob(ProductSpace(xs, ys))
+    mu_x, cond = disintegrate(joint)
+    t21, t1_mu = compose(t2, t1), pushforward(t1, mu)
+    right = MarkovKernel(joint.space, ys, np.tile(np.eye(ys.size), (xs.size, 1)))
+    return {
+        "compose_associative": gap(compose(t3, t21).matrix, compose(compose(t3, t2), t1).matrix),
+        "identity_units": max(
+            gap(compose(t1, identity_kernel(xs)).matrix, t1.matrix),
+            gap(compose(identity_kernel(ys), t1).matrix, t1.matrix),
+        ),
+        "pushforward_functorial": gap(
+            pushforward(t21, mu).weights, pushforward(t2, t1_mu).weights
+        ),
+        "graph_projection_recovers_kernel": gap(compose(right, graph(t1)).matrix, t1.matrix),
+        "graph_pushforward_left_marginal": gap(
+            marginal(graph_pushforward(t1, mu), "left").weights, mu.weights
+        ),
+        "pullback_pushforward_adjoint": abs(
+            float(t1_mu.weights @ f) - float(mu.weights @ pullback(t1, f))
+        ),
+        "disintegration_round_trip": gap(graph_pushforward(cond, mu_x).weights, joint.weights),
+    }
+
+
+def _clear_law_caches():
+    cli._grid_space.cache_clear()
+    cli._grid_identity.cache_clear()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_law_suite_equals_a_loop_of_fresh_public_objects(seed):
+    # the suite shares one space and one identity kernel per grid size, and builds its
+    # random kernels and measures through _derived; every violation keeps its bits
+    worst = {}
+    for t in range(60):
+        for name, v in _reference_law_violations(np.random.default_rng((seed, t))).items():
+            worst[name] = max(worst.get(name, 0.0), v)
+    expected = {name: v.hex() for name, v in worst.items()}
+    _clear_law_caches()
+    cold = {name: v.hex() for name, v in cli._law_suite(seed, 60).items()}
+    warm = {name: v.hex() for name, v in cli._law_suite(seed, 60).items()}
+    assert cli._grid_space.cache_info().hits > 0
+    assert cold == expected and warm == expected
+
+
+def test_laws_reruns_in_one_process_write_identical_files(tmp_path, capsys):
+    _clear_law_caches()
+    outputs = []
+    for name in ("cold.json", "warm.json"):
+        assert run("laws", "--seed", 3, "--trials", 50, "--out", tmp_path / name) == 0
+        outputs.append(((tmp_path / name).read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    cli._law_suite(4, 2000)
+    # four tags times the sizes 2..6 bound both caches
+    assert cli._grid_space.cache_info().currsize <= 20
+    assert cli._grid_identity.cache_info().currsize <= 20
 
 
 def test_unknown_subcommand():
