@@ -140,8 +140,12 @@ def lipschitz_deviation_check(
     The left side is |(R_mu(f) - Rhat_S(f)) - (R_mu(g) - Rhat_S(g))|;
     d_inf is the sup over inputs of the row MMD between f and g. A
     1e-10 additive slack absorbs roundoff. Both risk gaps and d_inf
-    come from one GramMatrix.sq_norms product.
+    come from one GramMatrix.sq_norms product. c_k must be finite and
+    strictly positive: a NaN, zero, negative or infinite c_k raises
+    ValueError rather than read as a violation of the inequality.
     """
+    if not 0.0 < c_k < math.inf:  # also refuses NaN
+        raise ValueError(f"c_k must be finite and strictly positive, got {c_k!r}")
     gap_f, gap_g, d_inf = _deviation_terms(f, g, mu, S, gY)
     return abs(gap_f - gap_g) <= 8.0 * c_k * d_inf + 1e-10
 

@@ -312,7 +312,10 @@ def _write_text(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # The suite draws each space's size from 2..6 under one of four tags, so its
 # grids are at most 4 x 5 = 20 spaces; each is built once per process, with
-# its identity kernel. Both are immutable, so trials may share them.
+# its identity kernel. Its joints live on an x-grid times a y-grid, at most
+# 5 x 5 = 25 products, each built once with its right projection; both caches
+# are keyed by the two sizes, which hash faster than the spaces. All of these
+# are immutable, so trials may share them.
 @functools.cache
 def _grid_space(tag: str, n: int) -> FiniteSpace:
     return FiniteSpace([f"{tag}{i}" for i in range(n)])
@@ -323,20 +326,31 @@ def _grid_identity(space: FiniteSpace) -> MarkovKernel:
     return identity_kernel(space)
 
 
+@functools.cache
+def _grid_product(nx: int, ny: int) -> ProductSpace:
+    return ProductSpace(_grid_space("x", nx), _grid_space("y", ny))
+
+
+@functools.cache
+def _grid_right_projection(nx: int, ny: int) -> MarkovKernel:
+    return projection_kernel(_grid_product(nx, ny), "right")
+
+
 def _random_space(rng, tag: str, lo: int = 2, hi: int = 6) -> FiniteSpace:
     return _grid_space(tag, int(rng.integers(lo, hi + 1)))
 
 
 # The random rows and weights below are new C-ordered arrays, finite and at
 # least 1e-3 / (their sum) > 0, so the public constructors' entry checks would
-# leave every bit as it is: _derived stores the same bits.
-def _random_stochastic(rng, source: FiniteSpace, target: FiniteSpace) -> MarkovKernel:
-    m = rng.random((source.size, target.size)) + 1e-3
+# leave every bit as it is: _derived stores the same bits. Each is built from a
+# slice u of uniform draws.
+def _random_stochastic(u: np.ndarray, source: FiniteSpace, target: FiniteSpace) -> MarkovKernel:
+    m = u.reshape(source.size, target.size) + 1e-3
     return MarkovKernel._derived(source, target, m / m.sum(axis=1, keepdims=True))
 
 
-def _random_prob(rng, space: FiniteSpace) -> ProbMeasure:
-    w = rng.random(space.size) + 1e-3
+def _random_prob(u: np.ndarray, space: FiniteSpace) -> ProbMeasure:
+    w = u + 1e-3
     return ProbMeasure._derived(space, w / w.sum())
 
 
@@ -347,10 +361,18 @@ def _gap(a: np.ndarray, b: np.ndarray) -> float:
 def _law_violations(rng) -> dict[str, float]:
     """Each structural law's violation on one random instance drawn from rng."""
     xs, ys, zs, ws = (_random_space(rng, tag) for tag in "xyzw")
-    t1, t2, t3 = (_random_stochastic(rng, a, b) for a, b in ((xs, ys), (ys, zs), (zs, ws)))
-    mu = _random_prob(rng, xs)
-    f = rng.standard_normal(ys.size)
-    joint = _random_prob(rng, ProductSpace(xs, ys))
+    nx, ny = xs.size, ys.size
+    # t1, t2, t3 and mu take consecutive uniform draws, which one call returns in order
+    a = nx * ny
+    b = a + ny * zs.size
+    c = b + zs.size * ws.size
+    u = rng.random(c + nx)
+    t1 = _random_stochastic(u[:a], xs, ys)
+    t2 = _random_stochastic(u[a:b], ys, zs)
+    t3 = _random_stochastic(u[b:c], zs, ws)
+    mu = _random_prob(u[c:], xs)
+    f = rng.standard_normal(ny)
+    joint = _random_prob(rng.random(a), _grid_product(nx, ny))
     mu_x, cond = disintegrate(joint)
     t21, t1_mu = compose(t2, t1), pushforward(t1, mu)
     return {
@@ -363,7 +385,7 @@ def _law_violations(rng) -> dict[str, float]:
             pushforward(t21, mu).weights, pushforward(t2, t1_mu).weights
         ),
         "graph_projection_recovers_kernel": _gap(
-            compose(projection_kernel(joint.space, "right"), graph(t1)).matrix, t1.matrix
+            compose(_grid_right_projection(nx, ny), graph(t1)).matrix, t1.matrix
         ),
         "graph_pushforward_left_marginal": _gap(
             marginal(graph_pushforward(t1, mu), "left").weights, mu.weights

@@ -115,8 +115,15 @@ class LearnerConfig:
 # ---------------------------------------------------------------------------
 # mirror descent over row simplices
 # ---------------------------------------------------------------------------
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = z - np.maximum.reduce(z, axis=1, keepdims=True)
+def _softmax_rows(z: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The rowwise softmax of the 2-D array z; starts holds each row's first flat index.
+
+    The row maxima are taken by maximum.reduceat over the flat rows,
+    which gives the bits of maximum.reduce(axis=1): a maximum is exact.
+    The row sums stay on add.reduce(axis=1), since add.reduceat may
+    round them differently.
+    """
+    e = z - np.maximum.reduceat(z.reshape(-1), starts)[:, None]
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=1, keepdims=True)
     return e
@@ -142,20 +149,22 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
     scales it in place.
     """
     z = np.zeros_like(incumbent)  # logits: softmax(log x) == softmax(z) rowwise
+    starts = np.arange(0, z.size, z.shape[1])  # each row's first flat index
     best_rows = incumbent
     trace = []
     # an overflow surfaces as one of the two ArithmeticErrors, not as a warning
     with np.errstate(all="ignore"):
         best_val, _ = objective_rows(incumbent, want_grad=False)
         for t in range(config.max_iters + 1):
-            rows = _softmax_rows(z)
+            rows = _softmax_rows(z, starts)
             value, grad = objective_rows(rows)
             if not math.isfinite(value):
                 raise ArithmeticError(f"non-finite objective {value!r} after {t} steps")
             if value < best_val:
                 best_rows, best_val = rows, value
             trace.append(best_val)
-            gap = float(np.vdot(grad, rows) - np.add.reduce(np.minimum.reduce(grad, axis=1)))
+            row_min = np.minimum.reduceat(grad.reshape(-1), starts)
+            gap = float(np.vdot(grad, rows) - np.add.reduce(row_min))
             if t == config.max_iters or gap <= config.tol:
                 break
             g_max = np.maximum.reduce(abs(grad), axis=None)
@@ -206,7 +215,7 @@ def _probe_rows(nx: int, ny: int, seed: int) -> np.ndarray:
     # one draw of all the logits; 104729 is an arbitrary fixed tag, and changing it
     # changes every eps_certificate
     z = 2.0 * np.random.default_rng((seed, 104729)).standard_normal((16 * nx, ny))
-    return _softmax_rows(z).reshape(16, nx, ny)
+    return _softmax_rows(z, np.arange(0, z.size, ny)).reshape(16, nx, ny)
 
 
 def empirical_section(S: Dataset) -> MarkovKernel:

@@ -260,14 +260,15 @@ def graph(T: SignedKernel) -> SignedKernel:
     Built in closed form: T's rows, as 0 + T(y|x), on the diagonal
     blocks of a zero (|X|, |X||Y|) matrix. That is the joint with the
     identity bit for bit, since its products accumulate onto zero
-    (which also reads a -0.0 of a signed row as +0.0).
+    (which also reads a -0.0 of a signed row as +0.0). Viewed as |X|^2
+    blocks of |Y| entries, the diagonal blocks are every (|X| + 1)-th
+    one, so one strided write places them.
     """
     n, m = T.matrix.shape
-    blocks = np.zeros((n, n, m))
-    diag = np.arange(n)
-    blocks[diag, diag] = T.matrix + 0.0
+    rows = np.zeros((n, n * m))
+    rows.reshape(n * n, m)[:: n + 1] = T.matrix + 0.0
     target = ProductSpace(T.source, T.target)
-    return _wrap(T.source, target, blocks.reshape(n, n * m), T.markov)
+    return _wrap(T.source, target, rows, T.markov)
 
 
 def graph_pushforward(T: SignedKernel, mu_x: SignedMeasure) -> SignedMeasure:
@@ -316,11 +317,15 @@ def _conditional_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rows that sum to zero become uniform. w may hold joint weights or
     pair counts; either way the rows are the conditional kernel and the
-    sums the unnormalized left marginal.
+    sums the unnormalized left marginal. When every row has mass, the
+    rows are divided by the sums directly; otherwise a dead row is
+    divided by 1 and then overwritten. A live row is divided by its own
+    sum on both paths, so both give the same bits.
     """
     mass = w.sum(axis=1)
     alive = mass > 0.0
-    # a dead row is divided by 1, then overwritten: a live row is divided by its own sum
+    if alive.all():
+        return w / mass[:, None], mass
     rows = w / np.where(alive, mass, 1.0)[:, None]
     rows[~alive] = 1.0 / w.shape[1]
     return rows, mass

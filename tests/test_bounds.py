@@ -293,6 +293,34 @@ def test_lipschitz_deviation_hand_case():
     assert lipschitz_deviation_check(f, g, mu, S, 1.0, G_Y3)
 
 
+def _swap_instance():
+    # identity against swap on two points, delta kernel: risk gaps -2 and 2, d_inf sqrt(2)
+    x2, y2 = FiniteSpace(["a", "b"]), FiniteSpace(["u", "v"])
+    f = MarkovKernel(x2, y2, np.eye(2))
+    g = MarkovKernel(x2, y2, [[0.0, 1.0], [1.0, 0.0]])
+    mu = graph_pushforward(f, ProbMeasure(x2, [0.5, 0.5]))
+    S = Dataset(ProductSpace(x2, y2), [("a", "v")])
+    return f, g, mu, S, gram(KernelSpec("delta"), y2)
+
+
+@pytest.mark.parametrize("c_k", [math.nan, 0.0, -1.0, math.inf])
+def test_lipschitz_deviation_refuses_a_bad_c_k(c_k):
+    # an input error, not a counterexample: with f == g and c_k = inf, inf * 0 is NaN
+    f, g, mu, S, gY = _swap_instance()
+    for h in (f, g):
+        with pytest.raises(ValueError, match="c_k must be finite and strictly positive"):
+            lipschitz_deviation_check(f, h, mu, S, c_k, gY)
+
+
+def test_lipschitz_deviation_small_c_k_still_decides():
+    # |(-2) - 2| = 4 > 8 * 0.01 * sqrt(2) + 1e-10, and equal kernels pass at any c_k
+    f, g, mu, S, gY = _swap_instance()
+    assert _deviation_terms(f, g, mu, S, gY) == (-2.0, 2.0, math.sqrt(2.0))
+    assert not lipschitz_deviation_check(f, g, mu, S, 0.01, gY)
+    assert lipschitz_deviation_check(f, f, mu, S, 0.01, gY)
+    assert lipschitz_deviation_check(f, g, mu, S, 1.0, gY)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo harness
 # ---------------------------------------------------------------------------

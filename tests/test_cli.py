@@ -165,12 +165,15 @@ def _reference_law_violations(rng):
 def _clear_law_caches():
     cli._grid_space.cache_clear()
     cli._grid_identity.cache_clear()
+    cli._grid_product.cache_clear()
+    cli._grid_right_projection.cache_clear()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_law_suite_equals_a_loop_of_fresh_public_objects(seed):
-    # the suite shares one space and one identity kernel per grid size, and builds its
-    # random kernels and measures through _derived; every violation keeps its bits
+    # the suite shares one space and one identity kernel per grid size and one product
+    # and right projection per size pair, builds its random kernels and measures through
+    # _derived, and takes t1, t2, t3 and mu from one draw; every violation keeps its bits
     worst = {}
     for t in range(60):
         for name, v in _reference_law_violations(np.random.default_rng((seed, t))).items():
@@ -180,6 +183,7 @@ def test_law_suite_equals_a_loop_of_fresh_public_objects(seed):
     cold = {name: v.hex() for name, v in cli._law_suite(seed, 60).items()}
     warm = {name: v.hex() for name, v in cli._law_suite(seed, 60).items()}
     assert cli._grid_space.cache_info().hits > 0
+    assert cli._grid_right_projection.cache_info().hits > 0
     assert cold == expected and warm == expected
 
 
@@ -191,9 +195,12 @@ def test_laws_reruns_in_one_process_write_identical_files(tmp_path, capsys):
         outputs.append(((tmp_path / name).read_bytes(), capsys.readouterr().out))
     assert outputs[0] == outputs[1]
     cli._law_suite(4, 2000)
-    # four tags times the sizes 2..6 bound both caches
+    # four tags times the sizes 2..6 bound the space caches, and 5 x 5 size pairs the
+    # product caches
     assert cli._grid_space.cache_info().currsize <= 20
     assert cli._grid_identity.cache_info().currsize <= 20
+    assert cli._grid_product.cache_info().currsize <= 25
+    assert cli._grid_right_projection.cache_info().currsize <= 25
 
 
 def test_unknown_subcommand():

@@ -337,6 +337,32 @@ def test_disintegrate_independent_and_dirac():
         disintegrate(point, zero_row_policy="error")
 
 
+def _general_conditional_rows(w):
+    """_conditional_rows' path for arrays with a dead row, applied to any array."""
+    mass = w.sum(axis=1)
+    alive = mass > 0.0
+    rows = w / np.where(alive, mass, 1.0)[:, None]
+    rows[~alive] = 1.0 / w.shape[1]
+    return rows, mass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 8), st.booleans())
+def test_conditional_rows_direct_division_keeps_the_general_bits(seed, nx, ny, counts):
+    # every row has mass: the direct division gives the general path's bits
+    rng = np.random.default_rng(seed)
+    w = rng.integers(1, 5, (nx, ny)).astype(float) if counts else rng.random((nx, ny)) + 1e-300
+    rows, mass = _conditional_rows(w)
+    want_rows, want_mass = _general_conditional_rows(w)
+    assert rows.tobytes() == want_rows.tobytes() and mass.tobytes() == want_mass.tobytes()
+    # a dead row is uniform; the live rows keep the same bits
+    w[rng.integers(nx)] = 0.0
+    rows, mass = _conditional_rows(w)
+    want_rows, want_mass = _general_conditional_rows(w)
+    assert rows.tobytes() == want_rows.tobytes() and mass.tobytes() == want_mass.tobytes()
+    assert (rows[mass == 0.0] == 1.0 / ny).all()
+
+
 def test_sup_tv_norm():
     assert sup_tv_norm(MarkovKernel(X2, Y2, [[0.5, 0.5], [0.0, 1.0]])) == 1.0
     zero = SignedKernel(X2, Y2, [[0.0, 0.0], [0.0, 0.0]])
