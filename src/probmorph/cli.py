@@ -311,33 +311,25 @@ def _write_text(path: Path, text: str) -> None:
 # laws
 # ---------------------------------------------------------------------------
 # The suite draws each space's size from 2..6 under one of four tags, so its
-# grids are at most 4 x 5 = 20 spaces; each is built once per process, with
-# its identity kernel. Its joints live on an x-grid times a y-grid, at most
-# 5 x 5 = 25 products, each built once with its right projection; both caches
-# are keyed by the two sizes, which hash faster than the spaces. All of these
-# are immutable, so trials may share them.
+# grids are at most 4 x 5 = 20, each built once per process with its identity
+# kernel. Its joints live on an x-grid times a y-grid, at most 5 x 5 = 25 pairs,
+# each built once with its right projection. Both caches are keyed by sizes,
+# which hash faster than the spaces. All of these are immutable, so trials may
+# share them.
 @functools.cache
-def _grid_space(tag: str, n: int) -> FiniteSpace:
-    return FiniteSpace([f"{tag}{i}" for i in range(n)])
-
-
-@functools.cache
-def _grid_identity(space: FiniteSpace) -> MarkovKernel:
-    return identity_kernel(space)
+def _grid(tag: str, n: int) -> tuple[FiniteSpace, MarkovKernel]:
+    space = FiniteSpace([f"{tag}{i}" for i in range(n)])
+    return space, identity_kernel(space)
 
 
 @functools.cache
-def _grid_product(nx: int, ny: int) -> ProductSpace:
-    return ProductSpace(_grid_space("x", nx), _grid_space("y", ny))
+def _grid_pair(nx: int, ny: int) -> tuple[ProductSpace, MarkovKernel]:
+    joint = ProductSpace(_grid("x", nx)[0], _grid("y", ny)[0])
+    return joint, projection_kernel(joint, "right")
 
 
-@functools.cache
-def _grid_right_projection(nx: int, ny: int) -> MarkovKernel:
-    return projection_kernel(_grid_product(nx, ny), "right")
-
-
-def _random_space(rng, tag: str, lo: int = 2, hi: int = 6) -> FiniteSpace:
-    return _grid_space(tag, int(rng.integers(lo, hi + 1)))
+def _random_grid(rng, tag: str) -> tuple[FiniteSpace, MarkovKernel]:
+    return _grid(tag, int(rng.integers(2, 7)))
 
 
 # The random rows and weights below are new C-ordered arrays, finite and at
@@ -360,7 +352,7 @@ def _gap(a: np.ndarray, b: np.ndarray) -> float:
 
 def _law_violations(rng) -> dict[str, float]:
     """Each structural law's violation on one random instance drawn from rng."""
-    xs, ys, zs, ws = (_random_space(rng, tag) for tag in "xyzw")
+    (xs, id_x), (ys, id_y), (zs, _), (ws, _) = (_random_grid(rng, tag) for tag in "xyzw")
     nx, ny = xs.size, ys.size
     # t1, t2, t3 and mu take consecutive uniform draws, which one call returns in order
     a = nx * ny
@@ -372,20 +364,21 @@ def _law_violations(rng) -> dict[str, float]:
     t3 = _random_stochastic(u[b:c], zs, ws)
     mu = _random_prob(u[c:], xs)
     f = rng.standard_normal(ny)
-    joint = _random_prob(rng.random(a), _grid_product(nx, ny))
+    joint_space, right_projection = _grid_pair(nx, ny)
+    joint = _random_prob(rng.random(a), joint_space)
     mu_x, cond = disintegrate(joint)
     t21, t1_mu = compose(t2, t1), pushforward(t1, mu)
     return {
         "compose_associative": _gap(compose(t3, t21).matrix, compose(compose(t3, t2), t1).matrix),
         "identity_units": max(
-            _gap(compose(t1, _grid_identity(xs)).matrix, t1.matrix),
-            _gap(compose(_grid_identity(ys), t1).matrix, t1.matrix),
+            _gap(compose(t1, id_x).matrix, t1.matrix),
+            _gap(compose(id_y, t1).matrix, t1.matrix),
         ),
         "pushforward_functorial": _gap(
             pushforward(t21, mu).weights, pushforward(t2, t1_mu).weights
         ),
         "graph_projection_recovers_kernel": _gap(
-            compose(_grid_right_projection(nx, ny), graph(t1)).matrix, t1.matrix
+            compose(right_projection, graph(t1)).matrix, t1.matrix
         ),
         "graph_pushforward_left_marginal": _gap(
             marginal(graph_pushforward(t1, mu), "left").weights, mu.weights

@@ -154,7 +154,7 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
     trace = []
     # an overflow surfaces as one of the two ArithmeticErrors, not as a warning
     with np.errstate(all="ignore"):
-        best_val, _ = objective_rows(incumbent, want_grad=False)
+        best_val = objective_rows(incumbent)[0]
         for t in range(config.max_iters + 1):
             rows = _softmax_rows(z, starts)
             value, grad = objective_rows(rows)
@@ -260,8 +260,11 @@ class WFunctionalSpec:
     a_i = 1 + sqrt(left[i, i]); a_i = 2 for the gaussian, laplacian and
     delta kernels. On any other gram_xy (the linear kernel, or a
     hand-built Gram) the blocks differ, a_i = 1, and the |X| diagonal
-    blocks B_i of gram_xy.values are copied once into _blocks (None on the
-    factored path, or with no sup term). Each evaluation reads single
+    blocks B_i are stored once in _blocks (None on the factored path, or
+    with no sup term). A KroneckerGram over another right factor gives
+    them as left[i, i] * right, the products np.kron forms, so its dense
+    values are never built; a dense Gram's blocks are copied from its
+    values. Each evaluation reads single
     entries, so the spec also keeps copies that index cheaply: the
     divisors as a list of Python floats, the pairs as a list of [i, j]
     Python ints, and the pairs' second rows as one contiguous index array.
@@ -299,6 +302,9 @@ class WFunctionalSpec:
         self._blocks = None
         if n_sup and factored:
             a += np.sqrt(np.maximum(self.gram_xy.left.diag, 0.0))
+        elif n_sup and isinstance(self.gram_xy, KroneckerGram):
+            # the products np.kron forms, without building the dense matrix
+            self._blocks = self.gram_xy.left.diag[:, None, None] * self.gram_xy.right.values
         elif n_sup:
             nx, ny = x_space.size, y_space.size
             self._blocks = np.einsum("iyiz->iyz", self.gram_xy.values.reshape(nx, ny, nx, ny)).copy()
@@ -338,7 +344,7 @@ class WFunctionalSpec:
             include_operator_norm=include_operator_norm,
         )
 
-    def _value_grad(self, rows: np.ndarray, want_grad: bool = True):
+    def _value_grad(self, rows: np.ndarray):
         """Value and row-gradient of (sup + lipschitz)^2, in one pass, whatever the flags.
 
         Every piece is a norm of a constant linear map of the rows. The rows
@@ -355,9 +361,10 @@ class WFunctionalSpec:
         sqrt(q_i): b_i = B_i r_i comes from one batched matmul, and
         q_i = b_i . r_i takes gram_xy's roundoff rule (_clamp_roundoff). Its
         gradient on row i is b_i / sqrt(q_i). No product here reads a Gram
-        but gram_y: the blocks were copied when the spec was built. The
+        but gram_y: the blocks were stored when the spec was built. The
         operator-norm term is never read here: w_functional adds it. One
-        buffer sums the sup and Lipschitz gradients. Tiny or huge source
+        buffer sums the sup and Lipschitz gradients; every call computes them,
+        after the value, which never reads them. Tiny or huge source
         distances can overflow the Lipschitz ratio or step to inf, so callers
         evaluate it under np.errstate.
         """
@@ -384,8 +391,6 @@ class WFunctionalSpec:
             total += piece
             if piece > 0:
                 lip = p
-        if not want_grad:
-            return total * total, None
         grad = np.zeros(rows.shape)
         if sup is not None:
             norm = norms.item(sup)
@@ -440,7 +445,7 @@ def w_functional(h: MarkovKernel, spec: WFunctionalSpec) -> float:
     if h.source != spec.gram_x.points or h.target != spec.gram_y.points:
         raise ValueError("hypothesis grids do not match the W geometry")
     with np.errstate(all="ignore"):  # see _value_grad: a ratio may overflow to inf
-        value, _ = spec._value_grad(h.matrix, want_grad=False)
+        value = spec._value_grad(h.matrix)[0]
     if spec.include_operator_norm:  # sqrt undoes a binary square exactly, barring underflow
         root = math.sqrt(value) + embedded_operator_norm(h, spec.gram_x, spec.gram_xy)
         value = root * root
@@ -453,8 +458,9 @@ def w_functional(h: MarkovKernel, spec: WFunctionalSpec) -> float:
 def _objective_rows(mu_x, target, gamma: float, gXY: GramMatrix, spec: WFunctionalSpec):
     """The fit's objective fidelity^2 + gamma * W as a function of the rows.
 
-    It returns (value, gradient), or (value, None) when want_grad is
-    false. The fidelity's square and gradient come from one
+    Every call returns (value, gradient); a caller that needs only the
+    value takes element 0. The value is computed first and never reads
+    the gradient. The fidelity's square and gradient come from one
     GramMatrix.sq_norms product, under the roundoff rule of mmd and the
     W terms. mu_x, of shape (|X|, 1), and 2 mu_x are repeated once into
     full (|X|, |Y|) grids held flat, so each evaluation multiplies arrays
@@ -465,14 +471,12 @@ def _objective_rows(mu_x, target, gamma: float, gXY: GramMatrix, spec: WFunction
     two_mu = 2.0 * mu
     flat_target = target.reshape(1, -1)
 
-    def objective_rows(rows, want_grad=True):
+    def objective_rows(rows):
         d = mu * rows.reshape(1, -1)
         d -= flat_target
         dg, q = gXY.sq_norms(d)
-        wval, grad = spec._value_grad(rows, want_grad)
+        wval, grad = spec._value_grad(rows)
         value = q.item() + gamma * wval
-        if not want_grad:
-            return value, None
         grad *= gamma
         dg *= two_mu
         grad += dg.reshape(rows.shape)
@@ -508,7 +512,7 @@ class RegularizedFit:
         objective_rows = _objective_rows(self._mu_x, self._target, self._gamma, self._gXY, self._spec)
         with np.errstate(all="ignore"):  # see _value_grad: a probe's value may overflow to inf
             probe_best = min(
-                objective_rows(r, want_grad=False)[0]
+                objective_rows(r)[0]
                 for r in _probe_rows(*self.h.matrix.shape, self._seed)
             )
         return max(0.0, self.objective - probe_best)

@@ -333,7 +333,7 @@ def _conditional_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sup_tv_norm(T: SignedKernel) -> float:
     """The largest total variation norm among the rows; 1 for Markov kernels."""
-    return float(np.max(np.abs(T.matrix).sum(axis=1))) if T.source.size else 0.0
+    return float(np.max(np.abs(T.matrix).sum(axis=1)))
 
 
 class SingularGramError(ValueError):

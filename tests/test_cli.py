@@ -163,10 +163,8 @@ def _reference_law_violations(rng):
 
 
 def _clear_law_caches():
-    cli._grid_space.cache_clear()
-    cli._grid_identity.cache_clear()
-    cli._grid_product.cache_clear()
-    cli._grid_right_projection.cache_clear()
+    cli._grid.cache_clear()
+    cli._grid_pair.cache_clear()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -182,8 +180,8 @@ def test_law_suite_equals_a_loop_of_fresh_public_objects(seed):
     _clear_law_caches()
     cold = {name: v.hex() for name, v in cli._law_suite(seed, 60).items()}
     warm = {name: v.hex() for name, v in cli._law_suite(seed, 60).items()}
-    assert cli._grid_space.cache_info().hits > 0
-    assert cli._grid_right_projection.cache_info().hits > 0
+    assert cli._grid.cache_info().hits > 0
+    assert cli._grid_pair.cache_info().hits > 0
     assert cold == expected and warm == expected
 
 
@@ -195,12 +193,10 @@ def test_laws_reruns_in_one_process_write_identical_files(tmp_path, capsys):
         outputs.append(((tmp_path / name).read_bytes(), capsys.readouterr().out))
     assert outputs[0] == outputs[1]
     cli._law_suite(4, 2000)
-    # four tags times the sizes 2..6 bound the space caches, and 5 x 5 size pairs the
-    # product caches
-    assert cli._grid_space.cache_info().currsize <= 20
-    assert cli._grid_identity.cache_info().currsize <= 20
-    assert cli._grid_product.cache_info().currsize <= 25
-    assert cli._grid_right_projection.cache_info().currsize <= 25
+    # four tags times the sizes 2..6 bound the grid cache, and 5 x 5 size pairs the
+    # pair cache
+    assert cli._grid.cache_info().currsize <= 20
+    assert cli._grid_pair.cache_info().currsize <= 25
 
 
 def test_unknown_subcommand():

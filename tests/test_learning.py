@@ -581,7 +581,7 @@ def test_w_gradient_at_constant_rows_is_a_subgradient():
     for _ in range(20):
         d = rng.standard_normal(rows.shape)
         d -= d.mean(axis=1, keepdims=True)
-        ahead, _ = spec._value_grad(rows + t * d, want_grad=False)
+        ahead, _ = spec._value_grad(rows + t * d)
         assert (ahead - value) / t >= float(np.vdot(grad, d)) - 1e-6 * np.abs(grad).sum()
 
 
@@ -594,11 +594,9 @@ def test_w_opnorm_term_is_added_by_w_functional_only():
         spec = WFunctionalSpec(
             full.gram_xy, full.gram_y, full.gram_x, **{**W_TERMS[terms], "include_operator_norm": True}
         )
-        for want_grad in (True, False):
-            value, grad = spec._value_grad(h.matrix, want_grad)
-            expect, expect_grad = without._value_grad(h.matrix, want_grad)
-            assert value == expect
-            assert (grad is None) if expect_grad is None else grad.tobytes() == expect_grad.tobytes()
+        value, grad = spec._value_grad(h.matrix)
+        expect, expect_grad = without._value_grad(h.matrix)
+        assert value == expect and grad.tobytes() == expect_grad.tobytes()
     only = WFunctionalSpec(full.gram_xy, full.gram_y, full.gram_x, **W_TERMS["opnorm"])
     assert w_functional(h, only) == embedded_operator_norm(h, full.gram_x, full.gram_xy) ** 2
 
@@ -648,8 +646,8 @@ def _assert_gradient_matches_central_differences(specs, grad, rows, seed):
         d = rng.standard_normal(rows.shape)
         d -= d.mean(axis=1, keepdims=True)  # each row stays on its simplex's affine hull
         for spec in specs:
-            plus, _ = spec._value_grad(rows + t * d, want_grad=False)
-            minus, _ = spec._value_grad(rows - t * d, want_grad=False)
+            plus, _ = spec._value_grad(rows + t * d)
+            minus, _ = spec._value_grad(rows - t * d)
             slope = float(np.vdot(grad, d))
             assert (plus - minus) / (2 * t) == pytest.approx(slope, rel=1e-6, abs=1e-9)
 
@@ -670,7 +668,6 @@ def test_w_gradient_matches_central_differences(terms, dim):
     # the two representations of one Gram agree to roundoff
     assert dense_value == pytest.approx(value, rel=1e-12)
     assert np.max(np.abs(dense_grad - grad)) <= 1e-12 * np.max(np.abs(grad))
-    assert kron._value_grad(rows, want_grad=False) == (value, None)
     _assert_gradient_matches_central_differences((kron, dense), grad, rows, (12, dim))
 
 
@@ -686,7 +683,6 @@ def test_w_gradient_on_a_dense_linear_product_gram(terms, dim):
     kw = dict(include_sup="sup" in terms, include_lipschitz="lipschitz" in terms)
     spec = WFunctionalSpec(g_xy, g_y, g_x, **kw)
     value, grad = spec._value_grad(rows)
-    assert spec._value_grad(rows, want_grad=False) == (value, None)
     if terms == "sup":  # against the dense graph Gram of the rows
         q_y = np.einsum("iy,yz,iz->i", rows, g_y.values, rows)
         sup = np.max(np.sqrt(q_y) + np.sqrt(np.diag(_graph_gram(g_xy, rows))))
@@ -835,14 +831,15 @@ _C = np.eye(2)
 
 
 def _linear_objective(special):
-    """<_C, rows> on 2x2 rows; its gradient is _C, except `special` at step 1."""
+    """<_C, rows> on 2x2 rows; its gradient is _C, except `special` at step 1.
+
+    Call 0 scores the incumbent, and call t + 1 takes step t.
+    """
     grads = []
 
-    def objective_rows(rows, want_grad=True):
+    def objective_rows(rows):
         value = float(np.vdot(_C, rows))
-        if not want_grad:
-            return value, None
-        grads.append(special if len(grads) == 1 else _C)
+        grads.append(special if len(grads) == 2 else _C)
         return value, grads[-1].copy()
 
     return objective_rows
@@ -1026,7 +1023,7 @@ def _probe_values(S, gamma, g_xy, spec, seed):
     with np.errstate(all="ignore"):
         return [
             float(g_xy.sq_norms((mu_x * r - target).reshape(1, -1))[1][0])
-            + gamma * spec._value_grad(r, want_grad=False)[0]
+            + gamma * spec._value_grad(r)[0]
             for r in _probe_rows(*counts.shape, seed)
         ]
 
@@ -1292,7 +1289,6 @@ def test_a_rebuilt_spec_carries_no_stale_copies(flag, kernel):
     rebuilt = replace(spec, **{flag: False})
     fresh = WFunctionalSpec.from_kernel(kernel, xs, ys, **{flag: False})
     rows = np.random.default_rng(3).dirichlet(np.ones(3), size=5)
-    assert rebuilt._value_grad(rows, want_grad=False)[0].hex() == fresh._value_grad(rows, want_grad=False)[0].hex()
     value, grad = rebuilt._value_grad(rows)
     fresh_value, fresh_grad = fresh._value_grad(rows)
     assert value.hex() == fresh_value.hex()
@@ -1334,6 +1330,31 @@ def test_a_dense_spec_reads_the_product_gram_once(kernel):
         want_value, want_grad = dense._value_grad(rows)
         assert value.hex() == want_value.hex() and grad.tobytes() == want_grad.tobytes()
     assert w_functional(h, counted).hex() == w_functional(h, dense).hex()
+
+
+def test_a_kronecker_spec_over_another_label_gram_never_densifies():
+    # the product Gram's right factor is not gram_y, so the blocks differ from
+    # left[i, i] * gram_y; they come from the factors, the products np.kron forms
+    xs, ys = _line("x", 5, 4.0), _line("y", 3, 2.0)
+    k = KernelSpec("gaussian", sigma=1.0)
+    g_y, g_x = gram(k, ys), gram(k, xs)
+
+    def product():
+        left = gram(replace(k, scale=2.0), xs)
+        return KroneckerGram(ProductSpace(xs, ys), left, gram(KernelSpec("laplacian", sigma=0.5), ys))
+
+    g = product()
+    spec = WFunctionalSpec(g, g_y, g_x)
+    assert "values" not in vars(g)
+    dense = WFunctionalSpec(GramMatrix(g.points, product().values), g_y, g_x)
+    assert spec._blocks.tobytes() == dense._blocks.tobytes()
+    h = MarkovKernel(xs, ys, np.random.default_rng(5).dirichlet(np.ones(3), size=5))
+    for rows in (h.matrix, np.full((5, 3), 1.0 / 3.0)):
+        value, grad = spec._value_grad(rows)
+        dense_value, dense_grad = dense._value_grad(rows)
+        assert value.hex() == dense_value.hex() and grad.tobytes() == dense_grad.tobytes()
+    assert w_functional(h, spec).hex() == w_functional(h, dense).hex()
+    assert "values" not in vars(g)
 
 
 # ---------------------------------------------------------------------------
