@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+import operator
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
@@ -37,22 +38,25 @@ _BLOCK = 4096  # trials drawn and scored per block
 
 @dataclass
 class BoundReport:
-    """Outcome of a Monte Carlo check of one bound."""
+    """Outcome of a Monte Carlo check of one bound, built from its failure count.
+
+    The rate failures / trials and its Wilson interval are derived from the
+    count, which wilson_interval checks against trials; it is not stored.
+    """
 
     bound_name: str
     parameters: dict
     theoretical_bound: float
-    empirical_failure_rate: float
+    failures: InitVar[int]
     trials: int
     seed: int
-    wilson_low: float = 0.0
-    wilson_high: float = 1.0
+    empirical_failure_rate: float = field(init=False)
+    wilson_low: float = field(init=False)
+    wilson_high: float = field(init=False)
 
-    def __post_init__(self):
-        if not self.trials >= 1:  # also refuses NaN
-            raise ValueError("trials must be at least 1")
-        if not 0.0 <= self.empirical_failure_rate <= 1.0:
-            raise ValueError("empirical failure rate must lie in [0, 1]")
+    def __post_init__(self, failures: int):
+        self.wilson_low, self.wilson_high = wilson_interval(failures, self.trials)
+        self.empirical_failure_rate = failures / self.trials
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -151,7 +155,7 @@ def lipschitz_deviation_check(
 
 
 def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion, exactly 0 or 1 at the ends."""
     if not trials >= 1:  # also refuses NaN
         raise ValueError("trials must be at least 1")
     if not 0 <= failures <= trials:
@@ -165,7 +169,9 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
         * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
         / denom
     )
-    return max(0.0, center - half), min(1.0, center + half)
+    low = 0.0 if failures == 0 else max(0.0, center - half)
+    high = 1.0 if failures == trials else min(1.0, center + half)
+    return low, high
 
 
 def _trial_counts(mu: ProbMeasure, n: int, trials: int, seed: int):
@@ -192,7 +198,7 @@ def monte_carlo_verify(
     """Empirically test a bound's failure event on seeded i.i.d. draws.
 
     n (the draws per trial) and trials must be integers of at least 1,
-    and seed a nonnegative integer.
+    and seed a nonnegative integer; the report stores each as a Python int.
     bound_name selects the experiment:
 
       "hoeffding":          ground_truth is a joint ProbMeasure, subject a
@@ -219,23 +225,10 @@ def monte_carlo_verify(
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    n, trials, seed = map(operator.index, (n, trials, seed))
     if bound_name not in VERIFIERS:
         raise ValueError(f"unknown bound name {bound_name!r}")
     return VERIFIERS[bound_name](ground_truth, subject, n, trials, seed, **params)
-
-
-def _finish(bound_name, params, theoretical, failures, trials, seed) -> BoundReport:
-    low, high = wilson_interval(failures, trials)
-    return BoundReport(
-        bound_name=bound_name,
-        parameters=params,
-        theoretical_bound=theoretical,
-        empirical_failure_rate=failures / trials,
-        trials=trials,
-        seed=seed,
-        wilson_low=low,
-        wilson_high=high,
-    )
 
 
 def _c_k(gY: GramMatrix) -> float:
@@ -269,7 +262,7 @@ def _verify_hoeffding(mu: ProbMeasure, h: MarkovKernel, n, trials, seed, *, gY, 
     theoretical = hoeffding_bound(n, eps, ck)
     failures, _ = _sup_deviation_counts(mu, grid, n, trials, seed, eps, 0.0)
     params = {"m": n, "eps": eps, "c_k": ck}
-    return _finish("hoeffding", params, theoretical, failures, trials, seed)
+    return BoundReport("hoeffding", params, theoretical, failures, trials, seed)
 
 
 def _verify_covering(mu: ProbMeasure, cls: FiniteClass, n, trials, seed, *, gY, eps, c_m=0.0):
@@ -290,7 +283,7 @@ def _verify_covering(mu: ProbMeasure, cls: FiniteClass, n, trials, seed, *, gY, 
         "c_m": c_m,
         "implication_violations": violations,
     }
-    return _finish("covering", params, theoretical, failures, trials, seed)
+    return BoundReport("covering", params, theoretical, failures, trials, seed)
 
 
 def _verify_mmd(mu: ProbMeasure, g: GramMatrix, n, trials, seed, *, delta):
@@ -306,7 +299,7 @@ def _verify_mmd(mu: ProbMeasure, g: GramMatrix, n, trials, seed, *, delta):
         dist = np.sqrt(g.sq_norms(counts / n - mu.weights)[1])
         failures += int(np.count_nonzero(dist > dev_bound))
     params = {"n": n, "delta": delta, "k_diag_mean": k_diag_mean, "deviation_bound": dev_bound}
-    return _finish("mmd_concentration", params, delta, failures, trials, seed)
+    return BoundReport("mmd_concentration", params, delta, failures, trials, seed)
 
 
 # bound name -> verifier: the one list of the bounds monte_carlo_verify checks

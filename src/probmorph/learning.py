@@ -29,7 +29,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -130,7 +130,7 @@ def _softmax_rows(z: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig):
-    """Entropic mirror descent from uniform rows; returns (rows, value, trace).
+    """Entropic mirror descent from uniform rows; returns (rows, trace).
 
     Each step is x <- softmax(log x - eta_t g) rowwise, a subgradient
     step normalized by eta_t = _STEP / (sqrt(t + 1) max|g|). It
@@ -138,7 +138,8 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
     not stall it. The run stops after max_iters steps, or earlier once
     the Frank-Wolfe gap sum_x (<g_x, x_x> - min_j g_xj) is at most tol.
     The best rows seen, `incumbent` included, are returned; the trace
-    holds their value after each step, so it never increases. A
+    holds their value after each step, so it never increases and its
+    last entry is the value of the returned rows. A
     non-finite objective raises ArithmeticError, and so does a step whose
     max|g| or eta_t is not finite. That test of two scalars is exact. The
     logits start at 0, and while both are finite no logit moves by more
@@ -173,7 +174,7 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
                 raise ArithmeticError(f"non-finite logits after {t + 1} steps")
             grad *= eta
             z -= grad
-    return best_rows, best_val, trace
+    return best_rows, trace
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +182,11 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
 # ---------------------------------------------------------------------------
 @dataclass
 class CermResult:
+    """cerm's minimizer and its empirical risk; the minimization is exact, so the gap is 0."""
+
     h: MarkovKernel
-    certified_gap: float
     risk: float
+    certified_gap: ClassVar[float] = 0.0
 
 
 def cerm(cls, S: Dataset, gY: GramMatrix, config: LearnerConfig | None = None) -> CermResult:
@@ -202,12 +205,12 @@ def cerm(cls, S: Dataset, gY: GramMatrix, config: LearnerConfig | None = None) -
     if isinstance(cls, FiniteClass):
         values = [empirical_risk(h, S, gY).value for h in cls]
         best = int(np.argmin(values))
-        return CermResult(h=cls.kernels[best], certified_gap=0.0, risk=values[best])
+        return CermResult(h=cls.kernels[best], risk=values[best])
 
     if (cls.source, cls.target) != (S.space.left, S.space.right):
         raise ValueError("the class's grids do not match the dataset's")
     h = empirical_section(S)
-    return CermResult(h=h, certified_gap=0.0, risk=empirical_risk(h, S, gY).value)
+    return CermResult(h=h, risk=empirical_risk(h, S, gY).value)
 
 
 def _probe_rows(nx: int, ny: int, seed: int) -> np.ndarray:
@@ -489,6 +492,7 @@ def _objective_rows(mu_x, target, gamma: float, gXY: GramMatrix, spec: WFunction
 class RegularizedFit:
     """The result of regularized_estimate.
 
+    `objective` is trace[-1], the best value after the last step: the value at h.
     eps_certificate is computed on first read and cached: the margin
     (clamped at 0) by which 16 random probe kernels drawn from the fit's
     seed failed to beat `objective` (see _probe_rows). It is a sanity
@@ -498,14 +502,17 @@ class RegularizedFit:
     """
 
     h: MarkovKernel
-    objective: float
-    trace: list[float] = field(default_factory=list)
+    trace: list[float]
     _mu_x: np.ndarray = field(kw_only=True, repr=False, compare=False)
     _target: np.ndarray = field(kw_only=True, repr=False, compare=False)
     _gamma: float = field(kw_only=True, repr=False, compare=False)
     _gXY: GramMatrix = field(kw_only=True, repr=False, compare=False)
     _spec: WFunctionalSpec = field(kw_only=True, repr=False, compare=False)
     _seed: int = field(kw_only=True, repr=False, compare=False)
+
+    @property
+    def objective(self) -> float:
+        return self.trace[-1]
 
     @functools.cached_property
     def eps_certificate(self) -> float:
@@ -565,12 +572,11 @@ def regularized_estimate(
     mu_x = mass[:, None] / n
     target = counts / n
     objective_rows = _objective_rows(mu_x, target, gamma, gXY, spec)
-    best_rows, best_val, trace = _mirror_descent(objective_rows, start, config)
+    best_rows, trace = _mirror_descent(objective_rows, start, config)
     return RegularizedFit(
         # start or a softmax of finite logits, new and kept by nothing else: ratios
         # of counts, or exp values in [0, 1] over sums >= 1, never -0.0
         h=MarkovKernel._derived(left, right, best_rows),
-        objective=best_val,
         trace=trace,
         _mu_x=mu_x,
         _target=target,

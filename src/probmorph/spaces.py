@@ -359,18 +359,14 @@ def jordan_hahn(mu: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:
     return pos, neg
 
 
-def product(
-    mu: SignedMeasure, nu: SignedMeasure, space: ProductSpace | None = None
-) -> SignedMeasure:
-    """The product measure on the product of the factors' spaces.
+def product(mu: SignedMeasure, nu: SignedMeasure) -> SignedMeasure:
+    """The product measure on ProductSpace(mu.space, nu.space).
 
-    weight(x, y) = mu(x) * nu(y). Pass `space` to reuse an existing
-    ProductSpace; its factors must equal the measures' spaces.
+    weight(x, y) = mu(x) * nu(y). The space is built from the factors,
+    and ProductSpace equality asks the factors first, so the result
+    equals any other product space of the same two spaces.
     """
-    if space is None:
-        space = ProductSpace(mu.space, nu.space)
-    elif space.left != mu.space or space.right != nu.space:
-        raise SpaceMismatchError("product space factors do not match the measures")
+    space = ProductSpace(mu.space, nu.space)
     w = np.outer(mu.weights, nu.weights).reshape(-1)
     if isinstance(mu, ProbMeasure) and isinstance(nu, ProbMeasure):
         # a new array of products of accepted weights: finite, nonnegative, no -0.0

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -93,10 +94,16 @@ def test_mmd_concentration_bound_is_finite_at_a_subnormal_delta():
 
 def test_wilson_interval():
     low, high = wilson_interval(0, 100)
-    assert low == pytest.approx(0.0, abs=1e-12) and 0.0 < high < 0.05
+    assert low == 0.0 and 0.0 < high < 0.05
     low, high = wilson_interval(50, 100)
     assert low < 0.5 < high
     assert wilson_interval(100, 100)[1] == 1.0
+    # the closed form leaves residues up to 6.9e-18 above 0 and 2.2e-16 below 1 here
+    for trials in (50, 2000):
+        low, high = wilson_interval(0, trials)
+        assert low == 0.0 and 0.0 < high < 1.0
+        low, high = wilson_interval(trials, trials)
+        assert 0.0 < low < 1.0 and high == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +432,21 @@ def test_monte_carlo_covering_rejects_bad_c_m():
             )
 
 
+@pytest.mark.parametrize("name", ["hoeffding", "covering", "mmd_concentration"])
+def test_numpy_integer_inputs_give_the_json_of_python_ints(name):
+    t, mu = _fixed_instance()
+    subject, truth, params = t, mu, dict(gY=G_Y3, eps=0.3)
+    if name == "covering":
+        subject = FiniteClass([t, MarkovKernel(X3, Y3, np.full((3, 3), 1 / 3))])
+    elif name == "mmd_concentration":
+        subject, truth, params = G_Y3, ProbMeasure(Y3, [0.2, 0.3, 0.5]), dict(delta=0.05)
+    want = monte_carlo_verify(name, truth, subject, 40, 60, 3, **params)
+    got = monte_carlo_verify(name, truth, subject, np.int64(40), np.int32(60), np.int64(3), **params)
+    # json.dumps raises TypeError on a numpy integer
+    assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+    assert type(got.trials) is type(got.seed) is int
+
+
 # ---------------------------------------------------------------------------
 # the trials' counts and their vectorized events
 # ---------------------------------------------------------------------------
@@ -540,7 +562,7 @@ def test_bound_checks_build_each_loss_grid_once(monkeypatch, k):
 # every refusal of the module that no test above reaches: (call, exception type, message fragment)
 def _report(**fields):
     base = dict(bound_name="b", parameters={}, theoretical_bound=0.5,
-                empirical_failure_rate=0.0, trials=1, seed=0)
+                failures=0, trials=1, seed=0)
     return bounds.BoundReport(**{**base, **fields})
 
 
@@ -624,7 +646,7 @@ BOUNDS_REFUSALS = {
         lambda: monte_carlo_verify("hoeffding", _fixed_instance()[1], _fixed_instance()[0], math.nan, 5, 0, gY=G_Y3, eps=0.5),
         ValueError, "n must be at least 1",
     ),
-    "report-rate-above-1": (lambda: _report(empirical_failure_rate=1.5), ValueError, "empirical failure rate must lie in [0, 1]"),
+    "report-rate-above-1": (lambda: _report(failures=2), ValueError, "failures must lie in [0, trials], got 2 of 1"),
 }
 
 

@@ -428,10 +428,13 @@ def test_product_outer():
     assert np.allclose(product(half, SignedMeasure(CD, [0.5, 0.5])).weights, 0.25)
 
 
-def test_product_space_mismatch():
-    prod = ProductSpace(AB, CD)
-    with pytest.raises(SpaceMismatchError):
-        product(SignedMeasure(CD, [1, 0]), SignedMeasure(AB, [1, 0]), prod)
+def test_product_space_is_built_from_the_factors():
+    # the order of the factors decides the space, and no other space can be passed
+    joint = product(SignedMeasure(CD, [1, 0]), SignedMeasure(AB, [1, 0]))
+    assert (joint.space.left, joint.space.right) == (CD, AB)
+    assert joint.space == ProductSpace(CD, AB) and joint.space != ProductSpace(AB, CD)
+    with pytest.raises(TypeError):
+        product(SignedMeasure(CD, [1, 0]), SignedMeasure(AB, [1, 0]), ProductSpace(CD, AB))
 
 
 def test_marginal_hand_example():
