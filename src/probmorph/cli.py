@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .kernels import KernelSpec, NotPSDError, gram, mmd
+from .kernels import KernelSpec, NotPSDError, c_k, gram, mmd
 from .learning import (
     FiniteClass,
     LearnerConfig,
@@ -528,6 +528,12 @@ def cmd_bounds(args) -> int:
             except ValueError as exc:  # the kernel files disagree on their grids
                 raise DataFormatError(f"class: {exc}") from exc
             params["c_m"] = _cfg_bounded(cfg, "c_m")
+            eps, ck = params["eps"], c_k(kernel, y_space)
+            if ck > 0.0 and not eps / (8.0 * ck) > 0.0:  # C_K = 0 is the kernel's fault, below
+                raise ConfigError(
+                    f"eps = {eps!r} is too small: the covering radius eps / (8 C_K), "
+                    f"with C_K = {ck!r}, rounds to 0"
+                )
     try:
         report = bounds_mod.monte_carlo_verify(
             name, truth, subject, args.n, args.trials, args.seed, **params

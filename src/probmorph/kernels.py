@@ -21,8 +21,8 @@ stores the two factors: |X|^2 + |Y|^2 numbers instead of (|X||Y|)^2,
 a PSD check on the factors' eigenvalues, and products in
 O(|X||Y|(|X| + |Y|)). The linear kernel on a product is
 G_X (x) 1 + 1 (x) G_Y, a sum rather than a product, and stays dense.
-Consumers of a product Gram go through apply, sq_norms and pair_form,
-which both representations implement, and never need the dense matrix;
+Consumers of a product Gram go through apply and sq_norms, which both
+representations implement, and never need the dense matrix;
 only a W spec whose product Gram does not factor over its label Gram
 copies the diagonal blocks once (see learning.WFunctionalSpec).
 Every squared embedded norm d' G d is GramMatrix.sq_norms, under one
@@ -156,16 +156,6 @@ class GramMatrix:
             raise NotPSDError(f"squared norm {q[k]:.3e} below -{floor[k]:.3e}: Gram is not PSD")
         return np.maximum(q, 0.0)
 
-    def pair_form(self, r) -> np.ndarray:
-        """m[i, j] = sum_{y, z} r[i, y] G[(i, y), (j, z)] r[j, z] on X x Y.
-
-        Row i of r is read as a weight vector on {x_i} x Y, so m is the
-        Gram matrix of the graph rows of r.
-        """
-        nx, ny = r.shape
-        blocks = self.values.reshape(nx, ny, nx, ny)
-        return np.einsum("iy,iyjz,jz->ij", r, blocks, r)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.size} points, min eig {self.min_eigenvalue:.3e})"
 
@@ -218,9 +208,6 @@ class KroneckerGram(GramMatrix):
     def sq_norms(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dg = self.apply(d)
         return dg, self._clamp_roundoff(np.vecdot(dg, d), d)
-
-    def pair_form(self, r) -> np.ndarray:
-        return self.left.values * (r @ self.right.values @ r.T)
 
 
 def _coord_rows(spec: KernelSpec, space: FiniteSpace) -> np.ndarray:

@@ -128,11 +128,13 @@ def _deviation_terms(
     squared norms of f - g give d_inf. The expected parts come from one
     reduction and the empirical parts through math.fsum, as the public
     risks compute them. So the terms are the public risks' and
-    sup_row_mmd's bit for bit where BLAS rounds a row alike at every
-    stack height. That was measured, on the delta and a gaussian label
-    Gram, for OpenBLAS's SandyBridge, Haswell and SkylakeX kernels; on
-    its older Katmai kernels (OPENBLAS_CORETYPE=Prescott) it fails even
-    for the delta Gram. Elsewhere the terms agree within roundoff.
+    sup_row_mmd's bit for bit where BLAS rounds a row's products alike
+    wherever the row sits in memory. That was measured, on the delta and
+    a gaussian label Gram, for OpenBLAS's SandyBridge, Haswell and
+    SkylakeX kernels. Its older Katmai kernels (OPENBLAS_CORETYPE=Prescott)
+    give the stacked and the single d G rows alike, but their dot product
+    rounds a row by its place in memory, so the np.vecdot squared norms
+    differ even for the delta Gram. There the terms agree within roundoff.
     """
     _check_joint(f, mu)
     _check_sample(f, S)
@@ -157,18 +159,12 @@ def excess_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> float:
     _check_joint(h, mu)
     _check_gram(h, gY)
     mu_x, cond = disintegrate(mu)
-    return float(mu_x.weights @ _row_sq_mmd(h.matrix, cond.matrix[None], gY)[0])
+    return float(mu_x.weights @ gY.sq_norms(h.matrix - cond.matrix)[1])
 
 
 def _d_inf(sq: np.ndarray) -> np.ndarray:
     """d_inf from squared row distances: the square root of the largest along the last axis."""
     return np.sqrt(np.maximum.reduce(sq, axis=-1))
-
-
-def _row_sq_mmd(f: np.ndarray, hs: np.ndarray, gY: GramMatrix) -> np.ndarray:
-    """sq[k, x] = ||M(f[x] - hs[k, x])||^2, all from one GramMatrix.sq_norms product."""
-    k, nx, ny = hs.shape
-    return gY.sq_norms((f - hs).reshape(k * nx, ny))[1].reshape(k, nx)
 
 
 def _sup_row_mmd_matrix(kernels: Sequence[SignedKernel], gY: GramMatrix) -> np.ndarray:
@@ -177,20 +173,22 @@ def _sup_row_mmd_matrix(kernels: Sequence[SignedKernel], gY: GramMatrix) -> np.n
     Member i's rows minus the rows of every later member form one stack,
     so n members take n - 1 products; sup_row_mmd is the two-member case.
     d[i, j] has the bits of sup_row_mmd(kernels[i], kernels[j]) where BLAS
-    rounds a row alike at every stack height. That was measured, on the
-    delta and a gaussian label Gram, for OpenBLAS's SandyBridge, Haswell
-    and SkylakeX kernels; on its older Katmai kernels
-    (OPENBLAS_CORETYPE=Prescott) it fails even for the delta Gram.
-    Elsewhere the two agree within roundoff.
+    rounds a row's products alike wherever the row sits in memory. That
+    was measured, on the delta and a gaussian label Gram, for OpenBLAS's
+    SandyBridge, Haswell and SkylakeX kernels. The dot product of its
+    older Katmai kernels (OPENBLAS_CORETYPE=Prescott) rounds a row by its
+    place in memory, so there the squared norms, and d, differ even for
+    the delta Gram. The two then agree within roundoff.
     """
     f = kernels[0]
     if gY.points != f.target or any(h.source != f.source or h.target != f.target for h in kernels):
         raise SpaceMismatchError("the kernels and the Gram matrix do not share grids")
     m = np.stack([h.matrix for h in kernels])
-    d = np.zeros((len(m), len(m)))
-    for i in range(len(m) - 1):
-        sq = _row_sq_mmd(m[i], m[i + 1 :], gY)
-        d[i, i + 1 :] = d[i + 1 :, i] = _d_inf(sq)
+    k, nx, ny = m.shape
+    d = np.zeros((k, k))
+    for i in range(k - 1):
+        sq = gY.sq_norms((m[i] - m[i + 1 :]).reshape(-1, ny))[1]
+        d[i, i + 1 :] = d[i + 1 :, i] = _d_inf(sq.reshape(-1, nx))
     return d
 
 

@@ -393,7 +393,9 @@ def embedded_operator_norm(T: MarkovKernel, gX: GramMatrix, gXY: GramMatrix) -> 
     the quotient is scale invariant, so the value is the square root of
     the top generalized eigenvalue of the two induced quadratic forms
     on that subspace. gX must be well-conditioned there (see
-    _sum_zero_pencil), or SingularGramError is raised.
+    _sum_zero_pencil), or SingularGramError is raised before any product
+    with gXY. The joint form is the Gram matrix of the graph rows, one
+    gXY.apply of them.
     """
     if gX.points != T.source:
         raise SpaceMismatchError("gX must live on the kernel's source")
@@ -401,5 +403,7 @@ def embedded_operator_norm(T: MarkovKernel, gX: GramMatrix, gXY: GramMatrix) -> 
         raise SpaceMismatchError("gXY must live on the source x target product")
     if T.source.size == 1:
         return 0.0
-    top = _top_eigenvalue(gXY.pair_form(T.matrix), _sum_zero_pencil(gX))
+    w = _sum_zero_pencil(gX)
+    rows = graph(T).matrix
+    top = _top_eigenvalue(rows @ gXY.apply(rows).T, w)
     return math.sqrt(max(top, 0.0))

@@ -661,6 +661,30 @@ def test_bounds_kernel_the_bound_cannot_use(bounds_dir, capsys, lines, code):
         assert "scale or y_coords" in err
 
 
+def test_bounds_eps_too_small_for_the_covering_radius(bounds_dir, capsys):
+    # the delta kernel has C_K = 1, but eps / (8 C_K) rounds to 0 at the least
+    # subnormal eps: the config error names eps, not the kernel
+    y_bare = FiniteSpace(["u", "v"])
+    paths = []
+    for k, top in enumerate((0.7, 0.5, 0.1)):
+        h = MarkovKernel(X, y_bare, [[top, 1.0 - top]] * 3)
+        (bounds_dir / f"c{k}.json").write_text(json.dumps(kernel_to_json(h)))
+        paths.append(f"{bounds_dir}/c{k}.json")
+    cfg = BOUNDS_GRIDS + "bound = covering\nkernel = delta\nclass = " + "; ".join(paths) + "\n"
+    for eps, code in (("5e-324", 64), ("0.25", 0)):
+        (bounds_dir / "c.cfg").write_text(cfg + f"eps = {eps}\n")
+        out = bounds_dir / f"rep-{eps}"
+        assert run(
+            "bounds", "--config", bounds_dir / "c.cfg", "--seed", 0,
+            "--trials", 5, "--n", 10, "--out", out,
+        ) == code
+        assert out.exists() == (code == 0)
+        err = capsys.readouterr().err
+        if code == 64:
+            assert "eps = 5e-324 is too small" in err and "Traceback" not in err
+            assert "scale or y_coords" not in err
+
+
 @pytest.mark.parametrize(
     "lines, code, message",
     [

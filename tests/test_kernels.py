@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh
 from scipy.spatial.distance import cdist
 
+from pair_form import pair_form
 from probmorph.kernels import (
     GramMatrix,
     KernelSpec,
@@ -437,7 +438,11 @@ def test_product_gram_factored_matches_dense(spec):
         r = rng.dirichlet(np.ones(Y4.size), size=X3.size)
         assert np.allclose(g.apply(mu.weights), dense.apply(mu.weights), rtol=0, atol=1e-12)
         assert np.allclose(g.apply(r), dense.apply(r), rtol=0, atol=1e-12)
-        assert np.allclose(g.pair_form(r), dense.pair_form(r), rtol=0, atol=1e-12)
+        # a stack of graph rows, as the operator norm applies the product Gram to them
+        rows = np.zeros((X3.size, prod.size))
+        rows.reshape(X3.size**2, Y4.size)[:: X3.size + 1] = r
+        assert np.allclose(g.apply(rows), dense.apply(rows), rtol=0, atol=1e-12)
+        assert np.allclose(rows @ g.apply(rows).T, pair_form(dense, r), rtol=0, atol=1e-12)
 
 
 def test_linear_product_gram_stays_dense():
@@ -493,7 +498,7 @@ def test_graph_sq_norms_are_the_diagonal_of_the_pair_form(spec, shape):
     b_oracle, q_oracle = _graph_block_oracle(dense, r)
     i = nx // 2
     u = np.eye(1, nx, i).T
-    assert np.allclose(q, dense.pair_form(r).diagonal(), rtol=1e-12, atol=0)
+    assert np.allclose(q, pair_form(dense, r).diagonal(), rtol=1e-12, atol=0)
     assert np.allclose(q, q_oracle, rtol=1e-12, atol=0)
     assert np.max(np.abs(b - b_oracle)) <= 1e-12 * np.max(np.abs(b_oracle))
     # b[i] is the only nonzero row of G applied to graph row i

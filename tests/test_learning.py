@@ -483,7 +483,7 @@ def test_from_kernel_leaves_the_operator_norm_off_at_every_size(nx):
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
-def test_operator_norm_refuses_an_ill_conditioned_source_gram(scale):
+def test_operator_norm_refuses_an_ill_conditioned_source_gram(monkeypatch, scale):
     # gaussian (sigma = 1) Grams on [0, 5]: kappa on sum-zero weights is 4.3e5 at
     # 14 points and 2.3e7 at 16, at every scale; a repeated point makes it infinite
     k = KernelSpec("gaussian", sigma=1.0, scale=scale)
@@ -493,14 +493,20 @@ def test_operator_norm_refuses_an_ill_conditioned_source_gram(scale):
         h = MarkovKernel(xs, Y2, np.full((xs.size, 2), 0.5))
         # the spec reads the source Gram only when W is evaluated
         spec = WFunctionalSpec.from_kernel(k, xs, Y2, include_lipschitz=False, include_operator_norm=True)
+        calls = [_count_calls(monkeypatch, g, ("apply",)) for g in (spec.gram_xy, g_xy)]
         if refused is None:
             assert w_functional(h, spec) >= 0.0
             assert embedded_operator_norm(h, g_x, g_xy) >= 0.0
+            assert calls == [{"apply": 1}, {"apply": 1}]
+            monkeypatch.undo()
             continue
         with pytest.raises(SingularGramError, match=refused):
             w_functional(h, spec)
         with pytest.raises(SingularGramError, match=refused):
             embedded_operator_norm(h, g_x, g_xy)
+        # refused before any product with the joint Gram
+        assert calls == [{"apply": 0}, {"apply": 0}]
+        monkeypatch.undo()
     # with the Lipschitz term on, the repeated point is refused when the spec is built
     with pytest.raises(ValueError, match="share a coordinate"):
         WFunctionalSpec.from_kernel(k, twin, Y2, include_operator_norm=True)
@@ -705,24 +711,24 @@ def _count_calls(monkeypatch, gram_matrix, names):
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["kronecker", "dense"])
-def test_w_builds_the_pair_form_only_for_the_operator_norm(monkeypatch, dense):
+def test_w_applies_the_joint_gram_only_for_the_operator_norm(monkeypatch, dense):
     S, full = _criterion10_instance()
     g_xy = GramMatrix(full.gram_xy.points, full.gram_xy.values) if dense else full.gram_xy
     rows = np.random.default_rng(6).dirichlet(np.ones(4), size=6)
     fidelity_gram = gram(KernelSpec("gaussian", sigma=1.0), S.space)
     for opnorm in (False, True):
         spec = WFunctionalSpec(g_xy, full.gram_y, full.gram_x, include_operator_norm=opnorm)
-        calls = _count_calls(monkeypatch, spec.gram_xy, ("pair_form", "apply"))
+        calls = _count_calls(monkeypatch, spec.gram_xy, ("apply", "sq_norms"))
         w_functional(MarkovKernel(spec.gram_x.points, spec.gram_y.points, rows), spec)
         if opnorm:
-            assert calls == {"pair_form": 1, "apply": 0}
+            assert calls == {"apply": 1, "sq_norms": 0}
             with pytest.raises(ValueError, match="operator-norm term"):
                 regularized_estimate(S, 0.1, fidelity_gram, spec, LearnerConfig(max_iters=5))
-            assert calls == {"pair_form": 1, "apply": 0}
+            assert calls == {"apply": 1, "sq_norms": 0}
         else:
             spec._value_grad(rows)
             regularized_estimate(S, 0.1, fidelity_gram, spec, LearnerConfig(max_iters=5))
-            assert calls == {"pair_form": 0, "apply": 0}
+            assert calls == {"apply": 0, "sq_norms": 0}
         monkeypatch.undo()
 
 
@@ -802,12 +808,12 @@ def test_regularized_estimate_refuses_the_operator_norm_term(monkeypatch):
     calls = [
         _count_calls(monkeypatch, fidelity_gram, ("apply",)),
         _count_calls(monkeypatch, spec.gram_y, ("sq_norms",)),
-        _count_calls(monkeypatch, spec.gram_xy, ("pair_form",)),
+        _count_calls(monkeypatch, spec.gram_xy, ("apply",)),
     ]
     with pytest.raises(ValueError, match="without the operator-norm term"):
         regularized_estimate(S, 0.1, fidelity_gram, spec, LearnerConfig(max_iters=5))
     # refused before any evaluation
-    assert calls == [{"apply": 0}, {"sq_norms": 0}, {"pair_form": 0}]
+    assert calls == [{"apply": 0}, {"sq_norms": 0}, {"apply": 0}]
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["kronecker", "dense"])

@@ -15,12 +15,14 @@ from constructor_inputs import (
     shaped_inputs,
     weight_rows,
 )
+from pair_form import pair_form
 from probmorph._tol import INVARIANT_ATOL, PROB_SUM_ATOL
-from probmorph.kernels import GramMatrix, KernelSpec, gram
+from probmorph.kernels import GramMatrix, KernelSpec, KroneckerGram, gram
 from probmorph.morphisms import (
     MarkovKernel,
     SignedKernel,
     _conditional_rows,
+    _sum_zero_pencil,
     _top_eigenvalue,
     compose,
     deterministic,
@@ -475,6 +477,35 @@ def test_operator_norm_factored_matches_dense(spec):
         assert embedded_operator_norm(t, gX, gXY) == pytest.approx(
             embedded_operator_norm(t, gX, dense), abs=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "spec, dense",
+    [
+        (KernelSpec("gaussian", sigma=0.8), False),
+        (KernelSpec("laplacian", sigma=0.5, scale=2.0), False),
+        (KernelSpec("delta"), False),
+        (KernelSpec("gaussian", sigma=0.8), True),
+        (KernelSpec("delta"), True),
+        (KernelSpec("linear", scale=0.5), True),
+    ],
+    ids=["gaussian", "laplacian", "delta", "gaussian-dense", "delta-dense", "linear"],
+)
+def test_operator_norm_matches_the_pair_form_reference(spec, dense):
+    # the norm forms the graph rows' Gram with one apply, the reference in closed form;
+    # both go through the same whitened pencil and eigen-solve
+    rng = np.random.default_rng(29)
+    X = FiniteSpace(["a", "b", "c", "d", "e"], coords=rng.uniform(0.0, 3.0, (5, 2)))
+    Y = FiniteSpace(["u", "v", "w"], coords=[[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    gX, gXY = gram(KernelSpec("gaussian", sigma=0.8), X), gram(spec, ProductSpace(X, Y))
+    if dense:
+        gXY = GramMatrix(gXY.points, gXY.values)
+    assert isinstance(gXY, KroneckerGram) != dense
+    w = _sum_zero_pencil(gX)
+    for _ in range(10):
+        t = random_markov(rng, X, Y)
+        expect = math.sqrt(max(_top_eigenvalue(pair_form(gXY, t.matrix), w), 0.0))
+        assert embedded_operator_norm(t, gX, gXY) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_operator_norm_rejects_singular_gx():
