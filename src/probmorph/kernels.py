@@ -145,14 +145,18 @@ class GramMatrix:
         The floor max(1e-12, _ROUNDOFF * size * eps * max_entry) * ||d[k]||_1^2
         bounds the roundoff of the product; q[k] below -floor raises
         NotPSDError, even on a Gram accepted with an eigenvalue near
-        -PSD_ATOL. The floor is computed only when some q is negative.
+        -PSD_ATOL, and a NaN elsewhere in q does not hide it. The floor
+        is computed only when some q is negative or NaN: argmin returns
+        the first NaN as minimum.reduce returns NaN, and the minimum it
+        finds is exact, in one C call.
         """
-        if np.minimum.reduce(q) >= 0.0:
+        if q.item(q.argmin()) >= 0.0:
             return q
         l1 = np.abs(d).sum(axis=1)
         floor = max(INVARIANT_ATOL, _ROUNDOFF * self.size * _EPS * self.max_entry) * l1 * l1
-        k = int(np.argmin(q + floor))
-        if q[k] < -floor[k]:
+        below = q < -floor  # a NaN compares false, so it is never reported
+        if below.any():
+            k = int(np.argmax(below))
             raise NotPSDError(f"squared norm {q[k]:.3e} below -{floor[k]:.3e}: Gram is not PSD")
         return np.maximum(q, 0.0)
 

@@ -41,6 +41,7 @@ from .spaces import Dataset, FiniteSpace, ProbMeasure, ProductSpace, SignedMeasu
 
 _MAX_NEWTON_NODES = 12
 _STEP = 0.3  # mirror descent's step scale (see _mirror_descent)
+_ROW_START = np.zeros(1, dtype=np.intp)  # reduceat along a row: one segment, from 0
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +116,17 @@ class LearnerConfig:
 # ---------------------------------------------------------------------------
 # mirror descent over row simplices
 # ---------------------------------------------------------------------------
-def _softmax_rows(z: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The rowwise softmax of the 2-D array z; starts holds each row's first flat index.
+def _softmax_rows(z: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """The rowwise softmax of the 2-D array z; col is a (rows, 1) float array it overwrites.
 
-    The row maxima are taken by maximum.reduceat over the flat rows,
-    which gives the bits of maximum.reduce(axis=1): a maximum is exact.
-    The row sums stay on add.reduce(axis=1), since add.reduceat may
-    round them differently.
+    The row maxima are written into col by maximum.reduceat along the
+    rows, one segment per row, which gives the bits of
+    maximum.reduce(axis=1) already in the column's shape: a maximum is
+    exact. A caller that runs many softmaxes of one shape allocates col
+    once. The row sums stay on add.reduce(axis=1), since add.reduceat
+    may round them differently.
     """
-    e = z - np.maximum.reduceat(z.reshape(-1), starts)[:, None]
+    e = z - np.maximum.reduceat(z, _ROW_START, axis=1, out=col)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=1, keepdims=True)
     return e
@@ -147,17 +150,22 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
     max|g| whose eta_t overflows, would make a logit non-finite. A finite
     g whose scale overflows gives eta_t = 0, a step that moves nothing.
     objective_rows returns a new gradient array on each call, and the step
-    scales it in place.
+    scales it in place. max|g| is read as a Python float by argmax, which
+    is exact and returns the first NaN as the reduction would; the
+    Python-float eta_t rounds like numpy's and overflows to inf without
+    raising. A max|g| of 0 never reaches the division: the gradient is then
+    all zero, its gap 0 is at most tol, and the run has stopped.
     """
     z = np.zeros_like(incumbent)  # logits: softmax(log x) == softmax(z) rowwise
     starts = np.arange(0, z.size, z.shape[1])  # each row's first flat index
+    col = np.empty((z.shape[0], 1))  # the row maxima of each step's softmax
     best_rows = incumbent
     trace = []
     # an overflow surfaces as one of the two ArithmeticErrors, not as a warning
     with np.errstate(all="ignore"):
         best_val = objective_rows(incumbent)[0]
         for t in range(config.max_iters + 1):
-            rows = _softmax_rows(z, starts)
+            rows = _softmax_rows(z, col)
             value, grad = objective_rows(rows)
             if not math.isfinite(value):
                 raise ArithmeticError(f"non-finite objective {value!r} after {t} steps")
@@ -168,7 +176,8 @@ def _mirror_descent(objective_rows, incumbent: np.ndarray, config: LearnerConfig
             gap = float(np.vdot(grad, rows) - np.add.reduce(row_min))
             if t == config.max_iters or gap <= config.tol:
                 break
-            g_max = np.maximum.reduce(abs(grad), axis=None)
+            g_abs = abs(grad)
+            g_max = g_abs.item(g_abs.argmax())
             eta = _STEP / (math.sqrt(t + 1) * g_max)
             if not (math.isfinite(g_max) and math.isfinite(eta)):
                 raise ArithmeticError(f"non-finite logits after {t + 1} steps")
@@ -218,7 +227,7 @@ def _probe_rows(nx: int, ny: int, seed: int) -> np.ndarray:
     # one draw of all the logits; 104729 is an arbitrary fixed tag, and changing it
     # changes every eps_certificate
     z = 2.0 * np.random.default_rng((seed, 104729)).standard_normal((16 * nx, ny))
-    return _softmax_rows(z, np.arange(0, z.size, ny)).reshape(16, nx, ny)
+    return _softmax_rows(z, np.empty((16 * nx, 1))).reshape(16, nx, ny)
 
 
 def empirical_section(S: Dataset) -> MarkovKernel:

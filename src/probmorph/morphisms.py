@@ -85,9 +85,10 @@ class MarkovKernel(SignedKernel):
     def __init__(self, source: FiniteSpace, target: FiniteSpace, rows):
         m = np.array(rows, dtype=float, order="C")
         # NaN and -inf fail the bound on the minimum, +inf the bound on its row's sum.
-        # The reductions are called on the ufuncs, skipping the ndarray method wrappers.
+        # argmin finds the minimum exactly, and the first NaN as the reduction would,
+        # in one C call; .item reads it as a Python float.
         shape_ok = m.shape == (source.size, target.size)
-        if shape_ok and (lo := np.minimum.reduce(m, axis=None)) >= -INVARIANT_ATOL:
+        if shape_ok and (lo := m.item(m.argmin())) >= -INVARIANT_ATOL:
             if lo <= 0.0:
                 np.maximum(m, 0.0, out=m)  # also turns -0.0 into +0.0
             # a row with an entry above 2 fails the sum bound capped or not; capped,

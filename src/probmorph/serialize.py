@@ -49,7 +49,7 @@ def space_from_json(doc: dict) -> FiniteSpace:
     try:
         labels = [_label_from_json(lab) for lab in doc["labels"]]
         return FiniteSpace(labels, doc.get("coords"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a huge JSON int overflows
         raise DataFormatError(f"bad space document: {exc!r}") from exc
 
 
@@ -108,7 +108,7 @@ def kernel_from_json(doc: dict) -> MarkovKernel:
     target = space_from_json(doc["target"])
     try:
         return MarkovKernel(source, target, doc["rows"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"bad kernel document: {exc}") from exc
 
 

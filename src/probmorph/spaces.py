@@ -208,8 +208,9 @@ class ProbMeasure(SignedMeasure):
     def __init__(self, space: FiniteSpace, weights):
         w = np.array(weights, dtype=float, order="C").reshape(-1)
         # NaN and -inf fail the bound on the minimum, +inf the sum rule.
-        # The reduction is called on the ufunc, skipping the ndarray method wrapper.
-        if w.shape[0] == space.size and (lo := np.minimum.reduce(w)) >= -INVARIANT_ATOL:
+        # argmin finds the minimum exactly, and the first NaN as the reduction would,
+        # in one C call; .item reads it as a Python float.
+        if w.shape[0] == space.size and (lo := w.item(w.argmin())) >= -INVARIANT_ATOL:
             if lo <= 0.0:
                 np.maximum(w, 0.0, out=w)  # also turns -0.0 into +0.0
             if _sum_rule(w):

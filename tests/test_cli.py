@@ -852,13 +852,16 @@ def test_config_fuzz_keeps_exit_contract(workdir, bounds_dir, embed_dir, capsys,
 
 
 # hostile JSON documents: whole truth-measure files, and the rows of a kernel file
+# 10**400 below is a 401-digit JSON integer, which json.loads keeps as an int too large for a float
 BAD_TRUTH_DOCS = [
     3, "weights", None, [], {}, {"weights": {"a": 1}}, {"weights": "abc"},
     {"weights": None}, {"weights": [[0.5], [0.5, 0.0]]}, {"weights": [math.nan] * 6},
     {"weights": [1e308] * 6},
+    {"labels": ["u", "v"], "coords": [[10**400], [1]], "weights": [0.5, 0.5]},
 ]
 BAD_KERNEL_ROWS = [
     {"a": 1}, None, 3, "abc", [[math.nan, 1.0]] * 3, [[{"a": 1}, 0.0]] * 3, [[0.5, 0.5]] * 2,
+    [[10**400, 0]] * 3,
 ]
 # texts json.loads cannot build, which json.dumps cannot write: a nesting past the
 # decoder's recursion limit and an integer literal past Python's digit limit

@@ -218,6 +218,26 @@ def test_sq_norms_floor_is_relative_to_the_weights():
     assert np.array_equal(dg, np.array([[0.5, -1.0, 0.5], [1.0, 0.0, 0.0]]) @ lin.values)
 
 
+@pytest.mark.parametrize(
+    "q, want",
+    [
+        ([math.nan, -1e-30, 0.25], [math.nan, 0.0, 0.25]),
+        ([-0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]),  # no entry below 0: returned as it is
+        ([-math.inf, 1.0, 1.0], None),
+        ([0.1, -1.0, math.nan], None),  # a NaN after the bad entry does not hide it
+    ],
+)
+def test_sq_norms_roundoff_rule_with_nan_zeros_and_inf(q, want):
+    g = GramMatrix(FiniteSpace(["a", "b"]), [[1.0, 0.5], [0.5, 1.0]])
+    d = np.array([[1.0, 0.0], [0.5, 0.5], [1.0, -1.0]])
+    q = np.array(q)
+    if want is None:
+        with pytest.raises(NotPSDError, match="below -1.000e-12"):
+            g._clamp_roundoff(q, d)
+        return
+    assert g._clamp_roundoff(q, d).tobytes() == np.array(want).tobytes()
+
+
 def test_embed_inner_examples():
     d = gram(KernelSpec("delta"), Y01)
     mu = SignedMeasure(Y01, [0.3, 0.7])

@@ -164,6 +164,20 @@ SERIALIZE_REFUSALS = {
         DataFormatError, "kernel document lacks 'rows'",
     ),
     "config-empty-key": (lambda: parse_config("a = 1\n= 3\n"), ConfigError, "line 2: empty key"),
+    # json.loads keeps a 401-digit literal as an int, whose float conversion overflows
+    "space-coordinate-past-float": (
+        lambda: space_from_json({"labels": ["a"], "coords": [[10**400]]}),
+        DataFormatError, "int too large to convert to float",
+    ),
+    "kernel-row-past-float": (
+        lambda: kernel_from_json({**kernel_to_json(MarkovKernel(XY.left, XY.right, [[0.5, 0.5]] * 2)),
+                                  "rows": [[10**400, 0], [0.5, 0.5]]}),
+        DataFormatError, "int too large to convert to float",
+    ),
+    "measure-weight-past-float": (
+        lambda: prob_measure_from_json({"labels": ["a", "b"], "weights": [10**400, 0]}),
+        DataFormatError, "int too large to convert to float",
+    ),
 }
 
 
