@@ -127,16 +127,28 @@ class GramMatrix:
     def apply(self, w) -> np.ndarray:
         """G times each weight vector in w, returned in w's shape.
 
-        w is one vector, flat or (on a product space) laid out as
-        (|X|, |Y|), or a stack of flat vectors, one per row.
+        w is one vector, flat (N,) or (on a product space) laid out as
+        (|X|, |Y|), or a stack (k, N) of flat vectors, one per row. Any
+        other shape raises ValueError.
         """
         w = np.asarray(w)
+        self._check_weights(w.shape)
         # G is symmetric, so w' G is G w
-        return (w.reshape(-1, self.size) @ self.values).reshape(w.shape)
+        return np.dot(w.reshape(-1, self.size), self.values).reshape(w.shape)
+
+    def _check_weights(self, shape: tuple) -> None:
+        """Refuse a weight array whose shape apply would misread (see apply)."""
+        n = self.size
+        if (len(shape) == 2 and shape[1] == n) or shape == (n,):
+            return
+        points = self.points
+        if isinstance(points, ProductSpace) and shape == (points.left.size, points.right.size):
+            return
+        raise ValueError(f"weights of shape {shape} for a Gram of shape {(n, n)}")
 
     def sq_norms(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(d G, q) for a stack d of flat weight vectors: q[k] = ||M(d[k])||^2, clamped."""
-        dg = d @ self.values  # G is symmetric, so row k of d G is G d[k]
+        dg = np.dot(d, self.values)  # G is symmetric, so row k of d G is G d[k]
         return dg, self._clamp_roundoff(np.vecdot(dg, d), d)
 
     def _clamp_roundoff(self, q: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -206,6 +218,7 @@ class KroneckerGram(GramMatrix):
 
     def apply(self, w) -> np.ndarray:
         w = np.asarray(w)
+        self._check_weights(w.shape)
         grids = w.reshape(-1, self.left.size, self.right.size)
         return (self.left.values @ grids @ self.right.values).reshape(w.shape)
 

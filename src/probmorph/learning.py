@@ -376,7 +376,9 @@ class WFunctionalSpec:
         but gram_y: the blocks were stored when the spec was built. The
         operator-norm term is never read here: w_functional adds it. One
         buffer sums the sup and Lipschitz gradients; every call computes them,
-        after the value, which never reads them. Tiny or huge source
+        after the value, which never reads them. The stack's Lipschitz tail and
+        each gradient row are updated in place through views, so no row is
+        copied back onto itself. Tiny or huge source
         distances can overflow the Lipschitz ratio or step to inf, so callers
         evaluate it under np.errstate.
         """
@@ -385,7 +387,8 @@ class WFunctionalSpec:
         n_sup = len(rows) if self.include_sup else 0
         if len(self._gather):
             stack = rows.take(self._gather, axis=0)
-            stack[n_sup:] -= rows.take(self._second, axis=0)
+            tail = stack[n_sup:]  # the Lipschitz pairs' first rows, a view
+            tail -= rows.take(self._second, axis=0)
             g2, q = self.gram_y.sq_norms(stack)
             norms = np.sqrt(q)
             pieces = norms / self._divisors
@@ -407,14 +410,17 @@ class WFunctionalSpec:
         if sup is not None:
             norm = norms.item(sup)
             if norm > 0:
-                grad[sup] = g2[sup] / (norm * self._divisor_list[sup])
+                np.divide(g2[sup], norm * self._divisor_list[sup], out=grad[sup])
             if self._blocks is not None and ng_norm[sup] > 0:
-                grad[sup] += b[sup] / ng_norm[sup]
+                row = grad[sup]
+                row += b[sup] / ng_norm[sup]
         if lip is not None:
             i, j = self._pair_list[lip - n_sup]
             step = g2[lip] / (norms.item(lip) * self._divisor_list[lip])
-            grad[i] += step
-            grad[j] -= step
+            row = grad[i]
+            row += step
+            row = grad[j]
+            row -= step
         grad *= 2.0 * total
         return total * total, grad
 

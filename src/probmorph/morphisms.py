@@ -218,7 +218,7 @@ def pushforward(T: SignedKernel, mu: SignedMeasure) -> SignedMeasure:
     """
     if mu.space != T.source:
         raise SpaceMismatchError("measure does not live on the kernel's source")
-    w = mu.weights @ T.matrix
+    w = np.dot(mu.weights, T.matrix)
     if T.markov and isinstance(mu, ProbMeasure):
         # a new array of sums of products of accepted entries: finite, nonnegative, no -0.0
         return ProbMeasure._derived(T.target, w)
@@ -230,14 +230,14 @@ def pullback(T: SignedKernel, f) -> np.ndarray:
     v = np.asarray(f, dtype=float).reshape(-1)
     if v.shape[0] != T.target.size:
         raise ValueError(f"{v.shape[0]} function values for {T.target.size} points")
-    return T.matrix @ v
+    return np.dot(T.matrix, v)
 
 
 def compose(T2: SignedKernel, T1: SignedKernel) -> SignedKernel:
     """(T2 after T1): row x is the pushforward of T1's row x through T2."""
     if T1.target != T2.source:
         raise SpaceMismatchError("inner target and outer source do not match")
-    return _wrap(T1.source, T2.target, T1.matrix @ T2.matrix, T1.markov and T2.markov)
+    return _wrap(T1.source, T2.target, np.dot(T1.matrix, T2.matrix), T1.markov and T2.markov)
 
 
 def joint(T1: SignedKernel, T2: SignedKernel) -> SignedKernel:

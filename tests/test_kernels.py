@@ -475,6 +475,35 @@ def test_linear_product_gram_stays_dense():
     assert g.diag.tobytes() == np.diag(g.values).tobytes() and not g.diag.flags.writeable
 
 
+P23 = ProductSpace(FiniteSpace(["a", "b"]), FiniteSpace(["u", "v", "w"]))
+APPLY_GRAMS = {
+    "dense-3": gram(KernelSpec("gaussian", sigma=1.0), FiniteSpace([0, 1, 2], coords=[[0.0], [0.5], [1.5]])),
+    "kronecker-2x3": gram(KernelSpec("delta", scale=2.0), P23),
+    "dense-2x3": GramMatrix(P23, np.kron([[1.0, 0.5], [0.5, 1.0]], np.eye(3))),
+}
+
+
+@pytest.mark.parametrize("name", list(APPLY_GRAMS))
+def test_apply_reads_a_vector_a_stack_or_a_grid_and_refuses_other_shapes(name):
+    g = APPLY_GRAMS[name]
+    n = g.size
+    rng = np.random.default_rng(n)
+    accepted = [(n,), (1, n), (5, n), (0, n)]
+    refused = [(), (2 * n,), (2 * n, 1), (n, 1), (1, 1, n), (n, n, 1)]
+    if isinstance(g.points, ProductSpace):
+        accepted.append((2, 3))
+        refused.append((3, 2))  # the right size, but not the (|X|, |Y|) layout
+    for shape in accepted:
+        w = rng.standard_normal(shape)
+        stack = w.reshape(-1, n)
+        assert g.apply(w).shape == shape
+        assert np.allclose(g.apply(w), (stack @ g.values).reshape(shape), rtol=0, atol=1e-12)
+    for shape in refused:
+        with pytest.raises(ValueError) as info:
+            g.apply(np.ones(shape))
+        assert str(info.value) == f"weights of shape {shape} for a Gram of shape {(n, n)}"
+
+
 def _graph_block_oracle(g, r):
     """(b, q) from the dense diagonal blocks: b[i] = B_i r[i], q[i] = r[i]' B_i r[i]."""
     nx, ny = r.shape

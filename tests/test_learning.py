@@ -1103,6 +1103,20 @@ def test_probe_rows_are_one_draw(nx, ny, seed):
     assert np.allclose(probes.sum(axis=2), 1.0, rtol=0, atol=1e-12)
 
 
+def _plain_sq_norms(g, d):
+    """(d G, q) for a stack d, with every product formed here: only the roundoff rule is g's.
+
+    A dense Gram is d @ G; a Kronecker Gram is left @ grid @ right, one
+    2-D grid per row of d; q[k] = d[k] . (d G)[k] by np.vecdot.
+    """
+    if isinstance(g, KroneckerGram):
+        grids = d.reshape(len(d), g.left.size, g.right.size)
+        dg = np.stack([g.left.values @ grid @ g.right.values for grid in grids]).reshape(d.shape)
+    else:
+        dg = d @ g.values
+    return dg, g._clamp_roundoff(np.vecdot(dg, d), d)
+
+
 def _plain_graph_sq_norms(g, r):
     """(b, q) from g's diagonal blocks, read from g.values on each call: b[i] = B_i r[i], q[i] = b[i]' r[i]."""
     nx, ny = r.shape
@@ -1112,7 +1126,7 @@ def _plain_graph_sq_norms(g, r):
 
 
 def _plain_value_grad(spec, rows, want_grad=True):
-    """W's value and gradient as first written: numpy-scalar indexing, no cached copies."""
+    """W's value and gradient as first written: numpy-scalar indexing, no cached copies, own products."""
     total = 0.0
     sup = lip = None
     n_sup = len(rows) if spec.include_sup else 0
@@ -1120,7 +1134,7 @@ def _plain_value_grad(spec, rows, want_grad=True):
     if len(spec._gather):
         stack = rows.take(spec._gather, axis=0)
         stack[n_sup:] -= rows.take(pairs[1], axis=0)
-        g2, q = spec.gram_y.sq_norms(stack)
+        g2, q = _plain_sq_norms(spec.gram_y, stack)
         norms = np.sqrt(q)
         pieces = norms / spec._divisors
     if n_sup:
@@ -1172,7 +1186,7 @@ def _plain_fit(S, gamma, g_xy, spec, max_iters, seed):
 
     def objective(rows, want_grad=True):
         d = mu_x * rows - target
-        dg, q = g_xy.sq_norms(d.reshape(1, -1))
+        dg, q = _plain_sq_norms(g_xy, d.reshape(1, -1))
         wval, wgrad = _plain_value_grad(spec, rows, want_grad)
         value = float(q[0]) + gamma * wval
         if not want_grad:
