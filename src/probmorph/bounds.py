@@ -30,7 +30,7 @@ from .kernels import GramMatrix
 from .learning import FiniteClass
 from .losses import _check_joint, _deviation_terms, _expected_risks, _loss_grid, _sup_row_mmd_matrix
 from .morphisms import MarkovKernel
-from .spaces import ProbMeasure
+from .spaces import Dataset, ProbMeasure
 
 _WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 _BLOCK = 4096  # trials drawn and scored per block
@@ -135,7 +135,7 @@ def lipschitz_deviation_check(
     f: MarkovKernel,
     g: MarkovKernel,
     mu: ProbMeasure,
-    S,
+    S: Dataset,
     c_k: float,
     gY: GramMatrix,
 ) -> bool:
@@ -143,15 +143,23 @@ def lipschitz_deviation_check(
 
     The left side is |(R_mu(f) - Rhat_S(f)) - (R_mu(g) - Rhat_S(g))|;
     d_inf is the sup over inputs of the row MMD between f and g. A
-    1e-10 additive slack absorbs roundoff. Both risk gaps and d_inf
-    come from one GramMatrix.sq_norms product. c_k must be finite and
+    1e-10 additive slack absorbs roundoff. The left side is the integral
+    of l_f - l_g against mu minus S's empirical measure, and it and d_inf
+    come from one GramMatrix.sq_norms product of f - g (see
+    losses._deviation_terms). The bound holds for a probability measure
+    mu only, so a mu that is not a ProbMeasure, or an S that is not a
+    Dataset, raises TypeError before any product. c_k must be finite and
     strictly positive: a NaN, zero, negative or infinite c_k raises
     ValueError rather than read as a violation of the inequality.
     """
+    if not isinstance(mu, ProbMeasure):
+        raise TypeError(f"mu must be a ProbMeasure, got {type(mu).__name__}")
+    if not isinstance(S, Dataset):
+        raise TypeError(f"S must be a Dataset, got {type(S).__name__}")
     if not 0.0 < c_k < math.inf:  # also refuses NaN
         raise ValueError(f"c_k must be finite and strictly positive, got {c_k!r}")
-    gap_f, gap_g, d_inf = _deviation_terms(f, g, mu, S, gY)
-    return abs(gap_f - gap_g) <= 8.0 * c_k * d_inf + 1e-10
+    lhs, d_inf = _deviation_terms(f, g, mu, S, gY)
+    return lhs <= 8.0 * c_k * d_inf + 1e-10
 
 
 def wilson_interval(failures: int, trials: int) -> tuple[float, float]:

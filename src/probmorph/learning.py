@@ -78,10 +78,18 @@ class ParametricClass:
 
 
 def gamma_schedule(n: int) -> float:
-    """Default regularization weight: n^(-1/2)."""
-    if not n >= 1:  # also refuses NaN
-        raise ValueError(f"sample size must be at least 1, got {n}")
-    return float(n) ** -0.5
+    """Default regularization weight: n^(-1/2), for a sample size n, an integer >= 1.
+
+    A count that is not an integer, or one past float range, raises
+    ValueError: its weight would be no sample size's, or 0.0, which no
+    fit accepts.
+    """
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"sample size must be an integer at least 1, got {n!r}")
+    try:
+        return float(n) ** -0.5
+    except OverflowError:
+        raise ValueError(f"sample size must be an integer at least 1 within float range, got {n!r}") from None
 
 
 @dataclass

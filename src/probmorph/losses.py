@@ -57,25 +57,20 @@ def _check_joint(h: MarkovKernel, mu: SignedMeasure) -> ProductSpace:
     return space
 
 
-def _loss_grids(g: GramMatrix, hg: np.ndarray, quad: np.ndarray) -> np.ndarray:
-    """Instantaneous losses of a stack of rows on g's points, from g.sq_norms(rows).
-
-    grid[r, y] = ||M(rows[r])||^2 + K(y, y) - 2 <M(rows[r]), K_y>, with
-    (hg, quad) = g.sq_norms(rows) or a leading slice of both. Each entry
-    is computed alone, so a slice of the stack gives the same bits.
-    """
-    return quad[:, None] + g.diag[None, :] - 2.0 * hg
-
-
 def _check_gram(h: SignedKernel, g: GramMatrix) -> None:
     if g.points != h.target:
         raise SpaceMismatchError("Gram matrix does not live on the hypothesis target")
 
 
 def _loss_grid(h: MarkovKernel, g: GramMatrix) -> np.ndarray:
-    """Matrix of instantaneous losses, indexed by (x, y)."""
+    """Matrix of instantaneous losses, indexed by (x, y).
+
+    grid[x, y] = ||M(h(x))||^2 + K(y, y) - 2 <M(h(x)), K_y>, from one
+    g.sq_norms(h.matrix) product.
+    """
     _check_gram(h, g)
-    return _loss_grids(g, *g.sq_norms(h.matrix))
+    hg, quad = g.sq_norms(h.matrix)
+    return quad[:, None] + g.diag[None, :] - 2.0 * hg
 
 
 def instantaneous_loss(h: MarkovKernel, x, y, gY: GramMatrix) -> float:
@@ -100,11 +95,6 @@ def _expected_risks(grids: np.ndarray, mu: ProbMeasure) -> np.ndarray:
     return np.add.reduce(mu.weights * grids.reshape(len(grids), -1), axis=1)
 
 
-def _empirical_losses(grids: np.ndarray, S: Dataset) -> list[list[float]]:
-    """Each loss grid of a stack read at a dataset's cells, in sample order."""
-    return grids.reshape(len(grids), -1)[:, S.cells].tolist()
-
-
 def expected_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> RiskReport:
     """Integral of the instantaneous loss against a joint measure."""
     _check_joint(h, mu)
@@ -112,41 +102,49 @@ def expected_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> RiskRepor
 
 
 def empirical_risk(h: MarkovKernel, S: Dataset, gY: GramMatrix) -> RiskReport:
-    """Mean instantaneous loss over a dataset, with the per-sample trail."""
+    """Mean instantaneous loss over a dataset, with the per-sample trail.
+
+    The trail reads the loss grid at the dataset's cells in sample order;
+    the mean is their math.fsum over the sample size.
+    """
     _check_sample(h, S)
-    (losses,) = _empirical_losses(_loss_grid(h, gY)[None], S)
+    losses = _loss_grid(h, gY).reshape(-1)[S.cells].tolist()
     return RiskReport(value=math.fsum(losses) / len(losses), per_sample=losses)
 
 
 def _deviation_terms(
     f: MarkovKernel, g: MarkovKernel, mu: ProbMeasure, S: Dataset, gY: GramMatrix
-) -> tuple[float, float, float]:
-    """(R_mu(f) - Rhat_S(f), R_mu(g) - Rhat_S(g), d_inf(f, g)) from one Gram product.
+) -> tuple[float, float]:
+    """(|<mu - mu_S, l_f - l_g>|, d_inf(f, g)) from one Gram product of f - g.
 
-    The rows of f, g and f - g go through one GramMatrix.sq_norms
-    product. Loss grids are built for the rows of f and g only; the
-    squared norms of f - g give d_inf. The expected parts come from one
-    reduction and the empirical parts through math.fsum, as the public
-    risks compute them. So the terms are the public risks' and
-    sup_row_mmd's bit for bit where BLAS rounds a row's products alike
-    wherever the row sits in memory. That was measured, on the delta and
-    a gaussian label Gram, for OpenBLAS's SandyBridge, Haswell and
-    SkylakeX kernels. Its older Katmai kernels (OPENBLAS_CORETYPE=Prescott)
-    give the stacked and the single d G rows alike, but their dot product
-    rounds a row by its place in memory, so the np.vecdot squared norms
-    differ even for the delta Gram. There the terms agree within roundoff.
+    The first term is |(R_mu(f) - Rhat_S(f)) - (R_mu(g) - Rhat_S(g))|:
+    both risks are linear in the measure, so the two risk gaps differ by
+    the integral of l_f - l_g against mu minus the empirical measure
+    mu_S. Per cell,
+
+        l_f(x, y) - l_g(x, y) = <M(f_x - g_x), M(f_x + g_x) - 2 K_y>
+                              = <G(f_x - g_x), f_x + g_x> - 2 (G(f_x - g_x))_y,
+
+    since K(y, y) cancels; this is the identity behind the 8 C_K d_inf
+    bound. So one gY.sq_norms(f - g) product gives both the rows
+    G(f_x - g_x) and the squared row distances, whose largest root is
+    d_inf: the product sup_row_mmd(f, g, gY) forms. mu_S is S.counts()
+    over len(S), as empirical builds it, and the integral is one np.dot
+    over the cells. The first term is thus not the difference of the
+    public risks: it skips their cancellation of four O(1) terms and
+    stays within a priori roundoff bounds of the exact value of the
+    floats it is given.
     """
     _check_joint(f, mu)
     _check_sample(f, S)
     if g.source != f.source or g.target != f.target:  # mu fits f, so it does not fit g
         raise SpaceMismatchError("joint measure does not match the hypothesis spaces")
     _check_gram(f, gY)
-    n = f.source.size
-    hg, sq = gY.sq_norms(np.concatenate([f.matrix, g.matrix, f.matrix - g.matrix]))
-    grids = _loss_grids(gY, hg[: 2 * n], sq[: 2 * n]).reshape(2, n, -1)
-    empirical = [math.fsum(losses) / len(S) for losses in _empirical_losses(grids, S)]
-    gap_f, gap_g = [e - m for e, m in zip(_expected_risks(grids, mu).tolist(), empirical)]
-    return gap_f, gap_g, float(_d_inf(sq[2 * n :]))
+    hg, sq = gY.sq_norms(f.matrix - g.matrix)
+    loss_gap = np.vecdot(hg, f.matrix + g.matrix)[:, None] - 2.0 * hg
+    mu_s = S.counts().reshape(-1) / len(S)
+    lhs = abs(float(np.dot(mu.weights - mu_s, loss_gap.reshape(-1))))
+    return lhs, float(_d_inf(sq))
 
 
 def excess_risk(h: MarkovKernel, mu: ProbMeasure, gY: GramMatrix) -> float:

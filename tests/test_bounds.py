@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,19 +240,58 @@ def test_lipschitz_deviation_random_draws():
         assert lipschitz_deviation_check(f, g, mu, S, 1.0, G_Y3)
 
 
+def _exact_deviation_lhs(f, g, mu, S, gY):
+    """<mu - mu_S, l_f - l_g> in exact rationals from the same floats, and its a priori error bound.
+
+    l_f - l_g = <G(f_x - g_x), f_x + g_x> - 2 (G(f_x - g_x))_y per cell, with
+    mu_S = S.counts() / len(S). _deviation_terms evaluates it as rounded
+    f - g, f + g and counts / n, then G(f - g) (|Y| products in a sum of |Y|
+    terms), its np.vecdot with f + g, the subtraction of 2 G(f - g) (a
+    doubling is exact), mu - mu_S, and one np.dot over the |X||Y| cells.
+    Each operation rounds once to nearest, or less often under FMA, and no
+    value underflows, so each monomial of the expanded sum carries at most
+    k = (2 |Y| + 3) + 2 + |X||Y| factors (1 + delta), |delta| <= u, in any
+    summation order. So the computed value lies within gamma_k B of the exact
+    one, where gamma_k = k u / (1 - k u) and B sums the monomials' absolute
+    values (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, Lemma 3.1 and section 3.5); taking | | at the end adds no error.
+    B comes from the same expression over |f| + |g|, |G| and |mu| + mu_S.
+    """
+    def exact(a):
+        return np.array([Fraction(v) for v in np.ravel(a)], dtype=object).reshape(np.shape(a))
+
+    fm, gm, G = exact(f.matrix), exact(g.matrix), exact(gY.values)
+    w_s = np.array([Fraction(int(c), len(S)) for c in S.counts().reshape(-1)], dtype=object)
+    w_mu = exact(mu.weights)
+
+    def integral(d, s, gram, w, sign):
+        dg = d.dot(gram)
+        return w.dot(((dg * s).sum(axis=1)[:, None] + sign * 2 * dg).reshape(-1))
+
+    lhs = integral(fm - gm, fm + gm, G, w_mu - w_s, -1)
+    size = abs(fm) + abs(gm)
+    bound_sum = integral(size, size, abs(G), abs(w_mu) + w_s, 1)
+    nx, ny = f.matrix.shape
+    k = (2 * ny + 3) + 2 + nx * ny
+    u = Fraction(1, 2**53)
+    return lhs, k * u / (1 - k * u) * bound_sum
+
+
 @pytest.mark.parametrize(
     "gY, c_k",
     [(G_Y3, 1.0), (G_Y3_GAUSS, 1.0), (G_Y3_GAUSS, 0.01)],
     ids=["delta", "gaussian", "gaussian-tight"],
 )
 def test_lipschitz_deviation_lhs_matches_public_risks(gY, c_k):
-    # criterion-09 draws: the check's risk gaps and d_inf equal the public
-    # risks' and sup_row_mmd's to the bit, and the check decides as they do;
-    # at c_k = 0.01 the inequality fails on some draws, so both sides are seen
+    # criterion-09 draws: the check's left side lies within its a priori roundoff
+    # bound of the exact <mu - mu_S, l_f - l_g>, and its worst error is no larger than
+    # the public risk gaps' difference's; d_inf equals sup_row_mmd to the bit, and the
+    # check decides as the public risks do. At c_k = 0.01 the inequality fails on
+    # some draws, so both sides are seen
     rng = np.random.default_rng(9)
     ys = gY.points
     prod = ProductSpace(X3, ys)
-    decisions = []
+    decisions, lhs_errors, public_errors = [], [], []
     for _ in range(1000):
         rows_f = rng.random((3, 3)) + 1e-3
         rows_g = rng.random((3, 3)) + 1e-3
@@ -264,9 +304,15 @@ def test_lipschitz_deviation_lhs_matches_public_risks(gY, c_k):
             expected_risk(h, mu, gY).value - empirical_risk(h, S, gY).value for h in (f, g)
         ]
         d_inf = sup_row_mmd(f, g, gY)
-        assert _deviation_terms(f, g, mu, S, gY) == (gap_f, gap_g, d_inf)
+        lhs, terms_d_inf = _deviation_terms(f, g, mu, S, gY)
+        assert terms_d_inf == d_inf
+        exact, bound = _exact_deviation_lhs(f, g, mu, S, gY)
+        lhs_errors.append(abs(Fraction(lhs) - abs(exact)))
+        public_errors.append(abs(Fraction(gap_f - gap_g) - exact))
+        assert lhs_errors[-1] <= bound
         decisions.append(lipschitz_deviation_check(f, g, mu, S, c_k, gY))
         assert decisions[-1] == (abs(gap_f - gap_g) <= 8.0 * c_k * d_inf + 1e-10)
+    assert max(lhs_errors) <= max(public_errors)
     assert all(decisions) == (c_k == 1.0)
 
 
@@ -286,6 +332,36 @@ def test_lipschitz_deviation_refuses_other_grids():
     ]:
         with pytest.raises(SpaceMismatchError):
             lipschitz_deviation_check(t, g, mu, sample, 1.0, gY)
+
+
+def _signed_mu_instance():
+    # X = {a, b}, Y = {u, v} with coordinates 0 and 1, and a signed mu of total variation 3
+    x2 = FiniteSpace(["a", "b"], coords=[[0.0], [1.0]])
+    y2 = FiniteSpace(["u", "v"], coords=[[0.0], [1.0]])
+    prod = ProductSpace(x2, y2)
+    f = MarkovKernel(x2, y2, [[0.5, 0.5], [1.0, 0.0]])
+    g = MarkovKernel(x2, y2, [[0.0, 1.0], [0.2, 0.8]])
+    S = Dataset(prod, [("a", "u")])
+    return f, g, SignedMeasure(prod, [2.0, -1.0, 0.0, 0.0]), S, gram(KernelSpec("delta"), y2)
+
+
+@pytest.mark.parametrize("bad", ["signed-mu", "list-sample"])
+def test_lipschitz_deviation_refuses_a_signed_mu_or_a_list_sample(bad, monkeypatch):
+    # the 8 C_K d_inf bound needs a probability measure, yet the signed mu read True;
+    # a plain list of pairs ended in an AttributeError on S.space. Both are refused
+    # before any Gram product
+    f, g, signed_mu, S, gY = _signed_mu_instance()
+    mu = ProbMeasure(S.space, [0.25] * 4)
+    assert lipschitz_deviation_check(f, g, mu, S, 1.0, gY)
+    calls = []
+    monkeypatch.setattr(type(gY), "sq_norms", lambda self, d: calls.append(d))
+    if bad == "signed-mu":
+        args, message = (signed_mu, S), "mu must be a ProbMeasure, got SignedMeasure"
+    else:
+        args, message = (mu, list(S.pairs)), "S must be a Dataset, got list"
+    with pytest.raises(TypeError, match=message):
+        lipschitz_deviation_check(f, g, *args, 1.0, gY)
+    assert calls == []
 
 
 def test_lipschitz_deviation_hand_case():
@@ -322,7 +398,7 @@ def test_lipschitz_deviation_refuses_a_bad_c_k(c_k):
 def test_lipschitz_deviation_small_c_k_still_decides():
     # |(-2) - 2| = 4 > 8 * 0.01 * sqrt(2) + 1e-10, and equal kernels pass at any c_k
     f, g, mu, S, gY = _swap_instance()
-    assert _deviation_terms(f, g, mu, S, gY) == (-2.0, 2.0, math.sqrt(2.0))
+    assert _deviation_terms(f, g, mu, S, gY) == (4.0, math.sqrt(2.0))
     assert not lipschitz_deviation_check(f, g, mu, S, 0.01, gY)
     assert lipschitz_deviation_check(f, f, mu, S, 0.01, gY)
     assert lipschitz_deviation_check(f, g, mu, S, 1.0, gY)

@@ -1512,7 +1512,12 @@ LEARNING_REFUSALS = {
     "config-seed-fraction": (
         lambda: LearnerConfig(seed=1.5), ValueError, "seed must be a nonnegative integer, got 1.5",
     ),
-    "gamma-nan-n": (lambda: gamma_schedule(math.nan), ValueError, "sample size must be at least 1, got nan"),
+    "gamma-nan-n": (lambda: gamma_schedule(math.nan), ValueError, "sample size must be an integer at least 1, got nan"),
+    "gamma-inf-n": (lambda: gamma_schedule(math.inf), ValueError, "sample size must be an integer at least 1, got inf"),
+    "gamma-fraction-n": (lambda: gamma_schedule(2.5), ValueError, "sample size must be an integer at least 1, got 2.5"),
+    "gamma-n-past-float-range": (
+        lambda: gamma_schedule(10**400), ValueError, f"within float range, got {10**400}",
+    ),
     "w-no-term": (
         lambda: WFunctionalSpec.from_kernel(KernelSpec("delta"), X3, Y2, include_sup=False, include_lipschitz=False),
         ValueError, "at least one W term must be enabled",
