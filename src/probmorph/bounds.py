@@ -152,8 +152,6 @@ def lipschitz_deviation_check(
     strictly positive: a NaN, zero, negative or infinite c_k raises
     ValueError rather than read as a violation of the inequality.
     """
-    if not isinstance(mu, ProbMeasure):
-        raise TypeError(f"mu must be a ProbMeasure, got {type(mu).__name__}")
     if not isinstance(S, Dataset):
         raise TypeError(f"S must be a Dataset, got {type(S).__name__}")
     if not 0.0 < c_k < math.inf:  # also refuses NaN
@@ -236,6 +234,8 @@ def monte_carlo_verify(
     n, trials, seed = map(operator.index, (n, trials, seed))
     if bound_name not in VERIFIERS:
         raise ValueError(f"unknown bound name {bound_name!r}")
+    if not isinstance(ground_truth, ProbMeasure):
+        raise TypeError(f"mu must be a ProbMeasure, got {type(ground_truth).__name__}")
     return VERIFIERS[bound_name](ground_truth, subject, n, trials, seed, **params)
 
 

@@ -31,7 +31,6 @@ from .spaces import (
     Dataset,
     ProbMeasure,
     ProductSpace,
-    SignedMeasure,
     SpaceMismatchError,
     marginal,
     tv_norm,
@@ -46,7 +45,9 @@ class RiskReport:
     per_sample: list[float] | None = field(default=None)
 
 
-def _check_joint(h: MarkovKernel, mu: SignedMeasure) -> ProductSpace:
+def _check_joint(h: MarkovKernel, mu: ProbMeasure) -> ProductSpace:
+    if not isinstance(mu, ProbMeasure):
+        raise TypeError(f"mu must be a ProbMeasure, got {type(mu).__name__}")
     space = mu.space
     if (
         not isinstance(space, ProductSpace)

@@ -73,27 +73,27 @@ class MarkovKernel(SignedKernel):
 
     The constructor checks caller-supplied rows in one pass over a
     private copy: the entry checks (shape, NaN and -inf, negative dust
-    and -0.0, a cap on entries above 2 that keeps the sums finite), then
-    the row-sum rule. The kernels of the calculus (compose, joint,
-    graph, disintegrate, ...) are built by _derived, which runs the
-    row-sum rule alone on a matrix its producer guarantees would pass
-    the entry checks unchanged; the stored bits are the constructor's.
+    and -0.0, entries above 2), then the row-sum rule. The kernels of
+    the calculus (compose, joint, graph, disintegrate, ...) are built by
+    _derived, which runs the row-sum rule alone on a matrix its producer
+    guarantees would pass the entry checks unchanged; the stored bits
+    are the constructor's.
     """
 
     markov = True
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, rows):
         m = np.array(rows, dtype=float, order="C")
-        # NaN and -inf fail the bound on the minimum, +inf the bound on its row's sum.
-        # argmin finds the minimum exactly, and the first NaN as the reduction would,
-        # in one C call; .item reads it as a Python float.
+        # NaN and -inf fail the bound on the minimum, +inf the bound on the maximum.
+        # argmin and argmax find the extrema exactly, and the first NaN as the reduction
+        # would, in one C call each; .item reads them as Python floats.
         shape_ok = m.shape == (source.size, target.size)
         if shape_ok and (lo := m.item(m.argmin())) >= -INVARIANT_ATOL:
             if lo <= 0.0:
                 np.maximum(m, 0.0, out=m)  # also turns -0.0 into +0.0
-            # a row with an entry above 2 fails the sum bound capped or not; capped,
-            # no row sum overflows, so the check emits no warning
-            if _row_sum_rule(m, np.add.reduce(np.minimum(m, 2.0), axis=1)):
+            # a row with an entry above 2 fails the row-sum rule anyway; refused first,
+            # no row sum can overflow, so the check emits no warning
+            if m.item(m.argmax()) <= 2.0 and _row_sum_rule(m, np.add.reduce(m, axis=1)):
                 m.setflags(write=False)
                 self.source = source
                 self.target = target
@@ -108,10 +108,10 @@ class MarkovKernel(SignedKernel):
         The caller guarantees that m is a new C-ordered float array of
         shape (source.size, target.size) that nothing else holds, with
         finite nonnegative entries and no -0.0. The constructor's copy
-        and entry checks would then leave every bit as it is, and so
-        would its cap: a row that passes the sum rule has no entry above
-        2, and a row that has one fails it either way. Only the row-sum
-        rule runs, in place; rows it rejects raise the constructor's
+        and entry checks would then leave every bit as it is, and its
+        bound on the entries would change no outcome: a row with an entry
+        above 2 fails the sum rule either way. Only the row-sum rule
+        runs, in place; rows it rejects raise the constructor's
         ValueError. By the 2b argument above, that does not happen for
         the products and sums of accepted kernels and measures.
         """

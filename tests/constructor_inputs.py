@@ -1,7 +1,8 @@
 """Hypothesis inputs and a comparison for the measure and kernel constructors.
 
 The inputs sit on and just across each validation rule's boundary: NaN,
-+-inf, -0.0, negative dust at -INVARIANT_ATOL and just below it, sums at
++-inf, -0.0, negative dust at -INVARIANT_ATOL and just below it, entries
+above 2 (a kernel's bound on its entries), sums at
 the last double within a tolerance of 1 and the first beyond it, wrong
 shapes, ragged lists, Fortran-ordered and strided arrays.
 """
@@ -21,7 +22,7 @@ def just_outside(x):
 # entries that sit on or just across a rule's boundary
 SPECIAL_ENTRIES = [
     math.nan, math.inf, -math.inf, -0.0, 0.0, -INVARIANT_ATOL,
-    just_outside(-INVARIANT_ATOL), -INVARIANT_ATOL / 2, 1e-300, 1e308,
+    just_outside(-INVARIANT_ATOL), -INVARIANT_ATOL / 2, 1e-300, 3.0, 1e308,
 ]
 
 

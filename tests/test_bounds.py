@@ -8,6 +8,7 @@ import pytest
 
 from probmorph import bounds
 from probmorph.bounds import (
+    VERIFIERS,
     covering_bound,
     covering_number,
     hoeffding_bound,
@@ -19,7 +20,16 @@ from probmorph.bounds import (
 )
 from probmorph.kernels import GramMatrix, KernelSpec, gram, mmd
 from probmorph.learning import FiniteClass
-from probmorph.losses import _deviation_terms, _sup_row_mmd_matrix, empirical_risk, expected_risk, sup_row_mmd
+from probmorph.losses import (
+    _deviation_terms,
+    _sup_row_mmd_matrix,
+    empirical_risk,
+    excess_risk,
+    expected_risk,
+    mmd_correct_loss,
+    sup_row_mmd,
+    tv_correct_loss,
+)
 from probmorph.morphisms import MarkovKernel, graph_pushforward
 from probmorph.spaces import (
     Dataset,
@@ -361,6 +371,38 @@ def test_lipschitz_deviation_refuses_a_signed_mu_or_a_list_sample(bad, monkeypat
         args, message = (mu, list(S.pairs)), "S must be a Dataset, got list"
     with pytest.raises(TypeError, match=message):
         lipschitz_deviation_check(f, g, *args, 1.0, gY)
+    assert calls == []
+
+
+@pytest.mark.parametrize("risk", ["expected", "excess", "tv", "mmd"])
+def test_the_risks_refuse_a_signed_mu(risk):
+    # on the signed mu these read 0.5, a SpaceMismatchError, 3.0 and 2.12: the
+    # integrals against a measure of total variation 3, and a type error reported
+    # as a grid mismatch. Each now raises the deviation check's TypeError
+    f, _, signed_mu, _, gY = _signed_mu_instance()
+    call = {
+        "expected": lambda: expected_risk(f, signed_mu, gY),
+        "excess": lambda: excess_risk(f, signed_mu, gY),
+        "tv": lambda: tv_correct_loss(f, signed_mu),
+        "mmd": lambda: mmd_correct_loss(f, signed_mu, gram(KernelSpec("delta"), signed_mu.space)),
+    }[risk]
+    with pytest.raises(TypeError, match="^mu must be a ProbMeasure, got SignedMeasure$"):
+        call()
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIERS))
+def test_monte_carlo_verify_refuses_a_signed_truth_before_it_dispatches(name, monkeypatch):
+    # hoeffding on the signed joint ended in numpy's "pvals < 0" after its loss grid
+    f, g, signed_mu, _, gY = _signed_mu_instance()
+    calls = []
+    monkeypatch.setitem(VERIFIERS, name, lambda *a, **k: calls.append(a))
+    if name == "mmd_concentration":
+        args, params = (SignedMeasure(gY.points, [2.0, -1.0]), gY), {"delta": 0.1}
+    else:
+        subject = f if name == "hoeffding" else FiniteClass([f, g])
+        args, params = (signed_mu, subject), {"gY": gY, "eps": 0.5}
+    with pytest.raises(TypeError, match="^mu must be a ProbMeasure, got SignedMeasure$"):
+        monte_carlo_verify(name, *args, 20, 10, 0, **params)
     assert calls == []
 
 

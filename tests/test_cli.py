@@ -185,6 +185,26 @@ def test_law_suite_equals_a_loop_of_fresh_public_objects(seed):
     assert cold == expected and warm == expected
 
 
+@pytest.mark.parametrize("nan_trial", [0, 4, 9])
+def test_a_nan_violation_fails_its_law(tmp_path, capsys, monkeypatch, nan_trial):
+    # max(held, nan) keeps held, so a NaN violation read as a pass and laws exited 0
+    calls = []
+
+    def pullback_nan_once(k, f):
+        calls.append(k)
+        out = pullback(k, f)
+        return np.full_like(out, math.nan) if len(calls) == nan_trial + 1 else out
+
+    monkeypatch.setattr(cli, "pullback", pullback_nan_once)
+    out = tmp_path / "laws.json"
+    assert run("laws", "--seed", 0, "--trials", 10, "--out", out) == 2
+    assert len(calls) == 10
+    report = json.loads(out.read_text())
+    assert report["failed"] == ["pullback_pushforward_adjoint"]
+    assert math.isnan(report["laws"]["pullback_pushforward_adjoint"])
+    assert "pullback_pushforward_adjoint" in capsys.readouterr().err
+
+
 def test_laws_reruns_in_one_process_write_identical_files(tmp_path, capsys):
     _clear_law_caches()
     outputs = []
@@ -1202,6 +1222,18 @@ def _command_config(command, bounds_dir, embed_dir):
     if command == "embed":
         return (embed_dir / "embed.cfg").read_text()
     return (bounds_dir / "bounds.cfg").read_text()
+
+
+@pytest.mark.parametrize("command", ["laws", "estimate", "bounds", "embed"])
+def test_stdout_is_the_written_report_byte_for_byte(
+    workdir, bounds_dir, embed_dir, capsys, command
+):
+    cfg_path = workdir / f"{command}.cfg"
+    cfg_path.write_text(_command_config(command, bounds_dir, embed_dir))
+    argv, out = _command_argv(command, cfg_path, workdir, bounds_dir, embed_dir)
+    assert run(*argv) == 0
+    report = out / "report.json" if command in ("estimate", "bounds") else out
+    assert capsys.readouterr().out.encode() == report.read_bytes()
 
 
 @pytest.mark.parametrize(

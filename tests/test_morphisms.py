@@ -161,6 +161,11 @@ def test_markov_kernel_overflowing_row_is_rejected_without_a_warning():
         # the message prints the sum as a Python float, not as np.float64(inf)
         with pytest.raises(ValueError, match=r"^row-stochasticity: row at 'x1' sums to inf, not 1"):
             MarkovKernel(X2, Y2, [[1e308, 1e308], [0.0, 1.0]])
+        # an entry above 2 is refused before any row sum is taken, with the same messages
+        with pytest.raises(ValueError, match=r"^row-stochasticity: row at 'x1' sums to 3\.0, not 1$"):
+            MarkovKernel(X2, Y2, [[3.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^kernel rows must be finite$"):
+            MarkovKernel(X2, Y2, [[math.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match=r"row at 'x2' sums to 1\.1, not 1$"):
             MarkovKernel(X2, Y2, [[0.5, 0.5], [0.6, 0.5]])
 
